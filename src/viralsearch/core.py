@@ -27,7 +27,10 @@ class ConfigurationError(ViralSearchError):
 
 
 class EvaluationError(ViralSearchError):
-    """The objective produced an unusable value (NaN) during a run."""
+    """The objective returned NaN or -inf for some point.
+
+    +inf stays legal: it is how an objective marks an infeasible point.
+    """
 
 
 def make_rng(seed: int) -> RngStream:
@@ -167,8 +170,16 @@ class Objective:
             raise ValueError(
                 f"expected points of shape (n, {self.arity}), got {points.shape}"
             )
-        values = np.asarray(self.fn(t, points), dtype=float)
-        return values.reshape(points.shape[0])
+        values = np.asarray(self.fn(t, points), dtype=float).reshape(points.shape[0])
+        usable = values > -np.inf  # false for NaN and -inf alike
+        if not usable.all():
+            i = int(np.argmin(usable))
+            kind = "NaN" if np.isnan(values[i]) else "-inf"
+            raise EvaluationError(
+                f"objective returned {kind} at generation {t} for point "
+                f"{points[i].tolist()}"
+            )
+        return values
 
     def __call__(self, t: int, point: np.ndarray) -> float:
         point = np.asarray(point, dtype=float)

@@ -20,7 +20,6 @@ import numpy as np
 from .core import (
     Bounds,
     ConfigurationError,
-    EvaluationError,
     Objective,
     Point,
     Population,
@@ -170,9 +169,18 @@ def nearest_center(p: Point, centers: np.ndarray) -> int:
     return int(np.argmin(d2))
 
 
-def _nearest_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+def _center_indices(points: np.ndarray, b: Bounds, k: int) -> np.ndarray:
+    """Row index in `make_centers(b, k)` of each point's nearest center.
+
+    The centers are the cell midpoints of a regular grid, so the nearest
+    one is found axis by axis: cell ceil((x - lb) / w) - 1 with width
+    w = span / k, clipped to [0, k - 1], then flattened in the grid's
+    C order. A point on a cell edge goes to the lower cell, which is
+    `nearest_center`'s lowest-index tie. Costs O(n * dim) time and memory.
+    """
+    cells = np.ceil((points - b.lb) / (b.span / k)).astype(np.intp) - 1
+    np.clip(cells, 0, k - 1, out=cells)
+    return np.ravel_multi_index(tuple(cells.T), (k,) * b.dim)
 
 
 def init_state(b: Bounds, cfg: VSConfig, rng: RngStream) -> EngineState:
@@ -197,13 +205,16 @@ def move_random(
 ) -> EngineState:
     """Perturb every scout with an independent Gaussian step per axis,
     folding at the walls per the configured boundary policy, and tally
-    center visits when centers are on."""
+    center visits when centers are on.
+
+    The tally finds each scout's center by grid arithmetic, so it costs
+    O(n * dim + C) per call for C centers."""
     n, d = state.population.shape
     steps = cfg.walk_step_fraction * b.span * rng.standard_normal((n, d))
     state.population = _boundary_policy(cfg)(state.population + steps, b)
     if state.has_centers():
-        idx = _nearest_centers(state.population, state.centers)
-        np.add.at(state.visit_counts, idx, 1)
+        idx = _center_indices(state.population, b, cfg.centers_per_axis)
+        state.visit_counts += np.bincount(idx, minlength=len(state.visit_counts))
     return state
 
 
@@ -215,14 +226,16 @@ def rebalance(
     Moves floor(rebalance_fraction * n) scouts, chosen from the busiest
     centers first, scattering them (per-axis Gaussian, stdev = half the
     center spacing) around the quietest centers, quietest first. Visit
-    counts are history and stay untouched.
+    counts are history and stay untouched. Each scout's center comes from
+    the same grid arithmetic as `move_random`'s tally; ranking the C
+    centers costs O(C log C).
     """
     n = len(state.population)
     k = int(cfg.rebalance_fraction * n)
     if k == 0 or not state.has_centers():
         return state
     counts = state.visit_counts
-    member_center = _nearest_centers(state.population, state.centers)
+    member_center = _center_indices(state.population, b, cfg.centers_per_axis)
     # busiest members first, member index breaking ties
     member_order = np.lexsort((np.arange(n), -counts[member_center]))
     movers = member_order[:k]
@@ -290,13 +303,6 @@ def step(
         state.fobj_global = objective(t, state.best_individual_global)
 
     values = objective.evaluate_many(t, state.population)
-    nan = np.isnan(values)
-    if nan.any():
-        i = int(np.argmax(nan))
-        raise EvaluationError(
-            f"objective returned NaN at generation {t} for point "
-            f"{state.population[i].tolist()}"
-        )
 
     # the incumbent only decreases during the sweep, so scouts that fail
     # against the sweep-start value can be skipped outright

@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     Bounds,
     ConfigurationError,
-    EvaluationError,
     Objective,
     Point,
     RngStream,
@@ -64,16 +63,6 @@ def _partner_indices(rng: RngStream, n: int) -> np.ndarray:
     return np.take_along_axis(pool, order, axis=1)
 
 
-def _check_finite(values: np.ndarray, points: np.ndarray, t: int) -> None:
-    bad = np.isnan(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise EvaluationError(
-            f"objective returned NaN at generation {t} for point "
-            f"{points[i].tolist()}"
-        )
-
-
 def de_optimize(
     objective: Objective,
     region: Bounds,
@@ -107,7 +96,6 @@ def de_optimize(
             )
         pop[0] = seed_point
     values = objective.evaluate_many(t, pop)
-    _check_finite(values, pop, t)
 
     for _ in range(cfg.generations):
         partners = _partner_indices(rng, n)
@@ -118,7 +106,6 @@ def de_optimize(
         np.clip(trial, region.lb, region.ub, out=trial)
 
         trial_values = objective.evaluate_many(t, trial)
-        _check_finite(trial_values, trial, t)
         accept = trial_values <= values
         pop[accept] = trial[accept]
         values[accept] = trial_values[accept]

@@ -4,6 +4,7 @@ import pytest
 from viralsearch.core import (
     Bounds,
     ConfigurationError,
+    EvaluationError,
     Objective,
     child_seed,
     clamp_to_bounds,
@@ -191,3 +192,23 @@ class TestObjective:
                         time_varying=True)
         assert obj(5, np.array([0.0])) == 5.0
         assert obj(9, np.array([0.0])) == 9.0
+
+    def test_nan_raises_naming_generation_and_point(self):
+        obj = Objective(lambda t, p: np.where(p[:, 0] > 0, np.nan, 1.0), arity=2)
+        pts = np.array([[-1.0, 0.0], [0.5, 0.25], [2.0, 0.0]])
+        with pytest.raises(
+            EvaluationError, match=r"NaN at generation 3 for point \[0\.5, 0\.25\]"
+        ):
+            obj.evaluate_many(3, pts)
+
+    def test_minus_inf_raises_naming_generation_and_point(self):
+        obj = Objective(lambda t, p: np.where(p[:, 0] > 0, -np.inf, 1.0), arity=2)
+        with pytest.raises(
+            EvaluationError, match=r"-inf at generation 7 for point \[1\.0, 2\.0\]"
+        ):
+            obj(7, np.array([1.0, 2.0]))
+
+    def test_plus_inf_is_a_legal_penalty(self):
+        obj = Objective(lambda t, p: np.where(p[:, 0] > 0, np.inf, 1.0), arity=2)
+        values = obj.evaluate_many(0, np.array([[-1.0, 0.0], [1.0, 0.0]]))
+        assert values.tolist() == [1.0, np.inf]

@@ -1,5 +1,10 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viralsearch.benchmarks import make_benchmark
 from viralsearch.core import (
@@ -12,6 +17,7 @@ from viralsearch.core import (
 from viralsearch.engine import (
     EngineState,
     VSConfig,
+    _center_indices,
     init_state,
     make_centers,
     move_random,
@@ -106,6 +112,70 @@ class TestNearestCenter:
             nearest_center(np.zeros(2), np.empty((0, 2)))
 
 
+class TestCenterIndices:
+    """The grid arithmetic against `nearest_center`'s brute-force scan."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 4),
+        k=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force(self, data, dim, k, seed):
+        axis = st.lists(st.floats(-100.0, 100.0), min_size=dim, max_size=dim)
+        width = st.lists(st.floats(1e-3, 100.0), min_size=dim, max_size=dim)
+        lb = np.array(data.draw(axis))
+        b = Bounds(lb, lb + np.array(data.draw(width)))
+        centers = make_centers(b, k)
+        points = np.vstack([b.lb, b.ub, make_rng(seed).uniform(b.lb, b.ub, (40, dim))])
+        expected = [nearest_center(p, centers) for p in points]
+        assert _center_indices(points, b, k).tolist() == expected
+
+    @pytest.mark.parametrize("walk_boundary", ["reflect", "clamp"])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_walls_map_to_the_end_cells(self, walk_boundary, k):
+        b = Bounds([-3.0, 0.0, 1.0], [3.0, 10.0, 1.5])
+        corners = np.array(list(itertools.product(*zip(b.lb, b.ub))))
+        cells = np.where(corners == b.ub, k - 1, 0)
+        expected = np.ravel_multi_index(tuple(cells.T), (k,) * 3)
+        assert _center_indices(corners, b, k).tolist() == expected.tolist()
+        # scouts on the walls stay within a 1e-12-span step of them, folded
+        # back in or pinned by the boundary policy
+        cfg = small_cfg(centers_per_axis=k, walk_boundary=walk_boundary,
+                        walk_step_fraction=1e-12)
+        state = init_state(b, cfg, make_rng(0))
+        state.population = np.repeat(corners, 20, axis=0)
+        move_random(state, b, cfg, make_rng(1))
+        assert np.array_equal(
+            state.visit_counts, np.bincount(np.repeat(expected, 20), minlength=k**3)
+        )
+
+    def test_halfway_between_midpoints_goes_to_lower_index(self):
+        # midpoints 0.5, 1.5, 2.5, 3.5 per axis, so halfway points are exact
+        b = Bounds([0.0, 0.0], [4.0, 4.0])
+        centers = make_centers(b, 4)
+        points = np.array([[1.0, 0.5], [0.5, 2.0], [3.0, 3.0]])
+        assert _center_indices(points, b, 4).tolist() == [0, 1, 10]
+        assert [nearest_center(p, centers) for p in points] == [0, 1, 10]
+
+    def test_tally_memory_grows_with_scouts_plus_centers(self):
+        # 200 scouts over 10**4 centers in 4-D: an (n, C, d) distance tensor
+        # would take 200 * 10**4 * 4 * 8 bytes = 64 MB
+        b = Bounds([0.0] * 4, [1.0] * 4)
+        cfg = small_cfg(n_individuals=200, centers_per_axis=10, rebalance_fraction=0.5)
+        rng = make_rng(0)
+        state = init_state(b, cfg, rng)
+        tracemalloc.start()
+        try:
+            move_random(state, b, cfg, rng)
+            rebalance(state, b, cfg, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
 class TestMoveRandom:
     def test_vanishing_step_scale(self):
         cfg = small_cfg(walk_step_fraction=1e-12)
@@ -138,6 +208,8 @@ class TestMoveRandom:
         assert state.visit_counts.sum() == 0
         move_random(state, BOX, cfg, rng)
         assert state.visit_counts.sum() == cfg.n_individuals
+        nearest = [nearest_center(p, state.centers) for p in state.population]
+        assert np.array_equal(state.visit_counts, np.bincount(nearest, minlength=4))
 
 
 class TestRebalance:
@@ -281,6 +353,30 @@ class TestStep:
         with pytest.raises(EvaluationError, match=r"NaN at generation 0 for point"):
             step(state, Objective(leaky, arity=2), BOX, cfg, DEConfig(), rng)
 
+    def test_minus_inf_scout_aborts_naming_the_point(self):
+        def bottomless(t, p):
+            values = (p**2).sum(axis=1)
+            values[p[:, 0] > 0] = -np.inf
+            return values
+
+        cfg = small_cfg(n_individuals=30)
+        rng = make_rng(0)
+        state = init_state(BOX, cfg, rng)
+        with pytest.raises(EvaluationError, match=r"-inf at generation 0 for point"):
+            step(state, Objective(bottomless, arity=2), BOX, cfg, DEConfig(), rng)
+
+    def test_minus_inf_inside_a_burst_aborts(self):
+        cfg = small_cfg()
+
+        def bottomless_burst(t, p):
+            values = (p**2).sum(axis=1)
+            if len(p) == cfg.n_viral_individuals:  # a burst batch, not the scouts
+                values[-1] = -np.inf
+            return values
+
+        with pytest.raises(EvaluationError, match=r"-inf at generation 0 for point"):
+            run(Objective(bottomless_burst, arity=2), BOX, cfg)
+
     def test_trace_row_appended_per_step(self):
         cfg = small_cfg()
         rng = make_rng(2)
@@ -356,6 +452,12 @@ class TestRun:
         # the floor rises by one per generation, so the refreshed incumbent
         # value must increase somewhere along the trace
         assert any(b > a for a, b in zip(values, values[1:]))
+
+    def test_plus_inf_everywhere_runs_to_completion(self):
+        infeasible = Objective(lambda t, p: np.full(len(p), np.inf), arity=2)
+        result = run(infeasible, BOX, small_cfg(n_generations=5))
+        assert len(result.trace) == 5
+        assert result.best_value == np.inf
 
     def test_arity_mismatch_rejected(self):
         bad = Objective(lambda t, p: p.sum(axis=1), arity=3)

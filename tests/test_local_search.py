@@ -131,6 +131,19 @@ class TestDEOptimize:
         with pytest.raises(EvaluationError, match="NaN"):
             de_optimize(obj, SQUARE, DEConfig(), rng=make_rng(0))
 
+    def test_minus_inf_objective_aborts_with_point(self):
+        obj = Objective(
+            lambda t, p: np.where(p[:, 0] > 0.5, -np.inf, (p**2).sum(axis=1)), arity=2
+        )
+        with pytest.raises(EvaluationError, match=r"-inf at generation 4 for point"):
+            de_optimize(obj, SQUARE, DEConfig(), t=4, rng=make_rng(0))
+
+    def test_plus_inf_everywhere_runs_to_completion(self):
+        obj = Objective(lambda t, p: np.full(len(p), np.inf), arity=2)
+        point, value = de_optimize(obj, SQUARE, DEConfig(), rng=make_rng(0))
+        assert value == np.inf
+        assert SQUARE.contains(point[None, :])
+
     def test_requires_rng(self):
         with pytest.raises(ValueError):
             de_optimize(sphere_objective(), SQUARE, DEConfig())
