@@ -169,7 +169,10 @@ def _two_well_spec(tau: float = 1000.0) -> BenchmarkSpec:
 
 def _shekel_spec() -> BenchmarkSpec:
     obj = Objective(lambda t, p: -shekel(p), arity=4, name="shekel")
-    peak = (4.0, 4.0, 4.0, 4.0)
+    # the tallest peak sits near column 0 of SHEKEL_A, (4, 4, 4, 4), but the
+    # other peaks pull the maximum off it; this is a local refinement from
+    # there, rounded to 6 decimals (within 1e-11 of the refined value)
+    peak = (4.00074, 4.000594, 4.00074, 3.999495)
     return BenchmarkSpec(
         name="shekel",
         arity=4,

@@ -1,11 +1,11 @@
 """The viral-search state machine.
 
 A population of scouts random-walks the search box. Whenever a scout
-evaluates at least as well as the incumbent (minus a tolerance), it
-triggers a localized differential-evolution burst inside a small cube
-around its position; the burst's best result updates the incumbent.
-An optional fixed grid of centers tracks how evenly the box is being
-visited and periodically teleports scouts from over-visited to
+evaluates finite and at least as well as the incumbent (minus a
+tolerance), it triggers a localized differential-evolution burst inside
+a small cube around its position; the burst's best result updates the
+incumbent. An optional fixed grid of centers tracks how evenly the box
+is being visited and periodically teleports scouts from over-visited to
 under-visited regions.
 """
 
@@ -305,8 +305,11 @@ def step(
     values = objective.evaluate_many(t, state.population)
 
     # the incumbent only decreases during the sweep, so scouts that fail
-    # against the sweep-start value can be skipped outright
-    for i in np.flatnonzero(values <= state.fobj_global - cfg.trigger_tolerance):
+    # against the sweep-start value can be skipped outright; +inf is a legal
+    # penalty but never triggers, since inf <= inf - tolerance holds while
+    # the incumbent is still +inf
+    triggers = (values < np.inf) & (values <= state.fobj_global - cfg.trigger_tolerance)
+    for i in np.flatnonzero(triggers):
         if values[i] > state.fobj_global - cfg.trigger_tolerance:
             continue
         best_point, best_value = trigger_epidemic(

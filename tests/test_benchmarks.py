@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from viralsearch.benchmarks import (
     BENCHMARK_NAMES,
@@ -146,6 +147,15 @@ class TestRegistry:
         assert np.allclose(spec.bounds.lb, np.zeros(4))
         assert np.allclose(spec.bounds.ub, np.full(4, 10.0))
         assert spec.known_optimum.kind == "max"
+
+    def test_shekel_optimum_is_a_local_maximum(self):
+        opt = registry_lookup("shekel").known_optimum
+        assert opt.value == float(shekel(np.array(opt.point)))
+        assert opt.value > shekel(np.full(4, 4.0))
+        refined = minimize(lambda x: -shekel(x), np.array(opt.point),
+                           method="Nelder-Mead",
+                           options={"xatol": 1e-12, "fatol": 1e-15})
+        assert -refined.fun - opt.value < 1e-9
 
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(ConfigurationError, match="rosenbrock"):

@@ -459,6 +459,21 @@ class TestRun:
         assert len(result.trace) == 5
         assert result.best_value == np.inf
 
+    def test_plus_inf_everywhere_fires_no_burst(self):
+        infeasible = Objective(lambda t, p: np.full(len(p), np.inf), arity=2)
+        result = run(infeasible, BOX, small_cfg(n_generations=5))
+        assert result.epidemic_count == 0
+
+    def test_plus_inf_on_half_the_box_keeps_a_finite_incumbent(self):
+        half = Objective(
+            lambda t, p: np.where(p[:, 0] < 0.0, np.inf, (p**2).sum(axis=1)), arity=2
+        )
+        result = run(half, BOX, small_cfg(n_generations=20))
+        assert result.epidemic_count >= 1
+        assert np.isfinite(result.best_value)
+        assert result.best_point[0] >= 0.0
+        assert result.best_value == half(0, result.best_point)
+
     def test_arity_mismatch_rejected(self):
         bad = Objective(lambda t, p: p.sum(axis=1), arity=3)
         with pytest.raises(ConfigurationError):

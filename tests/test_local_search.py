@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from viralsearch.core import Bounds, ConfigurationError, EvaluationError, Objective, make_rng
 from viralsearch.local_search import DEConfig, _partner_indices, de_optimize
@@ -38,6 +43,45 @@ class TestPartnerIndices:
                 row = partners[i]
                 assert len(set(row.tolist())) == 3
                 assert i not in row
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(4, 400), seed=st.integers(0, 2**32 - 1))
+    def test_property_distinct_in_range(self, n, seed):
+        partners = _partner_indices(make_rng(seed), n)
+        assert partners.shape == (n, 3)
+        assert np.issubdtype(partners.dtype, np.integer)
+        assert ((partners >= 0) & (partners < n)).all()
+        with_self = np.column_stack((np.arange(n), partners))
+        assert (np.diff(np.sort(with_self, axis=1), axis=1) > 0).all()
+
+    def test_uniform_by_chi_square(self):
+        n, draws = 7, 20_000
+        rng = make_rng(2024)
+        samples = np.stack([_partner_indices(rng, n) for _ in range(draws)])
+        for i in range(n):
+            others = np.delete(np.arange(n), i)
+            for k in range(3):
+                counts = np.bincount(samples[:, i, k], minlength=n)
+                assert counts[i] == 0
+                assert chisquare(counts[others]).pvalue > 1e-3, (i, k)
+        # the ordered triples for one target: (n - 1)(n - 2)(n - 3) = 120 cells
+        triples = samples[:, 0, :] - 1  # target 0 takes partners from 1..6
+        cells = np.ravel_multi_index(tuple(triples.T), (n - 1,) * 3)
+        counts = np.bincount(cells, minlength=(n - 1) ** 3)
+        distinct = np.array([len(set(t)) == 3 for t in np.ndindex((n - 1,) * 3)])
+        assert counts[~distinct].sum() == 0
+        assert chisquare(counts[distinct]).pvalue > 1e-3
+
+    def test_memory_is_linear_in_n(self):
+        rng = make_rng(0)
+        tracemalloc.start()
+        try:
+            _partner_indices(rng, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an n x n int64 index matrix alone would be 32 MB
+        assert peak < 1_000_000
 
 
 class TestDEOptimize:
