@@ -53,10 +53,12 @@ from .harness import (
 from .local_search import DEConfig, de_optimize
 from .schema_lab import (
     BinaryPopulation,
+    CompiledSchema,
     GAParams,
     GrowthReport,
     NoInstancesError,
     classic_ga_step,
+    compile_schema,
     count_matches,
     defining_length,
     expected_count_bound,

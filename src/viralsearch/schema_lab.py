@@ -15,7 +15,7 @@ lower bound
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -28,71 +28,129 @@ class NoInstancesError(ViralSearchError):
     """The schema has no instances in the population."""
 
 
-def _as_pattern(schema: Union[str, tuple, list]) -> str:
-    if not isinstance(schema, str):
-        schema = "".join(str(s) for s in schema)
-    if len(schema) < 1:
+@dataclass(frozen=True)
+class CompiledSchema:
+    """A schema parsed once: its pattern, the fixed positions `idx` in
+    ascending order with their bits `vals`, its order, and its defining
+    length (None for an all-wildcard schema, where it is undefined).
+
+    Two compiled schemata are equal when their patterns are."""
+
+    pattern: str
+    idx: np.ndarray = field(compare=False, repr=False)
+    vals: np.ndarray = field(compare=False, repr=False)
+    order: int = field(compare=False)
+    defining_length: Optional[int] = field(compare=False)
+
+
+SchemaLike = Union[str, tuple, list, CompiledSchema]
+
+
+def compile_schema(schema: SchemaLike) -> CompiledSchema:
+    """Parse a schema given as a string or a sequence of symbols; a
+    compiled schema is returned as it is."""
+    if isinstance(schema, CompiledSchema):
+        return schema
+    pattern = schema if isinstance(schema, str) else "".join(str(s) for s in schema)
+    if len(pattern) < 1:
         raise ValueError("schema must have at least one position")
-    bad = set(schema) - {"0", "1", WILDCARD}
+    bad = set(pattern) - {"0", "1", WILDCARD}
     if bad:
         raise ValueError(f"schema may only contain 0, 1, {WILDCARD}; got {sorted(bad)}")
-    return schema
-
-
-def _fixed_positions(schema: str) -> tuple[np.ndarray, np.ndarray]:
-    pattern = _as_pattern(schema)
-    idx = np.array([i for i, ch in enumerate(pattern) if ch != WILDCARD], dtype=int)
+    idx = np.array([i for i, ch in enumerate(pattern) if ch != WILDCARD], dtype=np.intp)
     vals = np.array([int(pattern[i]) for i in idx], dtype=np.uint8)
-    return idx, vals
+    idx.flags.writeable = vals.flags.writeable = False
+    return CompiledSchema(
+        pattern=pattern,
+        idx=idx,
+        vals=vals,
+        order=int(idx.size),
+        defining_length=int(idx[-1] - idx[0]) if idx.size else None,
+    )
 
 
-def defining_length(schema) -> int:
+def defining_length(schema: SchemaLike) -> int:
     """Index distance between the first and last fixed position."""
-    idx, _ = _fixed_positions(schema)
-    if idx.size == 0:
+    delta = compile_schema(schema).defining_length
+    if delta is None:
         raise ValueError("defining length is undefined for an all-wildcard schema")
-    return int(idx[-1] - idx[0])
+    return delta
 
 
-def order(schema) -> int:
+def order(schema: SchemaLike) -> int:
     """Number of fixed (non-wildcard) positions."""
-    idx, _ = _fixed_positions(schema)
-    return int(idx.size)
+    return compile_schema(schema).order
 
 
-def matches(schema, candidate) -> bool:
+def _as_bits(values, what: str) -> np.ndarray:
+    """`values` as a new uint8 array, checked before the cast: `ValueError`
+    unless every entry is exactly 0 or 1."""
+    values = np.asarray(values)
+    if not ((values == 0) | (values == 1)).all():
+        raise ValueError(f"{what} must contain only 0/1 bits")
+    return values.astype(np.uint8)
+
+
+def matches(schema: SchemaLike, candidate) -> bool:
     """True when the candidate bit-string agrees with every fixed position."""
-    pattern = _as_pattern(schema)
+    s = compile_schema(schema)
     if isinstance(candidate, str):
-        bits = np.array([int(ch) for ch in candidate], dtype=np.uint8)
-    else:
-        bits = np.asarray(candidate, dtype=np.uint8)
-    if bits.size != len(pattern):
+        candidate = [int(ch) for ch in candidate]
+    bits = _as_bits(candidate, "candidate")
+    if bits.size != len(s.pattern):
         raise ValueError(
-            f"candidate has {bits.size} bits, schema has {len(pattern)} positions"
+            f"candidate has {bits.size} bits, schema has {len(s.pattern)} positions"
         )
-    idx, vals = _fixed_positions(pattern)
-    return bool((bits[idx] == vals).all())
+    return bool((bits[s.idx] == s.vals).all())
 
 
-@dataclass
+def _checked_fitness(fitness_fn: Callable, members: np.ndarray) -> np.ndarray:
+    """`fitness_fn(members)` as a new float vector, one finite, strictly
+    positive value per member."""
+    values = np.array(fitness_fn(members), dtype=float)
+    if values.shape != (members.shape[0],):
+        raise ValueError(
+            f"fitness_fn returned shape {values.shape} for {members.shape[0]} members"
+        )
+    if not ((values > 0) & (values < np.inf)).all():
+        raise ValueError("all fitness values must be finite and strictly positive")
+    return values
+
+
+@dataclass(frozen=True, eq=False)
 class BinaryPopulation:
     """Fixed-length bit-string population with a strictly positive fitness.
 
     `fitness_fn` is vectorized: it receives the (n, m) member matrix and
-    returns n values.
+    returns n values, each a function of its own row. `members` is a
+    read-only uint8 copy, so the fitness is computed on the first
+    `fitness()` call and cached.
     """
 
     members: np.ndarray
     fitness_fn: Callable[[np.ndarray], np.ndarray]
+    _fitness: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        members = np.asarray(self.members, dtype=np.uint8)
+        members = _as_bits(self.members, "members")
         if members.ndim != 2:
             raise ValueError("members must be a 2-D bit matrix")
-        if not np.isin(members, (0, 1)).all():
-            raise ValueError("members must contain only 0/1 bits")
-        self.members = members
+        members.flags.writeable = False
+        object.__setattr__(self, "members", members)
+
+    @classmethod
+    def _trusted(cls, members: np.ndarray, fitness_fn, fitness=None) -> "BinaryPopulation":
+        """A population over a uint8 0/1 matrix the caller owns and built
+        itself: no copy, no validation. `fitness`, when given, must be
+        `_checked_fitness(fitness_fn, members)`."""
+        pop = object.__new__(cls)
+        members.flags.writeable = False
+        if fitness is not None:
+            fitness.flags.writeable = False
+        object.__setattr__(pop, "members", members)
+        object.__setattr__(pop, "fitness_fn", fitness_fn)
+        object.__setattr__(pop, "_fitness", fitness)
+        return pop
 
     @property
     def size(self) -> int:
@@ -103,7 +161,13 @@ class BinaryPopulation:
         return self.members.shape[1]
 
     def fitness(self) -> np.ndarray:
-        return np.asarray(self.fitness_fn(self.members), dtype=float)
+        """The members' fitness values (read-only); `ValueError` unless
+        every value is finite and strictly positive."""
+        if self._fitness is None:
+            fitness = _checked_fitness(self.fitness_fn, self.members)
+            fitness.flags.writeable = False
+            object.__setattr__(self, "_fitness", fitness)
+        return self._fitness
 
 
 @dataclass(frozen=True)
@@ -131,79 +195,103 @@ def random_population(
     n: int, length: int, fitness_fn: Callable, rng: RngStream
 ) -> BinaryPopulation:
     members = rng.integers(0, 2, size=(n, length), dtype=np.uint8)
-    return BinaryPopulation(members, fitness_fn)
+    return BinaryPopulation._trusted(members, fitness_fn)
 
 
-def match_mask(schema, pop: BinaryPopulation) -> np.ndarray:
-    idx, vals = _fixed_positions(schema)
-    pattern = _as_pattern(schema)
-    if len(pattern) != pop.length:
+def match_mask(schema: SchemaLike, pop: BinaryPopulation) -> np.ndarray:
+    s = compile_schema(schema)
+    if len(s.pattern) != pop.length:
         raise ValueError(
-            f"schema has {len(pattern)} positions, members have {pop.length} bits"
+            f"schema has {len(s.pattern)} positions, members have {pop.length} bits"
         )
-    if idx.size == 0:
+    if s.order == 0:
         return np.ones(pop.size, dtype=bool)
-    return (pop.members[:, idx] == vals).all(axis=1)
+    return (pop.members[:, s.idx] == s.vals).all(axis=1)
 
 
-def count_matches(schema, pop: BinaryPopulation) -> int:
+def count_matches(schema: SchemaLike, pop: BinaryPopulation) -> int:
     return int(match_mask(schema, pop).sum())
 
 
-def schema_fitness(schema, pop: BinaryPopulation) -> float:
+def schema_fitness(schema: SchemaLike, pop: BinaryPopulation) -> float:
     """Mean fitness of the members matching the schema."""
-    mask = match_mask(schema, pop)
+    s = compile_schema(schema)
+    mask = match_mask(s, pop)
     if not mask.any():
-        raise NoInstancesError(f"schema {schema!r} has no instances in the population")
+        raise NoInstancesError(f"schema {s.pattern!r} has no instances in the population")
     return float(pop.fitness()[mask].mean())
 
 
-def expected_count_bound(schema, pop: BinaryPopulation, params: GAParams) -> float:
+def expected_count_bound(
+    schema: SchemaLike, pop: BinaryPopulation, params: GAParams
+) -> float:
     """Lower bound on the expected next-generation instance count of the
     schema under selection, crossover, and mutation."""
     m = pop.length
     if m < 2:
         raise ValueError("the crossover survival factor needs strings of length >= 2")
-    xi = count_matches(schema, pop)
+    s = compile_schema(schema)
+    delta = defining_length(s)
+    mask = match_mask(s, pop)
+    xi = int(mask.sum())
     if xi < 1:
-        raise NoInstancesError(f"schema {schema!r} has no instances in the population")
-    mean_fitness = float(pop.fitness().mean())
-    growth = xi * schema_fitness(schema, pop) / mean_fitness
-    crossover_survival = 1.0 - params.p_c * defining_length(schema) / (m - 1)
-    mutation_survival = (1.0 - params.p_m) ** order(schema)
+        raise NoInstancesError(f"schema {s.pattern!r} has no instances in the population")
+    fitness = pop.fitness()
+    growth = xi * float(fitness[mask].mean()) / float(fitness.mean())
+    crossover_survival = 1.0 - params.p_c * delta / (m - 1)
+    mutation_survival = (1.0 - params.p_m) ** s.order
     return growth * crossover_survival * mutation_survival
+
+
+def _roulette(fitness: np.ndarray, rng: RngStream) -> np.ndarray:
+    """`len(fitness)` indices drawn with probability proportional to
+    fitness: the indices and the draws of
+    `rng.choice(n, size=n, p=fitness / fitness.sum())`, without its checks."""
+    cdf = np.cumsum(fitness / fitness.sum())
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(fitness.size), side="right")
+
+
+def _single_point_crossover(
+    members: np.ndarray, cross: np.ndarray, cuts: np.ndarray
+) -> None:
+    """Cross rows 2k and 2k+1 in place: where `cross[k]`, they swap their
+    bits from position `cuts[k]` on. An odd last row is left alone."""
+    half = cross.size
+    first, second = members[0 : 2 * half : 2], members[1 : 2 * half : 2]
+    swap = cross[:, None] & (np.arange(members.shape[1]) >= cuts[:, None])
+    diff = (first ^ second) & swap
+    first ^= diff
+    second ^= diff
 
 
 def classic_ga_step(
     pop: BinaryPopulation, params: GAParams, rng: RngStream
 ) -> BinaryPopulation:
     """One generational cycle: roulette selection, single-point crossover on
-    consecutive pairs, independent per-bit mutation, optional elitism."""
+    consecutive pairs, independent per-bit mutation, optional elitism.
+
+    Costs O(n · m) for n members of m bits. Only elitism evaluates the
+    children's fitness, and the child population keeps that result."""
     fitness = pop.fitness()
-    if (fitness <= 0).any():
-        raise ValueError("all fitness values must be strictly positive")
     n, m = pop.members.shape
 
-    selected = rng.choice(n, size=n, p=fitness / fitness.sum())
-    children = pop.members[selected].copy()
-
+    children = pop.members[_roulette(fitness, rng)]
     if m >= 2:
-        for k in range(0, n - 1, 2):
-            if rng.random() < params.p_c:
-                cut = int(rng.integers(1, m))
-                tail = children[k, cut:].copy()
-                children[k, cut:] = children[k + 1, cut:]
-                children[k + 1, cut:] = tail
+        cross = rng.random(n // 2) < params.p_c
+        cuts = rng.integers(1, m, size=n // 2)
+        _single_point_crossover(children, cross, cuts)
+    children ^= rng.random((n, m)) < params.p_m
 
-    flips = rng.random((n, m)) < params.p_m
-    children = np.where(flips, 1 - children, children).astype(np.uint8)
-
-    new_pop = BinaryPopulation(children, pop.fitness_fn)
+    child_fitness = None
     if params.elitism:
-        best_parent = int(np.argmax(fitness))
-        worst_child = int(np.argmin(new_pop.fitness()))
-        new_pop.members[worst_child] = pop.members[best_parent]
-    return new_pop
+        # the best parent replaces the worst child; fitness is row-wise,
+        # so the child's value is the parent's
+        child_fitness = _checked_fitness(pop.fitness_fn, children)
+        worst, best = int(np.argmin(child_fitness)), int(np.argmax(fitness))
+        children[worst] = pop.members[best]
+        child_fitness[worst] = fitness[best]
+    return BinaryPopulation._trusted(children, pop.fitness_fn, child_fitness)
 
 
 @dataclass
@@ -228,16 +316,21 @@ class GrowthReport:
 
 def schema_growth_experiment(
     pop0: BinaryPopulation,
-    schema,
+    schema: SchemaLike,
     params: GAParams,
     generations: int,
     trials: int,
 ) -> GrowthReport:
     """Evolve `trials` independent populations from `pop0` and compare the
-    schema's observed next-generation counts to the expected-count bound."""
+    schema's observed next-generation counts to the expected-count bound.
+
+    The schema is parsed once, each population's fitness is evaluated once,
+    and the trials run one after another, so memory does not grow with
+    `trials` beyond the (trials, generations) result arrays."""
+    schema = compile_schema(schema)
     if count_matches(schema, pop0) < 1:
         raise NoInstancesError(
-            f"schema {schema!r} must be instantiated in the starting population"
+            f"schema {schema.pattern!r} must be instantiated in the starting population"
         )
     counts = np.zeros((trials, generations + 1))
     bounds_ = np.full((trials, generations), np.nan)
@@ -270,7 +363,7 @@ def schema_growth_experiment(
         else 1.0
     )
     return GrowthReport(
-        schema=_as_pattern(schema),
+        schema=schema.pattern,
         generations=generations,
         trials=trials,
         mean_counts=counts.mean(axis=0),

@@ -1,12 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from viralsearch import schema_lab
 from viralsearch.core import make_rng
 from viralsearch.schema_lab import (
     BinaryPopulation,
+    CompiledSchema,
     GAParams,
     NoInstancesError,
+    _single_point_crossover,
     classic_ga_step,
+    compile_schema,
     count_matches,
     defining_length,
     expected_count_bound,
@@ -42,6 +50,49 @@ class TestSchemaStatistics:
             order("01x")
 
 
+class TestCompiledSchema:
+    def test_fields(self):
+        s = compile_schema("*1**0*")
+        assert s.pattern == "*1**0*"
+        assert s.idx.tolist() == [1, 4]
+        assert s.vals.tolist() == [1, 0]
+        assert (s.order, s.defining_length) == (2, 3)
+
+    def test_all_wildcard_has_no_defining_length(self):
+        s = compile_schema("***")
+        assert (s.order, s.defining_length) == (0, None)
+        with pytest.raises(ValueError):
+            defining_length(s)
+
+    def test_sequence_input_and_equality(self):
+        assert compile_schema(["1", "*", 0]) == compile_schema("1*0")
+        assert compile_schema("1*0") != compile_schema("1*1")
+
+    def test_compiled_input_is_returned_as_is(self):
+        s = compile_schema("10*")
+        assert compile_schema(s) is s
+
+    def test_arrays_are_read_only(self):
+        s = compile_schema("10*")
+        with pytest.raises(ValueError):
+            s.idx[0] = 2
+
+    def test_public_functions_accept_compiled_schemata(self):
+        pop = random_population(50, 6, onemax_fitness, make_rng(12))
+        params = GAParams(p_c=0.6, p_m=0.05)
+        for pattern in ("1*****", "*01**1", "0****0"):
+            s = compile_schema(pattern)
+            assert isinstance(s, CompiledSchema)
+            assert order(s) == order(pattern)
+            assert defining_length(s) == defining_length(pattern)
+            assert matches(s, pop.members[0]) == matches(pattern, pop.members[0])
+            assert count_matches(s, pop) == count_matches(pattern, pop)
+            assert schema_fitness(s, pop) == schema_fitness(pattern, pop)
+            assert expected_count_bound(s, pop, params) == expected_count_bound(
+                pattern, pop, params
+            )
+
+
 class TestMatches:
     @pytest.mark.parametrize(
         "schema, candidate, expected",
@@ -62,6 +113,13 @@ class TestMatches:
         with pytest.raises(ValueError):
             matches("01", "011")
 
+    @pytest.mark.parametrize(
+        "candidate", [np.array([1.5, 0.0]), np.array([257, 0]), "21", [-255, 0]]
+    )
+    def test_non_bits_rejected(self, candidate):
+        with pytest.raises(ValueError):
+            matches("1*", candidate)
+
     def test_fully_fixed_schema_matches_one_string(self):
         pop = random_population(200, 4, onemax_fitness, make_rng(0))
         mask_total = 0
@@ -69,6 +127,56 @@ class TestMatches:
             pattern = format(value, "04b")
             mask_total += count_matches(pattern, pop)
         assert mask_total == 200
+
+
+class TestBinaryPopulation:
+    @pytest.mark.parametrize(
+        "rows", [[[256, 1]], [[0.5, 1.0]], [[-255, 1]], [[2, 0]]]
+    )
+    def test_non_bits_rejected_before_the_cast(self, rows):
+        with pytest.raises(ValueError):
+            BinaryPopulation(np.array(rows), onemax_fitness)
+
+    def test_bits_of_any_dtype_accepted(self):
+        pop = BinaryPopulation([[1.0, 0.0], [True, False]], onemax_fitness)
+        assert pop.members.dtype == np.uint8
+        assert pop.members.tolist() == [[1, 0], [1, 0]]
+
+    def test_members_are_a_read_only_copy(self):
+        rows = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+        pop = BinaryPopulation(rows, onemax_fitness)
+        rows[0, 0] = 1
+        assert pop.members[0, 0] == 0
+        with pytest.raises(ValueError):
+            pop.members[0, 0] = 1
+
+    def test_fitness_is_computed_once_and_cached(self):
+        calls = []
+
+        def fitness_fn(members):
+            calls.append(1)
+            return onemax_fitness(members)
+
+        pop = random_population(10, 4, fitness_fn, make_rng(13))
+        first = pop.fitness()
+        assert pop.fitness() is first
+        assert len(calls) == 1
+        with pytest.raises(ValueError):
+            first[0] = 5.0
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_fitness_must_be_finite_and_positive(self, bad):
+        pop = BinaryPopulation(
+            np.array([[0, 1], [1, 1]], dtype=np.uint8),
+            lambda m: np.array([1.0, bad]),
+        )
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            pop.fitness()
+
+    def test_fitness_needs_one_value_per_member(self):
+        pop = BinaryPopulation(np.zeros((3, 2)), lambda m: np.ones(2))
+        with pytest.raises(ValueError):
+            pop.fitness()
 
 
 class TestSchemaFitness:
@@ -189,6 +297,54 @@ class TestClassicGAStep:
         with pytest.raises(ValueError):
             classic_ga_step(pop, GAParams(), make_rng(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_finite_fitness_required(self, bad):
+        pop = BinaryPopulation(
+            np.array([[0, 1], [1, 0]], dtype=np.uint8),
+            lambda m: np.array([1.0, bad]),
+        )
+        with pytest.raises(ValueError, match="finite"):
+            classic_ga_step(pop, GAParams(), make_rng(0))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_selection_equals_rng_choice(self, seed):
+        pop = random_population(57, 9, onemax_fitness, make_rng(seed))
+        fitness = pop.fitness()
+        child = classic_ga_step(pop, GAParams(p_c=0.0, p_m=0.0), make_rng(100 + seed))
+        picks = make_rng(100 + seed).choice(57, size=57, p=fitness / fitness.sum())
+        assert np.array_equal(child.members, pop.members[picks])
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 11), m=st.integers(2, 12), data=st.data())
+    def test_masked_crossover_matches_pairwise_loop(self, n, m, data):
+        bits = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+        members = np.array(
+            data.draw(st.lists(bits, min_size=n, max_size=n)), dtype=np.uint8
+        ).reshape(n, m)
+        half = n // 2
+        cross = np.array(
+            data.draw(st.lists(st.booleans(), min_size=half, max_size=half)), dtype=bool
+        )
+        cuts = np.array(
+            data.draw(st.lists(st.integers(1, m - 1), min_size=half, max_size=half)),
+            dtype=np.intp,
+        )
+        expected = members.copy()
+        for k in range(half):
+            if cross[k]:
+                cut = cuts[k]
+                tail = expected[2 * k, cut:].copy()
+                expected[2 * k, cut:] = expected[2 * k + 1, cut:]
+                expected[2 * k + 1, cut:] = tail
+        _single_point_crossover(members, cross, cuts)
+        assert np.array_equal(members, expected)
+
+    def test_elitism_caches_the_child_fitness(self):
+        pop = random_population(30, 12, onemax_fitness, make_rng(14))
+        child = classic_ga_step(pop, GAParams(p_m=0.2, elitism=True), make_rng(15))
+        assert np.array_equal(child.fitness(), onemax_fitness(child.members))
+        assert pop.fitness().max() in child.fitness()
+
 
 class TestGrowthExperiment:
     def test_schema_must_be_instantiated(self):
@@ -202,7 +358,7 @@ class TestGrowthExperiment:
         pop0 = random_population(100, 20, onemax_fitness, make_rng(9))
         schema = "000" + "*" * 17
         params = GAParams(p_c=0.7, p_m=0.01, seed=123)
-        report = schema_growth_experiment(pop0, schema, params, 50, 50)
+        report = schema_growth_experiment(pop0, schema, params, 50, 200)
         assert report.mean_counts[-1] < report.mean_counts[0]
         assert report.mean_counts[-1] < 1.0
 
@@ -223,3 +379,45 @@ class TestGrowthExperiment:
         b = schema_growth_experiment(pop0, "11******", params, 6, 10)
         assert np.array_equal(a.mean_counts, b.mean_counts)
         assert a.frac_generations_pass == b.frac_generations_pass
+
+    def test_fitness_runs_once_per_population(self):
+        seen = []
+
+        def counting(members):
+            seen.append(members)
+            return onemax_fitness(members)
+
+        pop0 = random_population(30, 10, counting, make_rng(16))
+        generations, trials = 6, 4
+        schema_growth_experiment(pop0, "1*1*******", GAParams(seed=3), generations, trials)
+        # pop0 once, then every generation of every trial but the last,
+        # whose fitness nothing reads
+        assert len(seen) == 1 + trials * (generations - 1)
+        assert len({id(members) for members in seen}) == len(seen)
+
+    def test_schema_string_parsed_once(self, monkeypatch):
+        parsed = []
+        compile_once = schema_lab.compile_schema
+
+        def counting(schema):
+            if not isinstance(schema, CompiledSchema):
+                parsed.append(schema)
+            return compile_once(schema)
+
+        monkeypatch.setattr(schema_lab, "compile_schema", counting)
+        pop0 = random_population(30, 10, onemax_fitness, make_rng(17))
+        schema_growth_experiment(pop0, "11********", GAParams(seed=4), 5, 6)
+        assert parsed == ["11********"]
+
+    def test_memory_does_not_grow_with_trials(self):
+        pop0 = random_population(100, 20, onemax_fitness, make_rng(18))
+        pop0.fitness()
+        tracemalloc.start()
+        try:
+            schema_growth_experiment(pop0, "11" + "*" * 18, GAParams(seed=5), 5, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (200, 100, 20) stack of all trials would be 400 KB of bits
+        # plus 3.2 MB of mutation draws
+        assert peak < 2**20
