@@ -30,7 +30,7 @@ from .core import (
     reflect_into_bounds,
     stratified_init,
 )
-from .local_search import DEConfig, de_optimize
+from .local_search import DEConfig, check_draw_range, de_optimize
 
 
 def _boundary_policy(cfg: "VSConfig"):
@@ -364,6 +364,7 @@ def run(
         pop_size=cfg.n_viral_individuals,
         generations=cfg.n_viral_generations,
     )
+    check_draw_range(cfg.n_viral_individuals, b.dim)
 
     t0 = time.perf_counter()
     rng = make_rng(cfg.seed)

@@ -165,21 +165,7 @@ def _median_row(rows: list) -> ReportRow:
     pool = ok if ok else rows
     ranked = sorted(range(len(pool)), key=lambda i: (pool[i].value, i))
     chosen = pool[ranked[(len(ranked) - 1) // 2]]
-    return replace_row(chosen, kind="median")
-
-
-def replace_row(row: ReportRow, **changes) -> ReportRow:
-    data = dict(
-        sweep=dict(row.sweep),
-        point=row.point,
-        value=row.value,
-        time_s=row.time_s,
-        seed=row.seed,
-        kind=row.kind,
-        status=row.status,
-    )
-    data.update(changes)
-    return ReportRow(**data)
+    return replace(chosen, kind="median", sweep=dict(chosen.sweep))
 
 
 def run_experiment(spec: ExperimentSpec) -> list:
@@ -225,7 +211,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
                         value=float("nan"),
                         time_s=0.0,
                         seed=seed,
-                        status=f"error: {exc}",
+                        status=f"error: {type(exc).__name__}: {exc}",
                     )
                 )
         rows.extend(cell_rows)

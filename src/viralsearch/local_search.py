@@ -54,29 +54,62 @@ class DEConfig:
             )
 
 
-def _partner_indices(rng: RngStream, n: int) -> np.ndarray:
-    """For each target i, three distinct indices r1, r2, r3 != i, as (n, 3).
+_BLOCK = 16  # generations whose randomness one draw serves
+_INT64_MAX = np.iinfo(np.int64).max
 
-    Row i is uniform over the ordered triples of distinct indices in
-    [0, n) other than i. Column k is drawn uniform on [0, n - 1 - k) and
-    then stepped past the k + 1 indices already taken in its row ({i},
-    then {i, r1}, then {i, r1, r2}), visited in ascending order: each
-    `r += r >= s` moves the draw over one taken index, which maps
-    [0, n - 1 - k) one-to-one onto the indices still free. One draw of
-    3n integers per call, so O(n) time and memory.
+
+def check_draw_range(n: int, d: int) -> None:
+    """Raise unless a burst of n members in d axes can draw its partners
+    and forced axes as int64 integers on [0, (n-1)(n-2)(n-3) * d)."""
+    if (n - 1) * (n - 2) * (n - 3) * d > _INT64_MAX:
+        raise ConfigurationError(
+            f"a burst of {n} members in {d} axes has (n-1)(n-2)(n-3)*d = "
+            f"{(n - 1) * (n - 2) * (n - 3) * d} partner and axis choices, "
+            f"more than int64 can draw; use a smaller burst population"
+        )
+
+
+def _draw_block(
+    rng: RngStream, n: int, d: int, cr: float, g: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Partners and crossover masks for g generations of n members in d axes.
+
+    Returns `partners` of shape (g, n, 3) and `cross` of shape (g, n, d).
+    In each generation, row i of `partners` is uniform over the ordered
+    triples of distinct indices in [0, n) other than i, and row i of
+    `cross` is True on each axis with probability `cr` and always on one
+    forced axis, uniform and independent of the partners.
+
+    One draw on [0, (n-1)(n-2)(n-3) * d) per member and generation is
+    split by `divmod` into the forced axis, r3, r2 and r1, so r1 is
+    uniform on [0, n - 1), r2 on [0, n - 2) and r3 on [0, n - 3), all
+    independent. Each is then stepped past the indices already taken in
+    its row ({i}, then {i, r1}, then {i, r1, r2}), visited in ascending
+    order: each `r += r >= s` moves the draw over one taken index, which
+    maps its range one-to-one onto the indices still free. Two RNG calls
+    per block; O(g * n * d) time and memory.
     """
-    partners = rng.integers(0, (n - 1, n - 2, n - 3), size=(n, 3))
-    r1, r2, r3 = partners.T  # views: the steps below write into `partners`
     i = np.arange(n)
+    partners = np.empty((3, g, n), dtype=np.int64)
+    r1, r2, r3 = partners  # views: the steps below write into `partners`
+    draws = rng.integers(0, (n - 1) * (n - 2) * (n - 3) * d, size=(g, n))
+    cross = rng.random((g, n, d)) < cr
+    draws, axis = np.divmod(draws, d)
+    cross[np.arange(g)[:, None], i, axis] = True  # one forced axis
+    np.divmod(draws, n - 3, out=(draws, r3))
+    np.divmod(draws, n - 2, out=(r1, r2))
+
+    # in place, reusing the spent buffers: a block keeps a few (g, n) arrays
     r1 += r1 >= i
-    lo, hi = np.minimum(i, r1), np.maximum(i, r1)
+    lo, hi = np.minimum(i, r1, out=draws), np.maximum(i, r1, out=axis)
     r2 += r2 >= lo
     r2 += r2 >= hi
-    # {lo, hi, r2} in ascending order; r2 differs from both
-    low, high = np.minimum(lo, r2), np.maximum(hi, r2)
-    for s in (low, lo + hi + r2 - low - high, high):
-        r3 += r3 >= s
-    return partners
+    # past {lo, hi, r2} in ascending order (min, median, max); r2 differs
+    # from both
+    r3 += r3 >= np.minimum(lo, r2)
+    r3 += r3 >= np.minimum(np.maximum(lo, r2), hi)
+    r3 += r3 >= np.maximum(hi, r2)
+    return partners.transpose(1, 2, 0), cross
 
 
 def de_optimize(
@@ -94,13 +127,15 @@ def de_optimize(
     given it replaces member 0, and greedy selection guarantees the
     returned value never exceeds the seed's value. Trials are clamped to
     the region. When `history` is a list, the per-generation best value
-    is appended to it.
+    is appended to it. Partners and crossover masks are drawn once per
+    block of `_BLOCK` generations, so a generation makes no RNG call.
 
     Returns the best point found and its value.
     """
     if rng is None:
         raise ValueError("de_optimize requires an explicit rng")
     n, d = cfg.pop_size, region.dim
+    check_draw_range(n, d)
     f, cr = cfg.differential_weight, cfg.crossover_rate
 
     pop = rng.uniform(region.lb, region.ub, size=(n, d))
@@ -113,20 +148,20 @@ def de_optimize(
         pop[0] = seed_point
     values = objective.evaluate_many(t, pop)
 
-    for _ in range(cfg.generations):
-        partners = _partner_indices(rng, n)
-        mutant = pop[partners[:, 0]] + f * (pop[partners[:, 1]] - pop[partners[:, 2]])
-        cross = rng.random((n, d)) < cr
-        cross[np.arange(n), rng.integers(0, d, size=n)] = True  # one forced coordinate
-        trial = np.where(cross, mutant, pop)
-        np.clip(trial, region.lb, region.ub, out=trial)
+    for start in range(0, cfg.generations, _BLOCK):
+        block = _draw_block(rng, n, d, cr, min(_BLOCK, cfg.generations - start))
+        for partners, cross in zip(*block):
+            r1, r2, r3 = partners.T
+            mutant = pop[r1] + f * (pop[r2] - pop[r3])
+            trial = np.where(cross, mutant, pop)
+            np.clip(trial, region.lb, region.ub, out=trial)
 
-        trial_values = objective.evaluate_many(t, trial)
-        accept = trial_values <= values
-        pop[accept] = trial[accept]
-        values[accept] = trial_values[accept]
-        if history is not None:
-            history.append(float(values.min()))
+            trial_values = objective.evaluate_many(t, trial)
+            accept = trial_values <= values
+            pop[accept] = trial[accept]
+            values[accept] = trial_values[accept]
+            if history is not None:
+                history.append(float(values.min()))
 
     best = int(np.argmin(values))
     return pop[best].copy(), float(values[best])

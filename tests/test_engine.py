@@ -436,6 +436,19 @@ class TestRun:
             SPHERE(final_t, result.best_point), rel=1e-15
         )
 
+    def test_overflowing_burst_draw_range_fails_before_evaluating(self):
+        rows = []
+
+        def counting(t, p):
+            rows.append(len(p))
+            return (p**2).sum(axis=1)
+
+        line = Bounds([0.0], [1.0])
+        cfg = small_cfg(n_viral_individuals=2_100_000)
+        with pytest.raises(ConfigurationError, match="int64"):
+            run(Objective(counting, arity=1), line, cfg)
+        assert rows == []
+
     def test_stagnation_window_stops_early(self):
         constant = Objective(lambda t, p: np.full(len(p), 5.0), arity=2)
         cfg = small_cfg(n_generations=50, stagnation_window=3)

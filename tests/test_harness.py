@@ -112,7 +112,7 @@ class TestRunExperiment:
             repeat=1,
         )
         rows = run_experiment(bad)
-        assert any(r.status.startswith("error") for r in rows)
+        assert any(r.status.startswith("error: ConfigurationError") for r in rows)
         assert np.isnan([r.value for r in rows if r.status != "ok"][0])
 
     def test_checkpoint_rows(self):

@@ -7,13 +7,29 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from viralsearch.core import Bounds, ConfigurationError, EvaluationError, Objective, make_rng
-from viralsearch.local_search import DEConfig, _partner_indices, de_optimize
+from viralsearch.local_search import (
+    _BLOCK,
+    DEConfig,
+    _draw_block,
+    check_draw_range,
+    de_optimize,
+)
 
 SQUARE = Bounds([-1.0, -1.0], [1.0, 1.0])
 
 
 def sphere_objective():
     return Objective(lambda t, p: (p**2).sum(axis=1), arity=2, name="sphere")
+
+
+def counting_sphere(arity=2):
+    rows = []
+
+    def f(t, p):
+        rows.append(len(p))
+        return (p**2).sum(axis=1)
+
+    return Objective(f, arity=arity), rows
 
 
 class TestDEConfig:
@@ -36,8 +52,7 @@ class TestPartnerIndices:
     @pytest.mark.parametrize("n", [4, 5, 17, 64])
     def test_three_distinct_non_self(self, n):
         rng = make_rng(11)
-        for _ in range(50):
-            partners = _partner_indices(rng, n)
+        for partners in _draw_block(rng, n, 2, 0.9, 50)[0]:
             assert partners.shape == (n, 3)
             for i in range(n):
                 row = partners[i]
@@ -45,19 +60,45 @@ class TestPartnerIndices:
                 assert i not in row
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(4, 400), seed=st.integers(0, 2**32 - 1))
-    def test_property_distinct_in_range(self, n, seed):
-        partners = _partner_indices(make_rng(seed), n)
-        assert partners.shape == (n, 3)
-        assert np.issubdtype(partners.dtype, np.integer)
-        assert ((partners >= 0) & (partners < n)).all()
-        with_self = np.column_stack((np.arange(n), partners))
-        assert (np.diff(np.sort(with_self, axis=1), axis=1) > 0).all()
+    @given(
+        n=st.integers(4, 400),
+        d=st.integers(1, 5),
+        cr=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_distinct_in_range(self, n, d, cr, seed):
+        block, cross = _draw_block(make_rng(seed), n, d, cr, _BLOCK)
+        for partners in block:
+            assert partners.shape == (n, 3)
+            assert np.issubdtype(partners.dtype, np.integer)
+            assert ((partners >= 0) & (partners < n)).all()
+            with_self = np.column_stack((np.arange(n), partners))
+            assert (np.diff(np.sort(with_self, axis=1), axis=1) > 0).all()
+        assert cross.shape == (_BLOCK, n, d) and cross.dtype == bool
+        assert cross.any(axis=-1).all()  # the forced axis
+
+    @pytest.mark.parametrize("n, d", [(4, 1), (9, 3)])
+    def test_matches_per_row_reference(self, n, d):
+        partners, cross = _draw_block(make_rng(8), n, d, 0.0, _BLOCK)
+        # the same integers, decoded and stepped one row at a time
+        draws = make_rng(8).integers(0, (n - 1) * (n - 2) * (n - 3) * d, size=(_BLOCK, n))
+        for k in range(_BLOCK):
+            for i in range(n):
+                rest, axis = divmod(int(draws[k, i]), d)
+                rest, c = divmod(rest, n - 3)
+                a, b = divmod(rest, n - 2)
+                taken = [i]
+                for digit in (a, b, c):
+                    taken.append([j for j in range(n) if j not in taken][digit])
+                assert partners[k, i].tolist() == taken[1:]
+                assert np.flatnonzero(cross[k, i]).tolist() == [axis]
 
     def test_uniform_by_chi_square(self):
         n, draws = 7, 20_000
         rng = make_rng(2024)
-        samples = np.stack([_partner_indices(rng, n) for _ in range(draws)])
+        samples = np.concatenate(
+            [_draw_block(rng, n, 1, 0.9, _BLOCK)[0] for _ in range(draws // _BLOCK)]
+        )
         for i in range(n):
             others = np.delete(np.arange(n), i)
             for k in range(3):
@@ -72,16 +113,35 @@ class TestPartnerIndices:
         assert counts[~distinct].sum() == 0
         assert chisquare(counts[distinct]).pvalue > 1e-3
 
+        # with d = 3 and crossover rate 0 each mask row holds only the forced
+        # axis; its joint counts with target 0's triple fill 120 x 3 cells
+        d = 3
+        blocks = [_draw_block(rng, n, d, 0.0, _BLOCK) for _ in range(draws // _BLOCK)]
+        triples = np.concatenate([p[:, 0, :] for p, _ in blocks]) - 1
+        axes = np.concatenate([c[:, 0, :] for _, c in blocks]).argmax(axis=1)
+        cells = np.ravel_multi_index(tuple(triples.T), (n - 1,) * 3) * d + axes
+        counts = np.bincount(cells, minlength=(n - 1) ** 3 * d)
+        joint = np.repeat(distinct, d)
+        assert counts[~joint].sum() == 0
+        assert chisquare(counts[joint]).pvalue > 1e-3
+
     def test_memory_is_linear_in_n(self):
         rng = make_rng(0)
         tracemalloc.start()
         try:
-            _partner_indices(rng, 2000)
+            _draw_block(rng, 2000, 1, 0.9, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # an n x n int64 index matrix alone would be 32 MB
         assert peak < 1_000_000
+
+    def test_draw_range_limit(self):
+        check_draw_range(2_097_152, 1)  # (n-1)(n-2)(n-3) < 2**63
+        with pytest.raises(ConfigurationError, match="int64"):
+            check_draw_range(2_097_152, 2)
+        with pytest.raises(ConfigurationError, match="int64"):
+            check_draw_range(2_100_000, 1)
 
 
 class TestDEOptimize:
@@ -187,6 +247,43 @@ class TestDEOptimize:
         point, value = de_optimize(obj, SQUARE, DEConfig(), rng=make_rng(0))
         assert value == np.inf
         assert SQUARE.contains(point[None, :])
+
+    @pytest.mark.parametrize("generations", [1, 15, 16, 17, 75])
+    def test_block_boundaries(self, generations):
+        cfg = DEConfig(pop_size=9, generations=generations)
+        runs = []
+        for _ in range(2):
+            obj, rows = counting_sphere()
+            history = []
+            point, value = de_optimize(obj, SQUARE, cfg, rng=make_rng(6),
+                                       history=history)
+            assert rows == [9] * (generations + 1)
+            assert len(history) == generations
+            assert all(b <= a for a, b in zip(history, history[1:]))
+            runs.append((point, value, history))
+        (pa, va, ha), (pb, vb, hb) = runs
+        assert np.array_equal(pa, pb) and va == vb and ha == hb
+
+    def test_burst_memory_is_linear_in_pop(self):
+        # rosenbrock-table3's largest cell: 400 members x 1200 generations
+        obj = Objective(lambda t, p: (p**2).sum(axis=1), arity=2)
+        cfg = DEConfig(pop_size=400, generations=1200)
+        rng = make_rng(0)
+        tracemalloc.start()
+        try:
+            de_optimize(obj, SQUARE, cfg, rng=rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole burst's randomness drawn as one block peaks at about 43 MB
+        assert peak < 2_000_000
+
+    def test_overflowing_draw_range_fails_before_evaluating(self):
+        obj, rows = counting_sphere(arity=1)
+        cfg = DEConfig(pop_size=2_100_000, generations=1)
+        with pytest.raises(ConfigurationError, match="int64"):
+            de_optimize(obj, Bounds([0.0], [1.0]), cfg, rng=make_rng(0))
+        assert rows == []
 
     def test_requires_rng(self):
         with pytest.raises(ValueError):
