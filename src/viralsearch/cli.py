@@ -16,11 +16,12 @@ from .core import ConfigurationError, ViralSearchError, make_rng
 from .engine import VSConfig
 from .harness import (
     ReportRow,
-    _value_name,
     builtin_specs,
+    display_value,
     parallel_run,
     run_experiment,
     trace_export,
+    value_name,
     write_rows,
 )
 from .local_search import DEConfig
@@ -49,7 +50,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--step", type=float, default=0.1, help="walk step fraction")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--parallel", type=int, default=1, metavar="M",
-                   help="split the box across M workers")
+                   help="split the box into M sub-boxes, each searched by its own "
+                        "engine one after another (more diversity, not faster)")
     p.add_argument("--time-varying", action="store_true",
                    help="re-evaluate the incumbent every generation")
 
@@ -120,12 +122,8 @@ def _print_summary(bench, result) -> None:
         print("no evaluations performed (ng=0)")
         return
     coords = ", ".join(f"{v:.6f}" for v in result.best_point)
-    value = result.best_value
-    if bench.known_optimum is not None and bench.known_optimum.kind == "max":
-        value = -value
-        print(f"best point: ({coords})  maximized value: {value:.6f}")
-    else:
-        print(f"best point: ({coords})  value: {value:.6f}")
+    label = "maximized value" if value_name(bench) == "val" else "value"
+    print(f"best point: ({coords})  {label}: {display_value(bench, result.best_value):.6f}")
     print(
         f"epidemics: {result.epidemic_count}  "
         f"wall time: {result.wall_time_ms / 1e3:.3f}s"
@@ -136,20 +134,17 @@ def cmd_run(args) -> int:
     bench, result = _run_from_args(args)
     _print_summary(bench, result)
     if args.out:
-        value = result.best_value
-        if bench.known_optimum is not None and bench.known_optimum.kind == "max":
-            value = -value
         row = ReportRow(
             sweep={},
             point=None
             if result.best_point is None
             else tuple(float(v) for v in result.best_point),
-            value=value,
+            value=display_value(bench, result.best_value),
             time_s=result.wall_time_ms / 1e3,
             seed=args.seed,
         )
         write_rows([row], args.out, args.format, arity=bench.arity,
-                   value_name=_value_name(bench))
+                   value_name=value_name(bench))
         print(f"wrote {args.out}")
     return 0
 

@@ -43,8 +43,8 @@ def make_rng(seed: int) -> RngStream:
 def child_seed(parent_seed: int, index: int) -> int:
     """Derive a worker seed from a parent seed.
 
-    Spawn keys keep sibling streams statistically independent, so
-    concurrent workers never share a generator.
+    Spawn keys keep sibling streams statistically independent, so the
+    workers of one decomposition never share a generator.
     """
     seq = np.random.SeedSequence(parent_seed, spawn_key=(index,))
     return int(seq.generate_state(1, np.uint64)[0])
@@ -114,8 +114,10 @@ def reflect_into_bounds(p: np.ndarray, b: Bounds) -> np.ndarray:
     span = b.span
     y = np.mod(p - b.lb, 2.0 * span)
     folded = np.where(y > span, 2.0 * span - y, y)
+    folded += b.lb
     # the final clip only absorbs 1-ulp float spill from lb + span
-    return np.clip(b.lb + folded, b.lb, b.ub)
+    np.maximum(folded, b.lb, out=folded)
+    return np.minimum(folded, b.ub, out=folded)
 
 
 def uniform_sample(b: Bounds, rng: RngStream) -> Point:

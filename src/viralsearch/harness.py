@@ -10,8 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -147,17 +146,28 @@ def _coord_names(arity: int) -> list:
     return ["x", "y"] if arity == 2 else [f"x{j + 1}" for j in range(arity)]
 
 
-def _value_name(bench: BenchmarkSpec) -> str:
-    if bench.known_optimum is not None and bench.known_optimum.kind == "max":
-        return "val"
-    return "z"
+def _maximizes(bench: BenchmarkSpec) -> bool:
+    return bench.known_optimum is not None and bench.known_optimum.kind == "max"
 
 
-def _display_value(bench: BenchmarkSpec, value: float) -> float:
-    # the engine minimizes; flip the sign back for maximization problems
-    if bench.known_optimum is not None and bench.known_optimum.kind == "max":
-        return -value
-    return value
+def value_name(bench: BenchmarkSpec) -> str:
+    """Report column of the objective value: "val" when maximizing, else "z"."""
+    return "val" if _maximizes(bench) else "z"
+
+
+def display_value(bench: BenchmarkSpec, value: float) -> float:
+    """The engine minimizes; flip the sign back for maximization problems."""
+    return -value if _maximizes(bench) else value
+
+
+def _check_keys(keys, config_type, where: str) -> None:
+    valid = [f.name for f in fields(config_type)]
+    for key in keys:
+        if key not in valid:
+            raise ConfigurationError(
+                f"unknown {config_type.__name__} key {key!r} in {where}; "
+                f"valid keys: {', '.join(valid)}"
+            )
 
 
 def _median_row(rows: list) -> ReportRow:
@@ -171,7 +181,13 @@ def _median_row(rows: list) -> ReportRow:
 def run_experiment(spec: ExperimentSpec) -> list:
     """Execute every (cell, repeat) run; one row per run plus a median row
     per cell. A failed run becomes an error row instead of aborting the
-    sweep. Writes `spec.out_path` when set."""
+    sweep. Writes `spec.out_path` when set.
+
+    An unknown config key in `base`, `sweep_fields` or `de` raises
+    `ConfigurationError` before any run."""
+    _check_keys(spec.base, VSConfig, "base")
+    _check_keys(spec.sweep_fields, VSConfig, "sweep_fields")
+    _check_keys(spec.de, DEConfig, "de")
     bench = make_benchmark(spec.benchmark, **spec.benchmark_params)
     rows = []
     flat = 0
@@ -198,7 +214,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
                             point=None
                             if result.best_point is None
                             else tuple(float(v) for v in result.best_point),
-                            value=_display_value(bench, result.best_value),
+                            value=display_value(bench, result.best_value),
                             time_s=result.wall_time_ms / 1e3,
                             seed=seed,
                         )
@@ -219,7 +235,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
             rows.append(_median_row(cell_rows))
     if spec.out_path is not None:
         write_rows(rows, spec.out_path, spec.out_format, arity=bench.arity,
-                   value_name=_value_name(bench))
+                   value_name=value_name(bench))
     return rows
 
 
@@ -245,7 +261,7 @@ def _checkpoint_rows(bench, result: RunResult, checkpoints, seed: int) -> list:
             ReportRow(
                 sweep={"t": t},
                 point=None if point is None else tuple(float(v) for v in point),
-                value=_display_value(bench, trace_row.fobj_global),
+                value=display_value(bench, trace_row.fobj_global),
                 time_s=trace_row.elapsed_ms / 1e3,
                 seed=seed,
             )
@@ -383,7 +399,10 @@ def parallel_run(
     (population split evenly, child seeds per worker), and keep the best
     worker's result. Traces are merged, tagged with the worker index.
 
-    With m=1 this is exactly `run` with the same seed.
+    The workers run one after another in the calling thread. The split is
+    a diversity option, not a speedup: each worker keeps its own incumbent
+    and fires its own bursts, and the call costs the sum of its workers'
+    runs. With m=1 this is exactly `run` with the same seed.
     """
     if m < 1:
         raise ConfigurationError("m must be >= 1")
@@ -406,18 +425,14 @@ def parallel_run(
         )
         for w in range(m)
     ]
-
-    def _one(w: int) -> RunResult:
-        return run(objective, boxes[w], worker_cfgs[w], de_cfg)
-
-    with ThreadPoolExecutor(max_workers=m) as pool:
-        results = list(pool.map(_one, range(m)))
+    results = [run(objective, box, wcfg, de_cfg) for box, wcfg in zip(boxes, worker_cfgs)]
 
     best_w = min(range(m), key=lambda w: (results[w].best_value, w))
     trace = []
     for w, res in enumerate(results):
         for row in res.trace:
-            trace.append(replace(row, worker=w))
+            row.worker = w
+        trace.extend(res.trace)
     return RunResult(
         best_point=None
         if results[best_w].best_point is None

@@ -154,12 +154,14 @@ def de_optimize(
             r1, r2, r3 = partners.T
             mutant = pop[r1] + f * (pop[r2] - pop[r3])
             trial = np.where(cross, mutant, pop)
-            np.clip(trial, region.lb, region.ub, out=trial)
+            # np.clip's values without the cost of its Python wrapper
+            np.maximum(trial, region.lb, out=trial)
+            np.minimum(trial, region.ub, out=trial)
 
             trial_values = objective.evaluate_many(t, trial)
             accept = trial_values <= values
-            pop[accept] = trial[accept]
-            values[accept] = trial_values[accept]
+            np.copyto(pop, trial, where=accept[:, None])
+            np.copyto(values, trial_values, where=accept)
             if history is not None:
                 history.append(float(values.min()))
 

@@ -1,3 +1,6 @@
+import csv
+import re
+
 import viralsearch.cli as cli
 from viralsearch.harness import ExperimentSpec, read_rows_csv, read_rows_json
 
@@ -77,6 +80,19 @@ class TestRunCommand:
         )
         assert code == 0
         assert "maximized value" in capsys.readouterr().out
+
+    def test_shekel_report_value_matches_printed_maximum(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        code = run_cli(
+            "run", "--function", "shekel", "--ni", "100", "--ng", "15",
+            "--niv", "40", "--ngv", "25", "--seed", "1", "--out", str(path),
+        )
+        assert code == 0
+        printed = re.search(r"maximized value: (\S+)", capsys.readouterr().out).group(1)
+        assert float(printed) > 0
+        with open(path, newline="") as fh:
+            header, row = list(csv.reader(fh))
+        assert row[header.index("val")] == printed
 
 
 class TestBenchCommand:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viralsearch.core import (
     Bounds,
@@ -98,6 +100,33 @@ class TestReflect:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             reflect_into_bounds(np.array([0.0]), BOX)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5), n=st.integers(1, 12))
+    def test_bit_identical_to_the_clipped_fold(self, data, dim, n):
+        # walls are never -0.0: against a -0.0 wall numpy's own clip returns
+        # either zero depending on the array's shape (x + 0.0 maps -0.0 to 0.0)
+        lb = np.array([
+            data.draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e3).map(lambda x: x + 0.0)))
+            for _ in range(dim)
+        ])
+        span = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim))
+        b = Bounds(lb, lb + np.array(span))
+        size = dict(min_size=n * dim, max_size=n * dim)
+        # each coordinate is on the lower wall, on the upper wall, -0.0, or
+        # lb + k spans with k from several spans below to several above
+        kind = np.array(data.draw(st.lists(st.integers(0, 3), **size))).reshape(n, dim)
+        k = np.array(data.draw(st.lists(st.floats(-6.0, 7.0), **size))).reshape(n, dim)
+        p = np.select([kind == 0, kind == 1, kind == 2],
+                      [np.broadcast_to(b.lb, (n, dim)), np.broadcast_to(b.ub, (n, dim)), -0.0],
+                      b.lb + k * b.span)
+
+        span = b.span
+        y = np.mod(p - b.lb, 2.0 * span)
+        expected = np.clip(b.lb + np.where(y > span, 2.0 * span - y, y), b.lb, b.ub)
+        got = reflect_into_bounds(p, b)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestUniformSample:

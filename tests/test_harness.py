@@ -1,10 +1,13 @@
 import json
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from viralsearch import harness
 from viralsearch.benchmarks import make_benchmark
-from viralsearch.core import Bounds, ConfigurationError, Objective, make_rng
+from viralsearch.core import Bounds, ConfigurationError, Objective, child_seed, make_rng
 from viralsearch.engine import VSConfig, run
 from viralsearch.harness import (
     ExperimentSpec,
@@ -100,6 +103,34 @@ class TestRunExperiment:
             assert ra.value == rb.value
             assert ra.seed == rb.seed
             assert ra.kind == rb.kind
+
+    @pytest.mark.parametrize(
+        "overrides, key, valid",
+        [
+            (dict(base={"n_viral_individuals": 6, "n_viral_generations": 3, "bogus": 1}),
+             "bogus", "n_viral_individuals"),
+            (dict(sweep_fields=("n_individuals", "n_generatoins")),
+             "n_generatoins", "n_generations"),
+            (dict(de={"crossover": 0.5}), "crossover", "crossover_rate"),
+        ],
+        ids=["base", "sweep_fields", "de"],
+    )
+    def test_unknown_config_key_fails_before_any_run(self, monkeypatch, overrides, key, valid):
+        calls = []
+
+        def counted_run(*args, **kwargs):
+            calls.append(1)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", counted_run)
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_experiment(tiny_spec(**overrides))
+        assert calls == []
+        assert repr(key) in str(excinfo.value)
+        assert valid in str(excinfo.value)
+        # the same patch sees every run of a valid spec
+        run_experiment(tiny_spec())
+        assert len(calls) == 4
 
     def test_failed_cell_recorded_not_fatal(self):
         spec = tiny_spec(cells=((2, 3), (6, 4)))  # burst pop 6 is fine; ni=2 ok
@@ -259,6 +290,51 @@ class TestParallelRun:
         # each worker produced a full trace, so every share ran
         workers = {row.worker for row in merged.trace}
         assert workers == {0, 1, 2}
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_equals_one_run_per_sub_box(self, m):
+        bench = make_benchmark("rosenbrock")
+        cfg = VSConfig(
+            n_generations=30,
+            n_viral_generations=8,
+            n_individuals=11,
+            n_viral_individuals=10,
+            seed=7,
+        )
+        merged = parallel_run(bench.objective, bench.bounds, cfg, m=m)
+        share, extra = divmod(cfg.n_individuals, m)
+        oracle = [
+            run(bench.objective, box,
+                replace(cfg, n_individuals=share + (w < extra), seed=child_seed(cfg.seed, w)))
+            for w, box in enumerate(split_bounds(bench.bounds, m))
+        ]
+        best = min(oracle, key=lambda r: r.best_value)  # ties go to the lowest index
+        assert merged.best_value == best.best_value
+        assert np.array_equal(merged.best_point, best.best_point)
+        assert merged.epidemic_count == sum(r.epidemic_count for r in oracle)
+        assert merged.epidemic_count > m  # the workers did fire bursts
+        expected = [(w, row) for w, r in enumerate(oracle) for row in r.trace]
+        assert len(merged.trace) == len(expected)
+        for got, (w, want) in zip(merged.trace, expected):
+            assert got.worker == w
+            assert got.generation == want.generation
+            assert got.fobj_global == want.fobj_global
+            assert got.epidemics_so_far == want.epidemics_so_far
+            assert np.array_equal(got.best_point, want.best_point)
+
+    def test_workers_run_on_the_calling_thread(self):
+        threads, counts = set(), set()
+
+        def f(t, p):
+            threads.add(threading.get_ident())
+            counts.add(threading.active_count())
+            return (p**2).sum(axis=1)
+
+        before = threading.active_count()
+        parallel_run(Objective(f, arity=2), BOX, self.cfg(), m=4)
+        assert threads == {threading.get_ident()}
+        assert counts == {before}
+        assert threading.active_count() == before
 
     def test_too_many_workers_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -264,6 +264,54 @@ class TestDEOptimize:
         (pa, va, ha), (pb, vb, hb) = runs
         assert np.array_equal(pa, pb) and va == vb and ha == hb
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(4, 40),
+        d=st.integers(1, 5),
+        generations=st.sampled_from([1, 15, 16, 17]),
+        f=st.floats(0.1, 2.0),
+        cr=st.floats(0.0, 1.0),
+        seeded=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_clip_and_mask_reference(self, n, d, generations, f, cr, seeded, seed):
+        region = Bounds(np.linspace(-1.0, 0.0, d), np.linspace(0.5, 2.0, d))
+        # coarse levels make ties, which greedy selection accepts; the
+        # minimum sits on the upper walls, so trials are clamped there
+        obj = Objective(lambda t, p: np.floor(4.0 * np.abs(p - 3.0).sum(axis=1)), arity=d)
+        cfg = DEConfig(pop_size=n, generations=generations, differential_weight=f,
+                       crossover_rate=cr)
+        seed_point = np.full(d, 0.25) if seeded else None
+
+        def reference(rng, history):
+            pop = rng.uniform(region.lb, region.ub, size=(n, d))
+            if seed_point is not None:
+                pop[0] = seed_point
+            values = obj.evaluate_many(0, pop)
+            for start in range(0, generations, _BLOCK):
+                block = _draw_block(rng, n, d, cr, min(_BLOCK, generations - start))
+                for partners, cross in zip(*block):
+                    r1, r2, r3 = partners.T
+                    mutant = pop[r1] + f * (pop[r2] - pop[r3])
+                    trial = np.where(cross, mutant, pop)
+                    np.clip(trial, region.lb, region.ub, out=trial)
+                    trial_values = obj.evaluate_many(0, trial)
+                    accept = trial_values <= values
+                    pop[accept] = trial[accept]
+                    values[accept] = trial_values[accept]
+                    history.append(float(values.min()))
+            best = int(np.argmin(values))
+            return pop[best].copy(), float(values[best])
+
+        want_history, got_history = [], []
+        want_point, want_value = reference(make_rng(seed), want_history)
+        got_point, got_value = de_optimize(obj, region, cfg, seed_point=seed_point,
+                                           rng=make_rng(seed), history=got_history)
+        assert got_history == want_history
+        assert np.array_equal(got_point, want_point)
+        assert np.array_equal(np.signbit(got_point), np.signbit(want_point))
+        assert got_value == want_value
+
     def test_burst_memory_is_linear_in_pop(self):
         # rosenbrock-table3's largest cell: 400 members x 1200 generations
         obj = Objective(lambda t, p: (p**2).sum(axis=1), arity=2)
