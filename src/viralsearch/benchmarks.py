@@ -86,8 +86,18 @@ def shekel(x, a_matrix: np.ndarray = SHEKEL_A, c: np.ndarray = SHEKEL_C) -> np.n
         )
     if a_matrix.shape[1] != c.size:
         raise ValueError("peak matrix columns and c lengths differ")
-    sq = ((x[..., None, :] - a_matrix.T) ** 2).sum(axis=-1)
-    return (1.0 / (c + sq)).sum(axis=-1)
+    # accumulate the squared distance one axis at a time into an (..., m)
+    # array, never building the (..., m, d) tensor; for d < 8 this adds the
+    # same terms in the same order as numpy's sum over that tensor's last
+    # axis, bit for bit (from 8 terms on, numpy sums pairwise)
+    sq = (x[..., 0, None] - a_matrix[0]) ** 2
+    for j in range(1, a_matrix.shape[0]):
+        d = x[..., j, None] - a_matrix[j]
+        d *= d
+        sq += d
+    sq += c
+    np.reciprocal(sq, out=sq)
+    return sq.sum(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--parallel", type=int, default=1, metavar="M",
                    help="split the box into M sub-boxes, each searched by its own "
                         "engine one after another (more diversity, not faster)")
-    p.add_argument("--time-varying", action="store_true",
-                   help="re-evaluate the incumbent every generation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +109,6 @@ def _run_from_args(args):
         epidemic_radius_fraction=args.rho,
         walk_step_fraction=args.step,
         seed=args.seed,
-        time_varying=args.time_varying or bench.objective.time_varying,
     )
     result = parallel_run(bench.objective, bench.bounds, cfg, DEConfig(), m=args.parallel)
     return bench, result

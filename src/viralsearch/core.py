@@ -108,16 +108,25 @@ def reflect_into_bounds(p: np.ndarray, b: Bounds) -> np.ndarray:
     """Fold coordinates back across violated walls; interior points unchanged.
 
     The closed-form triangle-wave fold is exact for any overshoot, which
-    is equivalent to reflecting repeatedly until inside.
+    is equivalent to reflecting repeatedly until inside. `np.mod` runs
+    only when some coordinate lies 2·span or more from `lb`.
     """
     p = _checked(p, b)
     span = b.span
-    y = np.mod(p - b.lb, 2.0 * span)
-    folded = np.where(y > span, 2.0 * span - y, y)
-    folded += b.lb
-    # the final clip only absorbs 1-ulp float spill from lb + span
-    np.maximum(folded, b.lb, out=folded)
-    return np.minimum(folded, b.ub, out=folded)
+    period = 2.0 * span
+    y = p - b.lb
+    if (np.abs(y) < period).all():
+        # what np.mod returns for |y| < period: y, or y + period below zero;
+        # it returns +0.0 for y = -0.0, which arises only from p = -0.0 on
+        # lb = +0.0, and adding lb below makes that +0.0 too
+        np.add(y, period, out=y, where=y < 0)
+    else:
+        y = np.mod(y, period)
+    np.subtract(period, y, out=y, where=y > span)
+    # y >= 0, so lb + y >= lb; but lb + span can round past ub, as
+    # (0.2 - (-0.1)) + (-0.1) == 0.20000000000000004 on [-0.1, 0.2]
+    y += b.lb
+    return np.minimum(y, b.ub, out=y)
 
 
 def uniform_sample(b: Bounds, rng: RngStream) -> Point:

@@ -297,7 +297,8 @@ def step(
     """One generation: evaluate scouts, fire bursts on improvement, update
     the incumbent, move everyone, rebalance on cadence, append a trace row."""
     t = state.generation
-    if cfg.time_varying and state.best_individual_global is not None:
+    moving = cfg.time_varying or objective.time_varying
+    if moving and state.best_individual_global is not None:
         # the landscape moved under the incumbent; refresh its value so
         # trigger comparisons stay meaningful
         state.fobj_global = objective(t, state.best_individual_global)

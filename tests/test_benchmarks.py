@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from viralsearch.benchmarks import (
@@ -16,7 +18,7 @@ from viralsearch.benchmarks import (
     sphere,
     two_well,
 )
-from viralsearch.core import ConfigurationError, make_rng
+from viralsearch.core import Bounds, ConfigurationError, make_rng, reflect_into_bounds
 
 
 class TestRosenbrock:
@@ -111,6 +113,40 @@ class TestShekel:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             shekel(np.zeros(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 6),
+        m=st.integers(1, 12),
+        shape=st.sampled_from([(), (5,), (3, 4)]),
+    )
+    def test_bit_identical_to_the_tensor_formula(self, data, d, m, shape):
+        # d stays below 8: from 8 axes on numpy sums the tensor pairwise,
+        # and the two can differ in the last bits
+        a = np.array(
+            data.draw(st.lists(st.floats(0.0, 10.0), min_size=d * m, max_size=d * m))
+        ).reshape(d, m)
+        c = np.array(data.draw(st.lists(st.floats(1e-3, 10.0), min_size=m, max_size=m)))
+        size = int(np.prod(shape, dtype=int)) * d
+        # points in [0, 10]^d, or up to 10^3 outside it on either side
+        coords = st.one_of(st.floats(0.0, 10.0), st.floats(-1e3, 1e3 + 10.0))
+        x = np.array(data.draw(st.lists(coords, min_size=size, max_size=size)))
+        x = x.reshape(shape + (d,))
+        expected = (1.0 / (c + ((x[..., None, :] - a.T) ** 2).sum(-1))).sum(-1)
+        got = shekel(x, a, c)
+        assert got.shape == shape
+        assert np.array_equal(got, expected)
+
+    def test_inputs_left_unchanged(self):
+        box = Bounds(np.zeros(4), np.full(4, 10.0))
+        near = make_rng(3).uniform(-5.0, 15.0, size=(200, 4))
+        # near points take the fold's branch without np.mod, far ones the other
+        for x in (near, 4.0 * near):
+            before = x.copy()
+            shekel(x)
+            reflect_into_bounds(x, box)
+            assert np.array_equal(x, before)
 
 
 class TestRegistry:

@@ -128,6 +128,62 @@ class TestReflect:
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
+    @staticmethod
+    def _box(data, dim):
+        # as above: walls are never -0.0
+        lb = np.array([
+            data.draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e3).map(lambda x: x + 0.0)))
+            for _ in range(dim)
+        ])
+        span = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim))
+        return Bounds(lb, lb + np.array(span))
+
+    @staticmethod
+    def _near(data, b, n):
+        # each coordinate is on a wall, -0.0, or lb + k spans with |k| < 2,
+        # which is the range where the fold needs no np.mod
+        dim = b.dim
+        size = dict(min_size=n * dim, max_size=n * dim)
+        kind = np.array(data.draw(st.lists(st.integers(0, 3), **size))).reshape(n, dim)
+        k = st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True)
+        k = np.array(data.draw(st.lists(k, **size))).reshape(n, dim)
+        return np.select([kind == 0, kind == 1, kind == 2],
+                         [np.broadcast_to(b.lb, (n, dim)), np.broadcast_to(b.ub, (n, dim)), -0.0],
+                         b.lb + k * b.span)
+
+    @staticmethod
+    def _clipped_fold(p, b):
+        span = b.span
+        y = np.mod(p - b.lb, 2.0 * span)
+        return np.clip(b.lb + np.where(y > span, 2.0 * span - y, y), b.lb, b.ub)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5), n=st.integers(1, 12))
+    def test_bit_identical_on_both_fold_branches(self, data, dim, n):
+        b = self._box(data, dim)
+        p = self._near(data, b, n)
+        if data.draw(st.booleans()):
+            # one coordinate two or more spans from lb sends the whole
+            # array through np.mod
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, dim - 1))
+            k = data.draw(st.one_of(st.floats(-6.0, -2.0), st.floats(2.0, 7.0)))
+            p[i, j] = b.lb[j] + k * b.span[j]
+        expected = self._clipped_fold(p, b)
+        got = reflect_into_bounds(p, b)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_upper_clip_keeps_the_upper_wall_inside(self):
+        b = Bounds([-0.1], [0.2])
+        # lb + span rounds past ub on this box, so without the clip a point
+        # on ub would fold outside it
+        assert (b.ub - b.lb) + b.lb > b.ub
+        for k in (0, 1, 2):
+            p = b.ub + k * b.span
+            got = reflect_into_bounds(p, b)
+            assert b.contains(got, atol=0.0)
+            assert np.array_equal(got, self._clipped_fold(p, b))
+
 
 class TestUniformSample:
     def test_within_bounds_any_seed(self):

@@ -466,6 +466,16 @@ class TestRun:
         # value must increase somewhere along the trace
         assert any(b > a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_time_varying_objective_refreshes_without_the_config_flag(self, seed):
+        # the objective's own flag is enough: the reported value is the
+        # landscape's value at the reported point in the last generation
+        spec = make_benchmark("two_well", tau=50.0)
+        cfg = VSConfig(n_generations=300, n_viral_generations=10, n_individuals=30,
+                       n_viral_individuals=20, seed=seed)
+        result = run(spec.objective, spec.bounds, cfg)
+        assert result.best_value == spec.objective(cfg.n_generations - 1, result.best_point)
+
     def test_plus_inf_everywhere_runs_to_completion(self):
         infeasible = Objective(lambda t, p: np.full(len(p), np.inf), arity=2)
         result = run(infeasible, BOX, small_cfg(n_generations=5))
