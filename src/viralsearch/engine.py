@@ -62,7 +62,6 @@ class VSConfig:
     trigger_tolerance: float = 1e-12
     stagnation_window: Optional[int] = None
     seed: int = 0
-    time_varying: bool = False
     init: str = "stratified"
     walk_boundary: str = "reflect"
 
@@ -118,14 +117,13 @@ class EngineState:
     generation: int = 0
     fobj_global: float = float("inf")
     best_individual_global: Optional[Point] = None
-    centers: Optional[np.ndarray] = None
     visit_counts: Optional[np.ndarray] = None
     epidemic_count: int = 0
     trace: list = field(default_factory=list)
     started_at: float = field(default_factory=time.perf_counter)
 
     def has_centers(self) -> bool:
-        return self.centers is not None and len(self.centers) > 0
+        return self.visit_counts is not None and len(self.visit_counts) > 0
 
 
 @dataclass
@@ -138,14 +136,8 @@ class RunResult:
     config_echo: VSConfig
 
 
-def make_centers(b: Bounds, centers_per_axis: int) -> np.ndarray:
-    """Full Cartesian grid of reference centers.
-
-    Each axis is cut into `centers_per_axis` equal slices and centers sit
-    at slice midpoints, so the grid has centers_per_axis ** dim points.
-    """
-    if centers_per_axis < 1:
-        raise ConfigurationError("centers_per_axis must be >= 1 to build centers")
+def _center_count(b: Bounds, centers_per_axis: int) -> int:
+    """Size of the center grid, capped at `_MAX_CENTERS`."""
     total = centers_per_axis**b.dim
     if total > _MAX_CENTERS:
         raise ConfigurationError(
@@ -153,6 +145,19 @@ def make_centers(b: Bounds, centers_per_axis: int) -> np.ndarray:
             f"create {total} centers; use fewer centers per axis or split "
             f"the box across parallel workers"
         )
+    return total
+
+
+def make_centers(b: Bounds, centers_per_axis: int) -> np.ndarray:
+    """Full Cartesian grid of reference centers.
+
+    Each axis is cut into `centers_per_axis` equal slices and centers sit
+    at slice midpoints, so the grid has centers_per_axis ** dim points.
+    The engine stores only visit counts; this grid is the tests' oracle.
+    """
+    if centers_per_axis < 1:
+        raise ConfigurationError("centers_per_axis must be >= 1 to build centers")
+    _center_count(b, centers_per_axis)
     marks = [
         b.lb[j] + (np.arange(centers_per_axis) + 0.5) * (b.span[j] / centers_per_axis)
         for j in range(b.dim)
@@ -184,20 +189,12 @@ def _center_indices(points: np.ndarray, b: Bounds, k: int) -> np.ndarray:
 
 
 def init_state(b: Bounds, cfg: VSConfig, rng: RngStream) -> EngineState:
-    """Fresh engine state: initialized population, centers, empty trace."""
-    if cfg.init == "stratified":
-        pop = stratified_init(b, cfg.n_individuals, rng)
-    else:
-        pop = random_init(b, cfg.n_individuals, rng)
-    if cfg.centers_per_axis >= 1:
-        centers = make_centers(b, cfg.centers_per_axis)
-    else:
-        centers = np.empty((0, b.dim))
-    return EngineState(
-        population=pop,
-        centers=centers,
-        visit_counts=np.zeros(len(centers), dtype=np.int64),
-    )
+    """Fresh engine state: initialized population, zero visit counts per
+    center (none when centers are off), empty trace."""
+    n_centers = _center_count(b, cfg.centers_per_axis) if cfg.centers_per_axis else 0
+    init = stratified_init if cfg.init == "stratified" else random_init
+    pop = init(b, cfg.n_individuals, rng)
+    return EngineState(population=pop, visit_counts=np.zeros(n_centers, dtype=np.int64))
 
 
 def move_random(
@@ -227,8 +224,9 @@ def rebalance(
     centers first, scattering them (per-axis Gaussian, stdev = half the
     center spacing) around the quietest centers, quietest first. Visit
     counts are history and stay untouched. Each scout's center comes from
-    the same grid arithmetic as `move_random`'s tally; ranking the C
-    centers costs O(C log C).
+    the same grid arithmetic as `move_random`'s tally, and each
+    destination's coordinates from `make_centers`' midpoint formula;
+    ranking the C centers costs O(C log C) time and O(C) memory.
     """
     n = len(state.population)
     k = int(cfg.rebalance_fraction * n)
@@ -237,26 +235,36 @@ def rebalance(
     counts = state.visit_counts
     member_center = _center_indices(state.population, b, cfg.centers_per_axis)
     # busiest members first, member index breaking ties
-    member_order = np.lexsort((np.arange(n), -counts[member_center]))
-    movers = member_order[:k]
+    movers = np.argsort(-counts[member_center], kind="stable")[:k]
     # destinations cycle over the quietest half of the centers (at least
     # one), quietest first, center index breaking ties
-    dest_order = np.lexsort((np.arange(len(state.centers)), counts))
-    pool = dest_order[: max(1, len(state.centers) // 2)]
+    pool = np.argsort(counts, kind="stable")[: max(1, len(counts) // 2)]
     dest = pool[np.arange(k) % len(pool)]
+    cells = np.stack(np.unravel_index(dest, (cfg.centers_per_axis,) * b.dim), -1)
     spacing = b.span / cfg.centers_per_axis
-    scatter = state.centers[dest] + rng.normal(
-        0.0, spacing / 2.0, size=(k, b.dim)
-    )
+    scatter = b.lb + (cells + 0.5) * spacing + rng.normal(0.0, spacing / 2, (k, b.dim))
     state.population[movers] = _boundary_policy(cfg)(scatter, b)
     return state
+
+
+def burst_config(cfg: VSConfig, dim: int, de_cfg: Optional[DEConfig] = None) -> DEConfig:
+    """The DE config every burst of a run uses: `de_cfg` (default
+    `DEConfig()`) sized to the burst population and duration. Raises
+    `ConfigurationError` when that population cannot run in `dim` axes."""
+    burst_cfg = replace(
+        de_cfg if de_cfg is not None else DEConfig(),
+        pop_size=cfg.n_viral_individuals,
+        generations=cfg.n_viral_generations,
+    )
+    check_draw_range(burst_cfg.pop_size, dim)
+    return burst_cfg
 
 
 def trigger_epidemic(
     trigger: Point,
     b: Bounds,
     cfg: VSConfig,
-    de_cfg: DEConfig,
+    burst_cfg: DEConfig,
     objective: Objective,
     t: int,
     rng: RngStream,
@@ -266,7 +274,7 @@ def trigger_epidemic(
     The cube spans trigger +/- epidemic_radius_fraction * axis range on
     each axis, clipped to the global box, and the trigger itself seeds
     the burst population so the result can never be worse than the
-    trigger's own value.
+    trigger's own value. `burst_cfg` comes from `burst_config`.
     """
     trigger = np.asarray(trigger, dtype=float)
     half = cfg.epidemic_radius_fraction * b.span
@@ -277,13 +285,9 @@ def trigger_epidemic(
             f"burst region collapsed around {trigger.tolist()}; is the "
             f"trigger inside the bounds?"
         )
-    region = Bounds(lo, hi)
-    burst_cfg = replace(
-        de_cfg,
-        pop_size=cfg.n_viral_individuals,
-        generations=cfg.n_viral_generations,
+    return de_optimize(
+        objective, Bounds(lo, hi), burst_cfg, seed_point=trigger, t=t, rng=rng
     )
-    return de_optimize(objective, region, burst_cfg, seed_point=trigger, t=t, rng=rng)
 
 
 def step(
@@ -291,14 +295,14 @@ def step(
     objective: Objective,
     b: Bounds,
     cfg: VSConfig,
-    de_cfg: DEConfig,
+    burst_cfg: DEConfig,
     rng: RngStream,
 ) -> EngineState:
-    """One generation: evaluate scouts, fire bursts on improvement, update
-    the incumbent, move everyone, rebalance on cadence, append a trace row."""
+    """One generation: evaluate scouts, fire `burst_cfg` bursts on
+    improvement, update the incumbent, move everyone, rebalance on
+    cadence, append a trace row."""
     t = state.generation
-    moving = cfg.time_varying or objective.time_varying
-    if moving and state.best_individual_global is not None:
+    if objective.time_varying and state.best_individual_global is not None:
         # the landscape moved under the incumbent; refresh its value so
         # trigger comparisons stay meaningful
         state.fobj_global = objective(t, state.best_individual_global)
@@ -314,7 +318,7 @@ def step(
         if values[i] > state.fobj_global - cfg.trigger_tolerance:
             continue
         best_point, best_value = trigger_epidemic(
-            state.population[i].copy(), b, cfg, de_cfg, objective, t, rng
+            state.population[i].copy(), b, cfg, burst_cfg, objective, t, rng
         )
         state.epidemic_count += 1
         if best_value <= state.fobj_global:
@@ -358,14 +362,8 @@ def run(
             f"objective arity {objective.arity} does not match bounds "
             f"dimension {b.dim}"
         )
-    de_cfg = de_cfg if de_cfg is not None else DEConfig()
-    # fail fast on an unusable burst configuration
-    replace(
-        de_cfg,
-        pop_size=cfg.n_viral_individuals,
-        generations=cfg.n_viral_generations,
-    )
-    check_draw_range(cfg.n_viral_individuals, b.dim)
+    # fails fast on an unusable burst configuration
+    burst_cfg = burst_config(cfg, b.dim, de_cfg)
 
     t0 = time.perf_counter()
     rng = make_rng(cfg.seed)
@@ -373,7 +371,7 @@ def run(
     last_improvement = 0
     while state.generation < cfg.n_generations:
         previous = state.fobj_global
-        step(state, objective, b, cfg, de_cfg, rng)
+        step(state, objective, b, cfg, burst_cfg, rng)
         t = state.generation - 1
         if previous - state.fobj_global > cfg.trigger_tolerance:
             last_improvement = t

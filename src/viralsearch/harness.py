@@ -117,7 +117,6 @@ def builtin_specs() -> dict:
                 "n_generations": 3000,
                 "n_viral_individuals": 150,
                 "n_viral_generations": 100,
-                "time_varying": True,
             },
             checkpoints=tuple(range(300, 3000, 300)) + (2999,),
         ),

@@ -12,12 +12,15 @@ from viralsearch.core import (
     ConfigurationError,
     EvaluationError,
     Objective,
+    clamp_to_bounds,
     make_rng,
+    reflect_into_bounds,
 )
 from viralsearch.engine import (
     EngineState,
     VSConfig,
     _center_indices,
+    burst_config,
     init_state,
     make_centers,
     move_random,
@@ -27,7 +30,6 @@ from viralsearch.engine import (
     step,
     trigger_epidemic,
 )
-from viralsearch.local_search import DEConfig
 
 BOX = Bounds([-3.0, -3.0], [3.0, 3.0])
 SPHERE = Objective(lambda t, p: (p**2).sum(axis=1), arity=2, name="sphere")
@@ -175,6 +177,20 @@ class TestCenterIndices:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    def test_init_state_stores_counts_not_the_grid(self):
+        # 20 centers per axis in 4-D: 160 000 centers, whose (C, d) float
+        # grid alone would take 5.1 MB; the counts take 1.3 MB
+        b = Bounds([0.0] * 4, [1.0] * 4)
+        cfg = small_cfg(centers_per_axis=20)
+        tracemalloc.start()
+        try:
+            state = init_state(b, cfg, make_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(state.visit_counts) == 20**4
+        assert peak < 2 * 2**20
+
 
 class TestMoveRandom:
     def test_vanishing_step_scale(self):
@@ -208,17 +224,15 @@ class TestMoveRandom:
         assert state.visit_counts.sum() == 0
         move_random(state, BOX, cfg, rng)
         assert state.visit_counts.sum() == cfg.n_individuals
-        nearest = [nearest_center(p, state.centers) for p in state.population]
+        nearest = [nearest_center(p, make_centers(BOX, 2)) for p in state.population]
         assert np.array_equal(state.visit_counts, np.bincount(nearest, minlength=4))
 
 
 class TestRebalance:
     def two_center_state(self, positions):
-        b = Bounds([0.0], [1.0])
-        centers = make_centers(b, 2)  # [[0.25], [0.75]]
+        b = Bounds([0.0], [1.0])  # centers at 0.25 and 0.75
         return b, EngineState(
             population=np.asarray(positions, dtype=float).reshape(-1, 1),
-            centers=centers,
             visit_counts=np.zeros(2, dtype=np.int64),
         )
 
@@ -265,6 +279,57 @@ class TestRebalance:
         frac_near_old = (moved < 0.5).mean()
         assert 0.10 < frac_near_old < 0.22
 
+    @staticmethod
+    def stored_grid_rebalance(population, counts, b, cfg, rng):
+        """Rebalance as it was with a stored (C, d) center grid and
+        two-key `lexsort` orders."""
+        population = population.copy()
+        n = len(population)
+        k = int(cfg.rebalance_fraction * n)
+        if k == 0:
+            return population
+        centers = make_centers(b, cfg.centers_per_axis)
+        member_center = _center_indices(population, b, cfg.centers_per_axis)
+        movers = np.lexsort((np.arange(n), -counts[member_center]))[:k]
+        dest_order = np.lexsort((np.arange(len(centers)), counts))
+        pool = dest_order[: max(1, len(centers) // 2)]
+        dest = pool[np.arange(k) % len(pool)]
+        spacing = b.span / cfg.centers_per_axis
+        scatter = centers[dest] + rng.normal(0.0, spacing / 2.0, size=(k, b.dim))
+        fold = reflect_into_bounds if cfg.walk_boundary == "reflect" else clamp_to_bounds
+        population[movers] = fold(scatter, b)
+        return population
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 4),
+        k=st.integers(1, 6),
+        n=st.integers(1, 40),
+        fraction=st.floats(0.0, 1.0),
+        levels=st.integers(1, 4),
+        walk_boundary=st.sampled_from(["reflect", "clamp"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_stored_grid_oracle(
+        self, data, dim, k, n, fraction, levels, walk_boundary, seed
+    ):
+        axis = st.lists(st.floats(-100.0, 100.0), min_size=dim, max_size=dim)
+        width = st.lists(st.floats(1e-3, 100.0), min_size=dim, max_size=dim)
+        lb = np.array(data.draw(axis))
+        b = Bounds(lb, lb + np.array(data.draw(width)))
+        gen = make_rng(seed)
+        population = gen.uniform(b.lb, b.ub, (n, dim))
+        # few count levels, so both orders see many ties
+        counts = gen.integers(0, levels, k**dim).astype(np.int64)
+        cfg = small_cfg(n_individuals=n, centers_per_axis=k,
+                        rebalance_fraction=fraction, walk_boundary=walk_boundary)
+        expected = self.stored_grid_rebalance(population, counts, b, cfg, make_rng(seed))
+        state = EngineState(population=population.copy(), visit_counts=counts.copy())
+        rebalance(state, b, cfg, make_rng(seed))
+        assert np.array_equal(state.population, expected)
+        assert np.array_equal(state.visit_counts, counts)
+
     def test_equal_counts_conserves_population(self):
         b, state = self.two_center_state([0.1, 0.3, 0.6, 0.9])
         cfg = small_cfg(centers_per_axis=2, rebalance_fraction=0.5)
@@ -278,7 +343,7 @@ class TestTriggerEpidemic:
         cfg = small_cfg(n_viral_individuals=20, n_viral_generations=25)
         corner = np.array([-3.0, -3.0])
         point, value = trigger_epidemic(
-            corner, BOX, cfg, DEConfig(), SPHERE, t=0, rng=make_rng(0)
+            corner, BOX, cfg, burst_config(cfg, BOX.dim), SPHERE, t=0, rng=make_rng(0)
         )
         assert BOX.contains(point[None, :])
         # clipped quarter-cube is [-3, -2.7]^2; the best point stays in it
@@ -293,7 +358,7 @@ class TestTriggerEpidemic:
         )
         trigger = np.array([2.9, 2.9])
         point, value = trigger_epidemic(
-            trigger, BOX, cfg, DEConfig(), SPHERE, t=0, rng=make_rng(1)
+            trigger, BOX, cfg, burst_config(cfg, BOX.dim), SPHERE, t=0, rng=make_rng(1)
         )
         # the burst degenerates to a global search and finds the origin
         assert value < 1e-6
@@ -305,7 +370,8 @@ class TestTriggerEpidemic:
         start = bench.objective(0, trigger)
         assert start == pytest.approx(0.2, abs=1e-12)
         point, value = trigger_epidemic(
-            trigger, bench.bounds, cfg, DEConfig(), bench.objective, t=0,
+            trigger, bench.bounds, cfg, burst_config(cfg, bench.bounds.dim),
+            bench.objective, t=0,
             rng=make_rng(2),
         )
         assert value < start
@@ -317,7 +383,7 @@ class TestStep:
         cfg = small_cfg()
         rng = make_rng(0)
         state = init_state(BOX, cfg, rng)
-        step(state, constant, BOX, cfg, DEConfig(), rng)
+        step(state, constant, BOX, cfg, burst_config(cfg, BOX.dim), rng)
         assert state.epidemic_count == 1
         assert state.fobj_global == 5.0
 
@@ -328,7 +394,7 @@ class TestStep:
         state = init_state(BOX, cfg, rng)
         state.fobj_global = 0.0
         state.best_individual_global = np.array([1.0, 1.0])
-        step(state, bench.objective, BOX, cfg, DEConfig(), rng)
+        step(state, bench.objective, BOX, cfg, burst_config(cfg, BOX.dim), rng)
         assert state.epidemic_count == 0
         assert state.fobj_global == 0.0
 
@@ -338,7 +404,7 @@ class TestStep:
         rng = make_rng(cfg.seed)
         state = init_state(BOX, cfg, rng)
         initial_best = SPHERE.evaluate_many(0, state.population).min()
-        step(state, SPHERE, BOX, cfg, DEConfig(), rng)
+        step(state, SPHERE, BOX, cfg, burst_config(cfg, BOX.dim), rng)
         assert state.fobj_global <= initial_best
 
     def test_nan_objective_aborts_naming_the_point(self):
@@ -351,7 +417,8 @@ class TestStep:
         rng = make_rng(0)
         state = init_state(BOX, cfg, rng)
         with pytest.raises(EvaluationError, match=r"NaN at generation 0 for point"):
-            step(state, Objective(leaky, arity=2), BOX, cfg, DEConfig(), rng)
+            step(state, Objective(leaky, arity=2), BOX, cfg,
+                 burst_config(cfg, BOX.dim), rng)
 
     def test_minus_inf_scout_aborts_naming_the_point(self):
         def bottomless(t, p):
@@ -363,7 +430,8 @@ class TestStep:
         rng = make_rng(0)
         state = init_state(BOX, cfg, rng)
         with pytest.raises(EvaluationError, match=r"-inf at generation 0 for point"):
-            step(state, Objective(bottomless, arity=2), BOX, cfg, DEConfig(), rng)
+            step(state, Objective(bottomless, arity=2), BOX, cfg,
+                 burst_config(cfg, BOX.dim), rng)
 
     def test_minus_inf_inside_a_burst_aborts(self):
         cfg = small_cfg()
@@ -382,7 +450,7 @@ class TestStep:
         rng = make_rng(2)
         state = init_state(BOX, cfg, rng)
         for expected_t in range(4):
-            step(state, SPHERE, BOX, cfg, DEConfig(), rng)
+            step(state, SPHERE, BOX, cfg, burst_config(cfg, BOX.dim), rng)
             assert state.trace[-1].generation == expected_t
         gens = [row.generation for row in state.trace]
         assert gens == sorted(set(gens))
@@ -449,6 +517,18 @@ class TestRun:
             run(Objective(counting, arity=1), line, cfg)
         assert rows == []
 
+    def test_oversized_center_grid_fails_before_evaluating(self):
+        rows = []
+
+        def counting(t, p):
+            rows.append(len(p))
+            return (p**2).sum(axis=1)
+
+        cube = Bounds([0.0] * 3, [1.0] * 3)
+        with pytest.raises(ConfigurationError, match="parallel"):
+            run(Objective(counting, arity=3), cube, small_cfg(centers_per_axis=101))
+        assert rows == []
+
     def test_stagnation_window_stops_early(self):
         constant = Objective(lambda t, p: np.full(len(p), 5.0), arity=2)
         cfg = small_cfg(n_generations=50, stagnation_window=3)
@@ -459,7 +539,7 @@ class TestRun:
         drifting = Objective(
             lambda t, p: (p**2).sum(axis=1) + float(t), arity=2, time_varying=True
         )
-        cfg = small_cfg(n_generations=6, time_varying=True, trigger_tolerance=1e-9)
+        cfg = small_cfg(n_generations=6, trigger_tolerance=1e-9)
         result = run(drifting, BOX, cfg)
         values = [row.fobj_global for row in result.trace]
         # the floor rises by one per generation, so the refreshed incumbent
@@ -517,7 +597,7 @@ class TestRun:
         rng = make_rng(6)
         state = init_state(BOX, cfg, rng)
         for _ in range(cfg.n_generations):
-            step(state, SPHERE, BOX, cfg, DEConfig(), rng)
+            step(state, SPHERE, BOX, cfg, burst_config(cfg, BOX.dim), rng)
             assert BOX.contains(state.population)
         # clamping accumulates scouts exactly on the walls, reflection
         # does not

@@ -72,7 +72,8 @@ class TestExperimentSpec:
         assert r3.base == {"n_individuals": 40, "n_generations": 100}
         t4 = specs["twowell-table4"]
         assert t4.benchmark_params["tau"] == 500.0
-        assert t4.base["time_varying"] is True
+        assert "time_varying" not in t4.base
+        assert make_benchmark(t4.benchmark, **t4.benchmark_params).objective.time_varying
         t5 = specs["shekel-table5"]
         assert t5.base == {"n_viral_individuals": 300, "n_viral_generations": 75}
         assert (1000, 2000) in t5.cells
