@@ -86,18 +86,55 @@ def shekel(x, a_matrix: np.ndarray = SHEKEL_A, c: np.ndarray = SHEKEL_C) -> np.n
         )
     if a_matrix.shape[1] != c.size:
         raise ValueError("peak matrix columns and c lengths differ")
-    # accumulate the squared distance one axis at a time into an (..., m)
-    # array, never building the (..., m, d) tensor; for d < 8 this adds the
-    # same terms in the same order as numpy's sum over that tensor's last
-    # axis, bit for bit (from 8 terms on, numpy sums pairwise)
-    sq = (x[..., 0, None] - a_matrix[0]) ** 2
+    lead = x.shape[:-1]
+    x = x.reshape(-1, x.shape[-1])
+    # peak-major: row i of the (m, n) block holds every point's squared
+    # distance to peak i, accumulated one axis at a time, so each operation
+    # runs along n points whatever the layout of x; for d < 8 this adds the
+    # same terms in the same order as numpy's sum over the (..., m, d)
+    # tensor's last axis, bit for bit (from 8 terms on, numpy sums
+    # pairwise), and `_pairwise_rows` adds the m peak terms as numpy would
+    sq = np.empty((c.size, len(x)))
+    d = np.empty_like(sq)
+    np.subtract(x[:, 0], a_matrix[0, :, None], out=sq)
+    sq *= sq
     for j in range(1, a_matrix.shape[0]):
-        d = x[..., j, None] - a_matrix[j]
+        np.subtract(x[:, j], a_matrix[j, :, None], out=d)
         d *= d
         sq += d
-    sq += c
+    sq += c[:, None]
     np.reciprocal(sq, out=sq)
-    return sq.sum(axis=-1)
+    return _pairwise_rows(sq).reshape(lead)[()]
+
+
+def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows of an (m, n) array, adding in the order numpy's
+    pairwise summation adds m contiguous terms: sequential below 8 terms,
+    8 running lanes up to 128, and halves split at a multiple of 8 beyond.
+    So it equals `rows.T.sum(-1)` bit for bit, up to the sign of a zero
+    sum. Overwrites `rows`."""
+    m = len(rows)
+    if m < 8:
+        res = np.zeros(rows.shape[1])
+        for row in rows:
+            res += row
+        return res
+    if m <= 128:
+        r = rows[:8]
+        full = m - m % 8
+        for i in range(8, full, 8):
+            r += rows[i : i + 8]
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place
+        r[::2] += r[1::2]
+        r[::4] += r[2::4]
+        res = r[0]
+        res += r[4]
+        for row in rows[full:]:
+            res += row
+        return res
+    half = m // 2
+    half -= half % 8
+    return _pairwise_rows(rows[:half]) + _pairwise_rows(rows[half:])
 
 
 @dataclass(frozen=True)

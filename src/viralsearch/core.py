@@ -99,17 +99,23 @@ def _checked(p: np.ndarray, b: Bounds) -> np.ndarray:
 def clamp_to_bounds(p: np.ndarray, b: Bounds) -> np.ndarray:
     """Project onto the box: each coordinate saturates at the nearer wall.
 
-    Accepts a single point or a stack of points; idempotent.
+    Accepts a single point or a stack of points; idempotent. For a zero
+    coordinate on a zero wall of the other sign, `np.clip` may return
+    either zero, depending on the array's shape and memory layout.
     """
     return np.clip(_checked(p, b), b.lb, b.ub)
 
 
 def reflect_into_bounds(p: np.ndarray, b: Bounds) -> np.ndarray:
-    """Fold coordinates back across violated walls; interior points unchanged.
+    """Fold coordinates back across violated walls.
 
     The closed-form triangle-wave fold is exact for any overshoot, which
-    is equivalent to reflecting repeatedly until inside. `np.mod` runs
-    only when some coordinate lies 2·span or more from `lb`.
+    is equivalent to reflecting repeatedly until inside. An interior
+    coordinate comes back as `lb + (p - lb)`: `p` itself on a zero wall,
+    but off one the round trip can move it by an ulp (0.1 on [-3, 3]
+    returns 0.10000000000000009). `np.mod` runs only when some coordinate
+    lies 2·span or more from `lb`. The result keeps the memory layout of
+    `p`, so a Fortran-ordered stack folds along whole axes.
     """
     p = _checked(p, b)
     span = b.span
@@ -157,8 +163,10 @@ class Objective:
     """A deterministic scalar field over parameter space.
 
     `fn(t, points)` receives the generation counter and a (n, arity)
-    array and must return n values. Time-invariant objectives simply
-    ignore `t`.
+    array and must return n values. The array may be Fortran-ordered (the
+    engine keeps its scouts axis-major), so index it by axis and do not
+    rely on its raw buffer order. Time-invariant objectives simply ignore
+    `t`.
     """
 
     def __init__(

@@ -111,7 +111,10 @@ class TraceRow:
 
 @dataclass
 class EngineState:
-    """Mutable run state; single-owner, never shared between engines."""
+    """Mutable run state; single-owner, never shared between engines.
+
+    `population` is Fortran-ordered (axis-major): each axis is one
+    contiguous column, so per-axis arithmetic runs along all n scouts."""
 
     population: Population
     generation: int = 0
@@ -193,7 +196,7 @@ def init_state(b: Bounds, cfg: VSConfig, rng: RngStream) -> EngineState:
     center (none when centers are off), empty trace."""
     n_centers = _center_count(b, cfg.centers_per_axis) if cfg.centers_per_axis else 0
     init = stratified_init if cfg.init == "stratified" else random_init
-    pop = init(b, cfg.n_individuals, rng)
+    pop = np.asfortranarray(init(b, cfg.n_individuals, rng))
     return EngineState(population=pop, visit_counts=np.zeros(n_centers, dtype=np.int64))
 
 
@@ -206,9 +209,12 @@ def move_random(
 
     The tally finds each scout's center by grid arithmetic, so it costs
     O(n * dim + C) per call for C centers."""
-    n, d = state.population.shape
-    steps = cfg.walk_step_fraction * b.span * rng.standard_normal((n, d))
-    state.population = _boundary_policy(cfg)(state.population + steps, b)
+    # the draw fills a C-ordered block; its Fortran copy keeps each step's
+    # value and the RNG stream, and the sums below stay axis-major
+    steps = np.asfortranarray(rng.standard_normal(state.population.shape))
+    steps *= cfg.walk_step_fraction * b.span
+    steps += state.population
+    state.population = _boundary_policy(cfg)(steps, b)
     if state.has_centers():
         idx = _center_indices(state.population, b, cfg.centers_per_axis)
         state.visit_counts += np.bincount(idx, minlength=len(state.visit_counts))

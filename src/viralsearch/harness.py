@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .benchmarks import BenchmarkSpec, make_benchmark
-from .core import Bounds, ConfigurationError, Objective, child_seed
+from .core import Bounds, ConfigurationError, Objective, ViralSearchError, child_seed
 from .engine import RunResult, VSConfig, run
 from .local_search import DEConfig
 
@@ -179,8 +179,10 @@ def _median_row(rows: list) -> ReportRow:
 
 def run_experiment(spec: ExperimentSpec) -> list:
     """Execute every (cell, repeat) run; one row per run plus a median row
-    per cell. A failed run becomes an error row instead of aborting the
-    sweep. Writes `spec.out_path` when set.
+    per cell. A run that raises a `ViralSearchError` (a bad cell value, a
+    NaN from the objective) becomes an error row instead of aborting the
+    sweep; any other exception is a bug and propagates. Writes
+    `spec.out_path` when set.
 
     An unknown config key in `base`, `sweep_fields` or `de` raises
     `ConfigurationError` before any run."""
@@ -218,7 +220,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
                             seed=seed,
                         )
                     )
-            except Exception as exc:  # noqa: BLE001 - sweep must survive one bad cell
+            except ViralSearchError as exc:
                 cell_rows.append(
                     ReportRow(
                         sweep=sweep,

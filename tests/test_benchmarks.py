@@ -138,6 +138,26 @@ class TestShekel:
         assert got.shape == shape
         assert np.array_equal(got, expected)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 7),
+        m=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 128, 129, 300]),
+        shape=st.sampled_from([(), (5,), (3, 4)]),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_at_the_summation_thresholds(self, d, m, shape, order, seed):
+        # numpy adds the m peak terms sequentially below 8, in 8 lanes up to
+        # 128 and in halves beyond; each m here sits at one of those edges
+        rng = make_rng(seed)
+        a = rng.uniform(0.0, 10.0, (d, m))
+        c = rng.uniform(1e-3, 10.0, m)
+        x = rng.uniform(-5.0, 15.0, shape + (d,)) * 10.0 ** rng.integers(0, 3, shape + (d,))
+        expected = (1.0 / (c + ((x[..., None, :] - a.T) ** 2).sum(-1))).sum(-1)
+        got = shekel(np.asarray(x, order=order), a, c)
+        assert got.shape == shape
+        assert np.array_equal(got, expected)
+
     def test_inputs_left_unchanged(self):
         box = Bounds(np.zeros(4), np.full(4, 10.0))
         near = make_rng(3).uniform(-5.0, 15.0, size=(200, 4))

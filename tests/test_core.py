@@ -75,10 +75,15 @@ class TestReflect:
     def test_examples(self, p, expected):
         assert np.allclose(reflect_into_bounds(np.array(p), BOX), expected)
 
-    def test_interior_points_unchanged(self):
+    def test_interior_points_move_at_most_one_ulp(self):
+        # interior points come back as lb + (p - lb); a Gaussian nudge takes
+        # them off the grid of rng.uniform(-3, 3), where that round trip is
+        # exact (0.1 comes back as 0.10000000000000009)
         rng = make_rng(1)
-        pts = rng.uniform(-3, 3, size=(500, 2))
-        assert np.allclose(reflect_into_bounds(pts, BOX), pts)
+        pts = rng.uniform(-2.9, 2.9, size=(500, 2)) + rng.normal(0.0, 0.01, size=(500, 2))
+        assert BOX.contains(pts)
+        got = reflect_into_bounds(pts, BOX)
+        assert (np.abs(got - pts) <= np.spacing(BOX.span)).all()
 
     def test_contained_for_any_overshoot(self):
         rng = make_rng(2)
@@ -157,21 +162,45 @@ class TestReflect:
         y = np.mod(p - b.lb, 2.0 * span)
         return np.clip(b.lb + np.where(y > span, 2.0 * span - y, y), b.lb, b.ub)
 
+    @classmethod
+    def _either_branch(cls, data, b, n):
+        p = cls._near(data, b, n)
+        if data.draw(st.booleans()):
+            # one coordinate two or more spans from lb sends the whole
+            # array through np.mod
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, b.dim - 1))
+            k = data.draw(st.one_of(st.floats(-6.0, -2.0), st.floats(2.0, 7.0)))
+            p[i, j] = b.lb[j] + k * b.span[j]
+        return p
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 5), n=st.integers(1, 12))
     def test_bit_identical_on_both_fold_branches(self, data, dim, n):
         b = self._box(data, dim)
-        p = self._near(data, b, n)
-        if data.draw(st.booleans()):
-            # one coordinate two or more spans from lb sends the whole
-            # array through np.mod
-            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, dim - 1))
-            k = data.draw(st.one_of(st.floats(-6.0, -2.0), st.floats(2.0, 7.0)))
-            p[i, j] = b.lb[j] + k * b.span[j]
+        p = self._either_branch(data, b, n)
         expected = self._clipped_fold(p, b)
         got = reflect_into_bounds(p, b)
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5), n=st.integers(1, 12))
+    def test_memory_order_leaves_values_unchanged(self, data, dim, n):
+        # the engine passes Fortran-ordered scouts; both boundary policies
+        # must give the same bits, and keep that order, on either fold branch
+        b = self._box(data, dim)
+        p = self._either_branch(data, b, n)
+        for policy in (reflect_into_bounds, clamp_to_bounds):
+            if policy is clamp_to_bounds:
+                # np.clip returns either zero for -0.0 on a +0.0 wall, by the
+                # array's layout as by its shape; a walk sum is -0.0 only
+                # when both of its terms are
+                p = p + 0.0
+            expected = policy(p, b)
+            got = policy(np.asfortranarray(p), b)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+            assert got.flags.f_contiguous
 
     def test_upper_clip_keeps_the_upper_wall_inside(self):
         b = Bounds([-0.1], [0.2])

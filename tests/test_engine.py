@@ -133,6 +133,8 @@ class TestCenterIndices:
         points = np.vstack([b.lb, b.ub, make_rng(seed).uniform(b.lb, b.ub, (40, dim))])
         expected = [nearest_center(p, centers) for p in points]
         assert _center_indices(points, b, k).tolist() == expected
+        # the engine's scouts are Fortran-ordered
+        assert _center_indices(np.asfortranarray(points), b, k).tolist() == expected
 
     @pytest.mark.parametrize("walk_boundary", ["reflect", "clamp"])
     @pytest.mark.parametrize("k", [1, 2, 7])
@@ -226,6 +228,48 @@ class TestMoveRandom:
         assert state.visit_counts.sum() == cfg.n_individuals
         nearest = [nearest_center(p, make_centers(BOX, 2)) for p in state.population]
         assert np.array_equal(state.visit_counts, np.bincount(nearest, minlength=4))
+
+
+class TestPopulationLayout:
+    """Scouts stay Fortran-ordered (axis-major), so the walk, the fold and
+    the center tally run along all n scouts of one axis at a time."""
+
+    @pytest.mark.parametrize("walk_boundary", ["reflect", "clamp"])
+    @pytest.mark.parametrize("init", ["stratified", "random"])
+    def test_population_stays_fortran_ordered(self, walk_boundary, init):
+        b = Bounds([0.0] * 3, [1.0] * 3)
+        cfg = small_cfg(n_individuals=50, centers_per_axis=3, rebalance_fraction=0.5,
+                        walk_boundary=walk_boundary, init=init)
+        rng = make_rng(0)
+        state = init_state(b, cfg, rng)
+        assert state.population.flags.f_contiguous
+        assert not state.population.flags.c_contiguous
+        for _ in range(3):
+            move_random(state, b, cfg, rng)
+            assert state.population.flags.f_contiguous
+            rebalance(state, b, cfg, rng)
+            assert state.population.flags.f_contiguous
+
+    @pytest.mark.parametrize("walk_step_fraction", [0.05, 1.0])
+    @pytest.mark.parametrize("walk_boundary", ["reflect", "clamp"])
+    def test_walk_does_not_depend_on_memory_order(self, walk_step_fraction, walk_boundary):
+        b = Bounds([-1.0, 0.0, 2.0], [1.0, 5.0, 2.5])
+        cfg = small_cfg(n_individuals=50, centers_per_axis=3,
+                        walk_step_fraction=walk_step_fraction, walk_boundary=walk_boundary)
+        population = make_rng(0).uniform(b.lb, b.ub, (50, 3))
+        # the small step folds without np.mod, the full-span one with it
+        steps = walk_step_fraction * b.span * make_rng(1).standard_normal((50, 3))
+        far = (np.abs(population + steps - b.lb) >= 2.0 * b.span).any()
+        assert far == (walk_step_fraction == 1.0)
+        states = [
+            EngineState(population=population.copy(order=order),
+                        visit_counts=np.zeros(27, dtype=np.int64))
+            for order in "CF"
+        ]
+        for state in states:
+            move_random(state, b, cfg, make_rng(1))
+        assert np.array_equal(states[0].population, states[1].population)
+        assert np.array_equal(states[0].visit_counts, states[1].visit_counts)
 
 
 class TestRebalance:

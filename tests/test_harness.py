@@ -7,7 +7,14 @@ import pytest
 
 from viralsearch import harness
 from viralsearch.benchmarks import make_benchmark
-from viralsearch.core import Bounds, ConfigurationError, Objective, child_seed, make_rng
+from viralsearch.core import (
+    Bounds,
+    ConfigurationError,
+    EvaluationError,
+    Objective,
+    child_seed,
+    make_rng,
+)
 from viralsearch.engine import VSConfig, run
 from viralsearch.harness import (
     ExperimentSpec,
@@ -146,6 +153,26 @@ class TestRunExperiment:
         rows = run_experiment(bad)
         assert any(r.status.startswith("error: ConfigurationError") for r in rows)
         assert np.isnan([r.value for r in rows if r.status != "ok"][0])
+
+    @pytest.mark.parametrize("error", [EvaluationError, ConfigurationError])
+    def test_package_errors_become_error_rows(self, monkeypatch, error):
+        def failing_run(*args, **kwargs):
+            raise error("bad cell")
+
+        monkeypatch.setattr(harness, "run", failing_run)
+        rows = run_experiment(tiny_spec(repeat=1))
+        runs = [r for r in rows if r.kind != "median"]
+        assert len(runs) == 2
+        assert all(r.status == f"error: {error.__name__}: bad cell" for r in runs)
+        assert all(np.isnan(r.value) for r in rows)
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def buggy_run(*args, **kwargs):
+            raise RuntimeError("bug in the engine")
+
+        monkeypatch.setattr(harness, "run", buggy_run)
+        with pytest.raises(RuntimeError, match="bug in the engine"):
+            run_experiment(tiny_spec())
 
     def test_checkpoint_rows(self):
         spec = ExperimentSpec(
