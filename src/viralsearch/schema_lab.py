@@ -14,6 +14,7 @@ lower bound
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -22,6 +23,8 @@ import numpy as np
 from .core import ConfigurationError, RngStream, ViralSearchError, child_seed, make_rng
 
 WILDCARD = "*"
+
+_TRIALS = 16  # trials of a schema experiment that evolve in lockstep
 
 
 class NoInstancesError(ViralSearchError):
@@ -121,10 +124,11 @@ def _checked_fitness(fitness_fn: Callable, members: np.ndarray) -> np.ndarray:
 class BinaryPopulation:
     """Fixed-length bit-string population with a strictly positive fitness.
 
-    `fitness_fn` is vectorized: it receives the (n, m) member matrix and
-    returns n values, each a function of its own row. `members` is a
-    read-only uint8 copy, so the fitness is computed on the first
-    `fitness()` call and cached.
+    `fitness_fn` is vectorized: it receives an (N, m) matrix of bit-strings
+    and returns N values. The matrix may hold several populations stacked
+    into one, so each value must be a function of its own row alone.
+    `members` is a read-only uint8 copy, so the fitness is computed on the
+    first `fitness()` call and cached.
     """
 
     members: np.ndarray
@@ -198,15 +202,20 @@ def random_population(
     return BinaryPopulation._trusted(members, fitness_fn)
 
 
+def _match_mask(s: CompiledSchema, members: np.ndarray) -> np.ndarray:
+    """Which rows of the (..., m) bit array `members` match `s`."""
+    if s.order == 0:
+        return np.ones(members.shape[:-1], dtype=bool)
+    return (members[..., s.idx] == s.vals).all(axis=-1)
+
+
 def match_mask(schema: SchemaLike, pop: BinaryPopulation) -> np.ndarray:
     s = compile_schema(schema)
     if len(s.pattern) != pop.length:
         raise ValueError(
             f"schema has {len(s.pattern)} positions, members have {pop.length} bits"
         )
-    if s.order == 0:
-        return np.ones(pop.size, dtype=bool)
-    return (pop.members[:, s.idx] == s.vals).all(axis=1)
+    return _match_mask(s, pop.members)
 
 
 def count_matches(schema: SchemaLike, pop: BinaryPopulation) -> int:
@@ -222,47 +231,117 @@ def schema_fitness(schema: SchemaLike, pop: BinaryPopulation) -> float:
     return float(pop.fitness()[mask].mean())
 
 
+def _survival(s: CompiledSchema, m: int, params: GAParams) -> tuple[float, float]:
+    """The bound's crossover and mutation survival factors on strings of
+    `m` bits; `ValueError` where they are undefined."""
+    if m < 2:
+        raise ValueError("the crossover survival factor needs strings of length >= 2")
+    delta = defining_length(s)
+    return 1.0 - params.p_c * delta / (m - 1), (1.0 - params.p_m) ** s.order
+
+
+def _bound(xi, schema_mean, mean, survival: tuple[float, float]):
+    """The expected-count bound of `xi` instances whose mean fitness is
+    `schema_mean` in a population whose mean fitness is `mean`; scalars or
+    arrays of one bound per population."""
+    crossover_survival, mutation_survival = survival
+    return xi * schema_mean / mean * crossover_survival * mutation_survival
+
+
 def expected_count_bound(
     schema: SchemaLike, pop: BinaryPopulation, params: GAParams
 ) -> float:
     """Lower bound on the expected next-generation instance count of the
     schema under selection, crossover, and mutation."""
-    m = pop.length
-    if m < 2:
-        raise ValueError("the crossover survival factor needs strings of length >= 2")
     s = compile_schema(schema)
-    delta = defining_length(s)
+    survival = _survival(s, pop.length, params)
     mask = match_mask(s, pop)
     xi = int(mask.sum())
     if xi < 1:
         raise NoInstancesError(f"schema {s.pattern!r} has no instances in the population")
     fitness = pop.fitness()
-    growth = xi * float(fitness[mask].mean()) / float(fitness.mean())
-    crossover_survival = 1.0 - params.p_c * delta / (m - 1)
-    mutation_survival = (1.0 - params.p_m) ** s.order
-    return growth * crossover_survival * mutation_survival
+    return _bound(xi, float(fitness[mask].mean()), float(fitness.mean()), survival)
 
 
-def _roulette(fitness: np.ndarray, rng: RngStream) -> np.ndarray:
-    """`len(fitness)` indices drawn with probability proportional to
-    fitness: the indices and the draws of
-    `rng.choice(n, size=n, p=fitness / fitness.sum())`, without its checks."""
-    cdf = np.cumsum(fitness / fitness.sum())
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(fitness.size), side="right")
+def _roulette(fitness: np.ndarray, rngs: list) -> np.ndarray:
+    """For each row of the (B, n) `fitness`, n indices drawn with
+    probability proportional to that row, from that row's stream in `rngs`:
+    the indices and the draws of `rng.choice(n, size=n, p=row / row.sum())`,
+    without its checks."""
+    cdf = np.cumsum(fitness / fitness.sum(axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[:, -1:]
+    picks = np.empty(fitness.shape, dtype=np.intp)
+    for k, rng in enumerate(rngs):
+        picks[k] = cdf[k].searchsorted(rng.random(fitness.shape[1]), side="right")
+    return picks
 
 
 def _single_point_crossover(
     members: np.ndarray, cross: np.ndarray, cuts: np.ndarray
 ) -> None:
-    """Cross rows 2k and 2k+1 in place: where `cross[k]`, they swap their
-    bits from position `cuts[k]` on. An odd last row is left alone."""
-    half = cross.size
-    first, second = members[0 : 2 * half : 2], members[1 : 2 * half : 2]
-    swap = cross[:, None] & (np.arange(members.shape[1]) >= cuts[:, None])
+    """Cross rows 2k and 2k+1 of each (n, m) population in the (..., n, m)
+    `members` in place: where `cross[..., k]`, they swap their bits from
+    position `cuts[..., k]` on. An odd last row is left alone."""
+    half = cross.shape[-1]
+    first, second = members[..., 0 : 2 * half : 2, :], members[..., 1 : 2 * half : 2, :]
+    swap = cross[..., None] & (np.arange(members.shape[-1]) >= cuts[..., None])
     diff = (first ^ second) & swap
     first ^= diff
     second ^= diff
+
+
+def _crossover(children: np.ndarray, rngs: list, p_c: float) -> None:
+    """Single-point crossover of each population in the (B, n, m)
+    `children`, drawn from its own stream as `rng.random(n // 2) < p_c`
+    and then `rng.integers(1, m, size=n // 2)`."""
+    size, n, m = children.shape
+    if m < 2:
+        return
+    cross = np.empty((size, n // 2), dtype=bool)
+    cuts = np.empty((size, n // 2), dtype=np.int64)
+    for k, rng in enumerate(rngs):
+        np.less(rng.random(n // 2), p_c, out=cross[k])
+        cuts[k] = rng.integers(1, m, size=n // 2)
+    _single_point_crossover(children, cross, cuts)
+
+
+def _mutate(children: np.ndarray, rngs: list, p_m: float) -> None:
+    """Flip each bit of each population in the (B, n, m) `children`
+    independently, drawn from its own stream as `rng.random((n, m)) < p_m`."""
+    draws = np.empty(children.shape[1:])
+    flips = np.empty(children.shape, dtype=bool)
+    for k, rng in enumerate(rngs):
+        np.less(rng.random(out=draws), p_m, out=flips[k])
+    children ^= flips
+
+
+def _stacked_fitness(fitness_fn: Callable, members: np.ndarray) -> np.ndarray:
+    """`_checked_fitness` of the (B, n, m) populations in one call, as (B, n)."""
+    size, n, m = members.shape
+    return _checked_fitness(fitness_fn, members.reshape(size * n, m)).reshape(size, n)
+
+
+def _ga_block_step(
+    members: np.ndarray, fitness: np.ndarray, fitness_fn: Callable,
+    params: GAParams, rngs: list,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """`classic_ga_step` on B populations at once: the (B, n, m) `members`
+    with their (B, n) `fitness`. Population k draws from `rngs[k]` what a
+    lone step would. Returns the children and, under elitism, their
+    fitness (else None)."""
+    rows = np.arange(len(rngs))
+    children = members[rows[:, None], _roulette(fitness, rngs)]
+    _crossover(children, rngs, params.p_c)
+    _mutate(children, rngs, params.p_m)
+    if not params.elitism:
+        return children, None
+    # the best parent replaces the worst child; fitness is row-wise,
+    # so the child's value is the parent's
+    child_fitness = _stacked_fitness(fitness_fn, children)
+    worst, best = child_fitness.argmin(axis=-1), fitness.argmax(axis=-1)
+    children[rows, worst] = members[rows, best]
+    child_fitness[rows, worst] = fitness[rows, best]
+    return children, child_fitness
 
 
 def classic_ga_step(
@@ -273,25 +352,12 @@ def classic_ga_step(
 
     Costs O(n · m) for n members of m bits. Only elitism evaluates the
     children's fitness, and the child population keeps that result."""
-    fitness = pop.fitness()
-    n, m = pop.members.shape
-
-    children = pop.members[_roulette(fitness, rng)]
-    if m >= 2:
-        cross = rng.random(n // 2) < params.p_c
-        cuts = rng.integers(1, m, size=n // 2)
-        _single_point_crossover(children, cross, cuts)
-    children ^= rng.random((n, m)) < params.p_m
-
-    child_fitness = None
-    if params.elitism:
-        # the best parent replaces the worst child; fitness is row-wise,
-        # so the child's value is the parent's
-        child_fitness = _checked_fitness(pop.fitness_fn, children)
-        worst, best = int(np.argmin(child_fitness)), int(np.argmax(fitness))
-        children[worst] = pop.members[best]
-        child_fitness[worst] = fitness[best]
-    return BinaryPopulation._trusted(children, pop.fitness_fn, child_fitness)
+    children, child_fitness = _ga_block_step(
+        pop.members[None], pop.fitness()[None], pop.fitness_fn, params, [rng]
+    )
+    if child_fitness is not None:
+        child_fitness = child_fitness[0]
+    return BinaryPopulation._trusted(children[0], pop.fitness_fn, child_fitness)
 
 
 @dataclass
@@ -301,6 +367,11 @@ class GrowthReport:
     Arrays are indexed by generation; a generation is "valid" in a trial
     when the schema still has instances there (the bound is undefined
     otherwise and that cell is skipped).
+
+    `phase_s` holds the seconds spent in the GA step ("ga_step", with the
+    evaluation of the children's fitness), the bound ("bound") and the
+    instance count ("count"); `fitness_rows` counts the rows the
+    experiment passed to the fitness function.
     """
 
     schema: str
@@ -312,6 +383,8 @@ class GrowthReport:
     generation_pass: np.ndarray
     frac_generations_pass: float
     frac_cells_pass: float
+    phase_s: dict
+    fitness_rows: int
 
 
 def schema_growth_experiment(
@@ -324,25 +397,67 @@ def schema_growth_experiment(
     """Evolve `trials` independent populations from `pop0` and compare the
     schema's observed next-generation counts to the expected-count bound.
 
-    The schema is parsed once, each population's fitness is evaluated once,
-    and the trials run one after another, so memory does not grow with
-    `trials` beyond the (trials, generations) result arrays."""
+    Trial t draws from its own stream `make_rng(child_seed(params.seed, t))`
+    exactly what `classic_ga_step` would. The trials evolve in lockstep
+    blocks of 16, one numpy call serving a whole block: the fitness
+    function gets the block's populations stacked into one matrix, once per
+    generation. The schema is parsed once, each population's fitness is
+    evaluated once and its match mask built once, and memory is bounded by
+    one block, not by `trials`, beyond the (trials, generations) result
+    arrays. With `generations >= 1`, a schema or string length the bound is
+    undefined for raises `ValueError` before any trial starts."""
     schema = compile_schema(schema)
-    if count_matches(schema, pop0) < 1:
+    mask0 = match_mask(schema, pop0)
+    if not mask0.any():
         raise NoInstancesError(
             f"schema {schema.pattern!r} must be instantiated in the starting population"
         )
+    n, m = pop0.members.shape
     counts = np.zeros((trials, generations + 1))
+    counts[:, 0] = mask0.sum()
     bounds_ = np.full((trials, generations), np.nan)
-    for trial in range(trials):
-        rng = make_rng(child_seed(params.seed, trial))
-        pop = pop0
-        counts[trial, 0] = count_matches(schema, pop)
+    phase_s = dict.fromkeys(("ga_step", "bound", "count"), 0.0)
+    fitness_rows = 0
+
+    def counted_fitness(members):
+        nonlocal fitness_rows
+        fitness_rows += len(members)
+        return pop0.fitness_fn(members)
+
+    if generations:
+        survival = _survival(schema, m, params)
+        if pop0._fitness is None:
+            fitness_rows += n
+        fitness0 = pop0.fitness()
+    for start in range(0, trials if generations else 0, _TRIALS):
+        stop = min(start + _TRIALS, trials)
+        rngs = [make_rng(child_seed(params.seed, t)) for t in range(start, stop)]
+        members = np.repeat(pop0.members[None], stop - start, axis=0)
+        fitness = np.repeat(fitness0[None], stop - start, axis=0)
+        mask = np.repeat(mask0[None], stop - start, axis=0)
         for g in range(generations):
-            if counts[trial, g] >= 1:
-                bounds_[trial, g] = expected_count_bound(schema, pop, params)
-            pop = classic_ga_step(pop, params, rng)
-            counts[trial, g + 1] = count_matches(schema, pop)
+            t0 = time.perf_counter()
+            xi = counts[start:stop, g]
+            live = np.flatnonzero(xi >= 1)
+            # each sum runs over the matches alone, as `fitness[mask].mean()`
+            # does, so it rounds the same
+            schema_sums = np.array([fitness[k, mask[k]].sum() for k in live])
+            bounds_[start + live, g] = _bound(
+                xi[live], schema_sums / xi[live], fitness[live].sum(axis=-1) / n, survival
+            )
+            t1 = time.perf_counter()
+            members, fitness = _ga_block_step(
+                members, fitness, counted_fitness, params, rngs
+            )
+            if fitness is None and g + 1 < generations:
+                fitness = _stacked_fitness(counted_fitness, members)
+            t2 = time.perf_counter()
+            mask = _match_mask(schema, members)
+            counts[start:stop, g + 1] = mask.sum(axis=-1)
+            t3 = time.perf_counter()
+            phase_s["bound"] += t1 - t0
+            phase_s["ga_step"] += t2 - t1
+            phase_s["count"] += t3 - t2
 
     valid = ~np.isnan(bounds_)
     observed_next = counts[:, 1:]
@@ -372,4 +487,6 @@ def schema_growth_experiment(
         generation_pass=gen_pass,
         frac_generations_pass=frac_generations,
         frac_cells_pass=frac_cells,
+        phase_s=phase_s,
+        fitness_rows=fitness_rows,
     )

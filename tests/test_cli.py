@@ -161,6 +161,15 @@ class TestSchemaCommand:
         )
         assert code == 1
 
+    def test_all_wildcard_schema_is_config_error(self, capsys):
+        code = run_cli(
+            "schema", "--schema", "***", "--pc", "0.5", "--pm", "0.01",
+            "--generations", "3", "--trials", "2",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "all-wildcard" in err
+
     def test_bad_pattern_is_config_error(self):
         code = run_cli(
             "schema", "--schema", "1x*", "--pc", "0.5", "--pm", "0.01",

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viralsearch import schema_lab
-from viralsearch.core import make_rng
+from viralsearch.core import child_seed, make_rng
 from viralsearch.schema_lab import (
     BinaryPopulation,
     CompiledSchema,
@@ -25,6 +26,58 @@ from viralsearch.schema_lab import (
     schema_fitness,
     schema_growth_experiment,
 )
+
+
+def _wavy_fitness(members):
+    """A non-integer row-wise fitness built from elementwise operations
+    only, so each value is bit-for-bit a function of its own row however
+    many rows are stacked."""
+    x = np.asarray(members, dtype=float)
+    total = np.full(x.shape[0], 0.1)
+    for j in range(x.shape[1]):
+        total = total + x[:, j] * (0.1 + 0.37 * j)
+    return 1.0 + 1.3 * np.sqrt(total)
+
+
+def _per_trial_report(pop0, schema, params, generations, trials):
+    """What `schema_growth_experiment` reports, one trial after another
+    through the public functions."""
+    counts = np.zeros((trials, generations + 1))
+    bounds_ = np.full((trials, generations), np.nan)
+    for trial in range(trials):
+        rng = make_rng(child_seed(params.seed, trial))
+        pop = pop0
+        counts[trial, 0] = count_matches(schema, pop)
+        for g in range(generations):
+            if counts[trial, g] >= 1:
+                bounds_[trial, g] = expected_count_bound(schema, pop, params)
+            pop = classic_ga_step(pop, params, rng)
+            counts[trial, g + 1] = count_matches(schema, pop)
+
+    valid = ~np.isnan(bounds_)
+    observed_next = counts[:, 1:]
+    mean_observed = np.full(generations, np.nan)
+    mean_bound = np.full(generations, np.nan)
+    gen_pass = np.zeros(generations, dtype=bool)
+    for g in range(generations):
+        v = valid[:, g]
+        if v.any():
+            mean_observed[g] = observed_next[v, g].mean()
+            mean_bound[g] = bounds_[v, g].mean()
+            gen_pass[g] = mean_observed[g] >= mean_bound[g] - 1e-9
+    has_any = ~np.isnan(mean_bound)
+    return {
+        "mean_counts": counts.mean(axis=0),
+        "mean_observed_next": mean_observed,
+        "mean_bounds": mean_bound,
+        "generation_pass": gen_pass,
+        "frac_generations_pass": float(gen_pass[has_any].mean()) if has_any.any() else 1.0,
+        "frac_cells_pass": (
+            float((observed_next[valid] >= bounds_[valid] - 1e-9).mean())
+            if valid.any()
+            else 1.0
+        ),
+    }
 
 
 class TestSchemaStatistics:
@@ -387,13 +440,56 @@ class TestGrowthExperiment:
             seen.append(members)
             return onemax_fitness(members)
 
-        pop0 = random_population(30, 10, counting, make_rng(16))
-        generations, trials = 6, 4
+        n = 30
+        pop0 = random_population(n, 10, counting, make_rng(16))
+        generations, trials = 6, 20
         schema_growth_experiment(pop0, "1*1*******", GAParams(seed=3), generations, trials)
         # pop0 once, then every generation of every trial but the last,
         # whose fitness nothing reads
-        assert len(seen) == 1 + trials * (generations - 1)
+        assert sum(len(members) for members in seen) == n * (1 + trials * (generations - 1))
+        # one call per lockstep block of 16 trials and generation
+        assert len(seen) == 1 + math.ceil(trials / 16) * (generations - 1)
         assert len({id(members) for members in seen}) == len(seen)
+
+    @pytest.mark.parametrize("elitism", [False, True])
+    @pytest.mark.parametrize("evaluated_before", [False, True])
+    def test_report_counts_the_fitness_rows(self, elitism, evaluated_before):
+        rows = []
+
+        def counting(members):
+            rows.append(len(members))
+            return onemax_fitness(members)
+
+        pop0 = random_population(25, 8, counting, make_rng(19))
+        if evaluated_before:
+            pop0.fitness()
+            rows.clear()
+        report = schema_growth_experiment(
+            pop0, "1*******", GAParams(p_m=0.05, elitism=elitism, seed=6), 4, 18
+        )
+        assert report.fitness_rows == sum(rows) > 0
+        assert set(report.phase_s) == {"ga_step", "bound", "count"}
+        assert all(seconds >= 0.0 for seconds in report.phase_s.values())
+
+    @pytest.mark.parametrize(
+        "rows, schema",
+        [(np.zeros((6, 3), dtype=np.uint8), "***"), (np.ones((6, 1), dtype=np.uint8), "1")],
+    )
+    def test_undefined_bound_raises_before_any_trial(self, rows, schema):
+        seen = []
+
+        def counting(members):
+            seen.append(members)
+            return onemax_fitness(members)
+
+        pop0 = BinaryPopulation(rows, counting)
+        with pytest.raises(ValueError):
+            schema_growth_experiment(pop0, schema, GAParams(), 3, 40)
+        assert seen == []
+        # without generations there is no bound to raise, and nothing to evaluate
+        report = schema_growth_experiment(pop0, schema, GAParams(), 0, 5)
+        assert report.mean_counts.tolist() == [6.0]
+        assert report.fitness_rows == 0 and seen == []
 
     def test_schema_string_parsed_once(self, monkeypatch):
         parsed = []
@@ -409,6 +505,37 @@ class TestGrowthExperiment:
         schema_growth_experiment(pop0, "11********", GAParams(seed=4), 5, 6)
         assert parsed == ["11********"]
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        trials=st.sampled_from([1, 15, 16, 17, 33]),
+        n=st.integers(2, 40),
+        m=st.integers(2, 12),
+        generations=st.integers(0, 5),
+        p_c=st.sampled_from([0.0, 0.7, 1.0]),
+        p_m=st.sampled_from([0.0, 0.05, 1.0]),
+        elitism=st.booleans(),
+        fitness_fn=st.sampled_from([onemax_fitness, _wavy_fitness]),
+        data=st.data(),
+    )
+    def test_bit_identical_to_the_per_trial_loop(
+        self, trials, n, m, generations, p_c, p_m, elitism, fitness_fn, data
+    ):
+        pop_seed, member, seed = (data.draw(st.integers(0, 999)) for _ in range(3))
+        pop0 = random_population(n, m, fitness_fn, make_rng(pop_seed))
+        # fix the bits of one member at a few positions, so the schema has
+        # an instance
+        bits = pop0.members[member % n]
+        fixed = data.draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m))
+        schema = "".join(str(bits[i]) if i in fixed else "*" for i in range(m))
+        params = GAParams(p_c=p_c, p_m=p_m, elitism=elitism, seed=seed)
+
+        report = schema_growth_experiment(pop0, schema, params, generations, trials)
+        expected = _per_trial_report(pop0, schema, params, generations, trials)
+        for name in ("mean_counts", "mean_observed_next", "mean_bounds", "generation_pass"):
+            assert np.array_equal(getattr(report, name), expected[name], equal_nan=True), name
+        assert report.frac_generations_pass == expected["frac_generations_pass"]
+        assert report.frac_cells_pass == expected["frac_cells_pass"]
+
     def test_memory_does_not_grow_with_trials(self):
         pop0 = random_population(100, 20, onemax_fitness, make_rng(18))
         pop0.fitness()
@@ -421,3 +548,4 @@ class TestGrowthExperiment:
         # one (200, 100, 20) stack of all trials would be 400 KB of bits
         # plus 3.2 MB of mutation draws
         assert peak < 2**20
+
