@@ -27,7 +27,8 @@ class ConfigurationError(ViralSearchError):
 
 
 class EvaluationError(ViralSearchError):
-    """The objective returned NaN or -inf for some point.
+    """The objective returned NaN or -inf for some point, or not one value
+    per point.
 
     +inf stays legal: it is how an objective marks an infeasible point.
     """
@@ -52,14 +53,18 @@ def child_seed(parent_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Axis-aligned box: per-axis lower and upper limits of the search space."""
+    """Axis-aligned box: per-axis lower and upper limits of the search space.
+
+    `lb`, `ub` and `span` are read-only arrays the box owns: it copies the
+    limits it is given, so a caller changing its own arrays later leaves
+    the box as it was checked."""
 
     lb: np.ndarray
     ub: np.ndarray
 
     def __post_init__(self):
-        lb = np.atleast_1d(np.asarray(self.lb, dtype=float))
-        ub = np.atleast_1d(np.asarray(self.ub, dtype=float))
+        lb = np.atleast_1d(np.array(self.lb, dtype=float))
+        ub = np.atleast_1d(np.array(self.ub, dtype=float))
         if lb.ndim != 1 or ub.ndim != 1 or lb.shape != ub.shape:
             raise ConfigurationError("lb and ub must be 1-D vectors of equal length")
         if lb.size < 1:
@@ -72,8 +77,10 @@ class Bounds:
                 f"lb must be strictly below ub on every axis; axis {bad} "
                 f"has lb={lb[bad]}, ub={ub[bad]}"
             )
-        object.__setattr__(self, "lb", lb)
-        object.__setattr__(self, "ub", ub)
+        span = ub - lb
+        for name, value in (("lb", lb), ("ub", ub), ("_span", span)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -81,7 +88,12 @@ class Bounds:
 
     @property
     def span(self) -> np.ndarray:
-        return self.ub - self.lb
+        return self._span
+
+    def __reduce__(self):
+        # rebuilt through __post_init__, so a copied or unpickled box owns
+        # read-only arrays too
+        return (Bounds, (self.lb, self.ub))
 
     def contains(self, points: np.ndarray, atol: float = 0.0) -> bool:
         """True when every row of `points` lies inside the box."""
@@ -189,9 +201,19 @@ class Objective:
             raise ValueError(
                 f"expected points of shape (n, {self.arity}), got {points.shape}"
             )
-        values = np.asarray(self.fn(t, points), dtype=float).reshape(points.shape[0])
-        usable = values > -np.inf  # false for NaN and -inf alike
-        if not usable.all():
+        n = points.shape[0]
+        values = np.asarray(self.fn(t, points), dtype=float)
+        if values.size != n:
+            raise EvaluationError(
+                f"objective returned {values.size} values for {n} points at "
+                f"generation {t}; it must return one value per point"
+            )
+        values = values.reshape(n)
+        # one reduction screens the batch: the minimum is NaN when any value
+        # is NaN, and -inf when any is -inf; the per-row mask is built only
+        # to name the first bad point
+        if not values.min(initial=np.inf) > -np.inf:
+            usable = values > -np.inf  # false for NaN and -inf alike
             i = int(np.argmin(usable))
             kind = "NaN" if np.isnan(values[i]) else "-inf"
             raise EvaluationError(

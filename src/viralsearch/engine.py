@@ -191,6 +191,21 @@ def _center_indices(points: np.ndarray, b: Bounds, k: int) -> np.ndarray:
     return np.ravel_multi_index(tuple(cells.T), (k,) * b.dim)
 
 
+_NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_ROWS.flags.writeable = False
+
+
+def _trigger_candidates(values: np.ndarray, threshold: float) -> np.ndarray:
+    """Ascending indices of the finite `values` at or below `threshold`:
+    `np.flatnonzero((values < inf) & (values <= threshold))` for n >= 1
+    values, with the masks built only when the minimum qualifies, which
+    it rarely does."""
+    low = values.min()
+    if not (low <= threshold and low < np.inf):
+        return _NO_ROWS
+    return np.flatnonzero((values < np.inf) & (values <= threshold))
+
+
 def init_state(b: Bounds, cfg: VSConfig, rng: RngStream) -> EngineState:
     """Fresh engine state: initialized population, zero visit counts per
     center (none when centers are off), empty trace."""
@@ -319,8 +334,7 @@ def step(
     # against the sweep-start value can be skipped outright; +inf is a legal
     # penalty but never triggers, since inf <= inf - tolerance holds while
     # the incumbent is still +inf
-    triggers = (values < np.inf) & (values <= state.fobj_global - cfg.trigger_tolerance)
-    for i in np.flatnonzero(triggers):
+    for i in _trigger_candidates(values, state.fobj_global - cfg.trigger_tolerance):
         if values[i] > state.fobj_global - cfg.trigger_tolerance:
             continue
         best_point, best_value = trigger_epidemic(

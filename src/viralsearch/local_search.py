@@ -81,7 +81,8 @@ def _draw_block(
     forced axis, uniform and independent of the partners.
 
     One draw on [0, (n-1)(n-2)(n-3) * d) per member and generation is
-    split by `divmod` into the forced axis, r3, r2 and r1, so r1 is
+    split into the forced axis, r3, r2 and r1 (`divmod` by d, n - 3 and
+    n - 2, as a floor division and a multiply-subtract), so r1 is
     uniform on [0, n - 1), r2 on [0, n - 2) and r3 on [0, n - 3), all
     independent. Each is then stepped past the indices already taken in
     its row ({i}, then {i, r1}, then {i, r1, r2}), visited in ascending
@@ -94,14 +95,21 @@ def _draw_block(
     r1, r2, r3 = partners  # views: the steps below write into `partners`
     draws = rng.integers(0, (n - 1) * (n - 2) * (n - 3) * d, size=(g, n))
     cross = rng.random((g, n, d)) < cr
-    draws, axis = np.divmod(draws, d)
-    cross[np.arange(g)[:, None], i, axis] = True  # one forced axis
-    np.divmod(draws, n - 3, out=(draws, r3))
-    np.divmod(draws, n - 2, out=(r1, r2))
+    # floor division by a scalar is cheaper than np.divmod; the remainder
+    # x - (x // k) * k is exact, as x >= 0
+    q = draws // d
+    axis = np.subtract(draws, np.multiply(q, d, out=r1), out=draws)
+    # one forced axis, set through its flat index in the C-ordered `cross`
+    axis += np.arange(0, g * n * d, d).reshape(g, n)
+    cross.reshape(-1)[axis] = True
+    np.floor_divide(q, n - 3, out=draws)
+    np.subtract(q, np.multiply(draws, n - 3, out=r3), out=r3)
+    np.floor_divide(draws, n - 2, out=r1)
+    np.subtract(draws, np.multiply(r1, n - 2, out=r2), out=r2)
 
     # in place, reusing the spent buffers: a block keeps a few (g, n) arrays
     r1 += r1 >= i
-    lo, hi = np.minimum(i, r1, out=draws), np.maximum(i, r1, out=axis)
+    lo, hi = np.minimum(i, r1, out=draws), np.maximum(i, r1, out=q)
     r2 += r2 >= lo
     r2 += r2 >= hi
     # past {lo, hi, r2} in ascending order (min, median, max); r2 differs
@@ -152,7 +160,12 @@ def de_optimize(
         block = _draw_block(rng, n, d, cr, min(_BLOCK, cfg.generations - start))
         for partners, cross in zip(*block):
             r1, r2, r3 = partners.T
-            mutant = pop[r1] + f * (pop[r2] - pop[r3])
+            # pop[r1] + f * (pop[r2] - pop[r3]), bit for bit: IEEE * and +
+            # commute exactly, and `take` gathers rows for less than `pop[r]`
+            mutant = pop.take(r2, 0)
+            mutant -= pop.take(r3, 0)
+            mutant *= f
+            mutant += pop.take(r1, 0)
             trial = np.where(cross, mutant, pop)
             # np.clip's values without the cost of its Python wrapper
             np.maximum(trial, region.lb, out=trial)

@@ -321,6 +321,13 @@ def _stacked_fitness(fitness_fn: Callable, members: np.ndarray) -> np.ndarray:
     return _checked_fitness(fitness_fn, members.reshape(size * n, m)).reshape(size, n)
 
 
+def _masked_sums(values: np.ndarray, mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`values[k, mask[k]].sum()` for each k in `rows`. Each sum runs over
+    the selected entries alone, in order, as `expected_count_bound`'s
+    `fitness[mask].mean()` does, so it rounds the same."""
+    return np.array([values[k].compress(mask[k]).sum() for k in rows])
+
+
 def _ga_block_step(
     members: np.ndarray, fitness: np.ndarray, fitness_fn: Callable,
     params: GAParams, rngs: list,
@@ -329,8 +336,12 @@ def _ga_block_step(
     with their (B, n) `fitness`. Population k draws from `rngs[k]` what a
     lone step would. Returns the children and, under elitism, their
     fitness (else None)."""
-    rows = np.arange(len(rngs))
-    children = members[rows[:, None], _roulette(fitness, rngs)]
+    size, n, m = members.shape
+    rows = np.arange(size)
+    # members[rows[:, None], picks] as one flat gather over the B*n rows
+    picks = _roulette(fitness, rngs)
+    picks += rows[:, None] * n
+    children = members.reshape(size * n, m).take(picks, 0)
     _crossover(children, rngs, params.p_c)
     _mutate(children, rngs, params.p_m)
     if not params.elitism:
@@ -439,9 +450,7 @@ def schema_growth_experiment(
             t0 = time.perf_counter()
             xi = counts[start:stop, g]
             live = np.flatnonzero(xi >= 1)
-            # each sum runs over the matches alone, as `fitness[mask].mean()`
-            # does, so it rounds the same
-            schema_sums = np.array([fitness[k, mask[k]].sum() for k in live])
+            schema_sums = _masked_sums(fitness, mask, live)
             bounds_[start + live, g] = _bound(
                 xi[live], schema_sums / xi[live], fitness[live].sum(axis=-1) / n, survival
             )

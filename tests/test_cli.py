@@ -1,6 +1,11 @@
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import viralsearch
 import viralsearch.cli as cli
 from viralsearch.harness import ExperimentSpec, read_rows_csv, read_rows_json
 
@@ -139,8 +144,22 @@ class TestTraceCommand:
         )
         assert code == 0
         lines = path.read_text().splitlines()
-        assert lines[0] == "generation,fobj_global,epidemics,elapsed_ms"
+        assert lines[0] == "generation,fobj_global,epidemics,elapsed_ms,worker"
         assert len(lines) == 13
+
+    def test_parallel_trace_tags_each_workers_rows(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        code = run_cli(
+            "trace", "--function", "sphere", "--ni", "40", "--ng", "6",
+            "--niv", "15", "--ngv", "5", "--parallel", "2", "--out", str(path),
+        )
+        assert code == 0
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 12
+        for worker in ("0", "1"):
+            mine = [r for r in rows if r["worker"] == worker]
+            assert [int(r["generation"]) for r in mine] == list(range(6))
 
 
 class TestSchemaCommand:
@@ -176,6 +195,24 @@ class TestSchemaCommand:
             "--generations", "3", "--trials", "2",
         )
         assert code == 1
+
+
+class TestImports:
+    def test_package_imports_no_test_or_reference_tooling(self):
+        # scipy serves the tests as a reference oracle only; importing the
+        # package or its command line must not pull it, hypothesis or pytest in
+        code = (
+            "import sys, viralsearch, viralsearch.cli; "
+            "print(sorted({name.split('.')[0] for name in sys.modules} "
+            "& {'scipy', 'hypothesis', 'pytest'}))"
+        )
+        src = str(Path(viralsearch.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestHelp:

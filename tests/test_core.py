@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,43 @@ class TestBounds:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             Bounds([0.0], [1.0, 2.0])
+
+    def test_copies_the_callers_arrays(self):
+        lb, ub = np.zeros(2), np.ones(2)
+        b = Bounds(lb, ub)
+        lb[:] = 5.0
+        ub[:] = -5.0
+        assert b.lb.tolist() == [0.0, 0.0]
+        assert b.ub.tolist() == [1.0, 1.0]
+        assert b.span.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("name", ["lb", "ub", "span"])
+    def test_arrays_are_read_only(self, name):
+        b = Bounds([-1.0, 0.5], [2.0, 4.0])
+        with pytest.raises(ValueError):
+            getattr(b, name)[0] = 9.0
+        assert b.lb.tolist() == [-1.0, 0.5] and b.ub.tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))]
+    )
+    def test_copies_stay_read_only(self, clone):
+        b = clone(Bounds([-1.0, 0.5], [2.0, 4.0]))
+        assert b.lb.tolist() == [-1.0, 0.5] and b.ub.tolist() == [2.0, 4.0]
+        assert b.span.tolist() == [3.0, 3.5]
+        for name in ("lb", "ub", "span"):
+            with pytest.raises(ValueError):
+                getattr(b, name)[0] = 9.0
+
+    def test_span_is_ub_minus_lb(self):
+        b = Bounds([-0.1, 1e-8, -3.0], [0.2, 7.0, 3.0])
+        assert np.array_equal(b.span, b.ub - b.lb)
+        assert b.span is b.span
+
+    def test_eq_and_repr_show_only_the_limits(self):
+        b = Bounds([0.0], [1.0])
+        assert repr(b) == "Bounds(lb=array([0.]), ub=array([1.]))"
+        assert Bounds([0.0], [1.0]) == b
 
 
 class TestClamp:
@@ -321,6 +361,55 @@ class TestObjective:
             EvaluationError, match=r"-inf at generation 7 for point \[1\.0, 2\.0\]"
         ):
             obj(7, np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "returned, count",
+        [
+            (lambda p: np.array([1.0]), 1),  # one value for the whole batch
+            (lambda p: p * 1.0, 6),  # an (n, d) array
+            (lambda p: np.ones(4), 4),
+        ],
+    )
+    def test_wrong_value_count_raises_naming_both_counts(self, returned, count):
+        obj = Objective(lambda t, p: returned(p), arity=2)
+        with pytest.raises(
+            EvaluationError,
+            match=rf"returned {count} values for 3 points at generation 4",
+        ):
+            obj.evaluate_many(4, np.zeros((3, 2)))
+
+    def test_column_of_values_is_legal(self):
+        obj = Objective(lambda t, p: p[:, :1] * 2.0, arity=2)
+        values = obj.evaluate_many(0, np.array([[1.0, 0.0], [3.0, 0.0]]))
+        assert values.shape == (2,) and values.tolist() == [2.0, 6.0]
+
+    def test_no_points_give_no_values(self):
+        obj = Objective(lambda t, p: (p**2).sum(axis=1), arity=2)
+        values = obj.evaluate_many(0, np.zeros((0, 2)))
+        assert values.shape == (0,) and values.dtype == float
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 50), data=st.data())
+    def test_nan_or_minus_inf_anywhere_gives_the_first_bad_point(self, n, data):
+        bad = st.sampled_from([np.nan, -np.inf])
+        good = st.sampled_from([0.0, -1e300, 7.5, np.inf])
+        values = np.array(
+            data.draw(st.lists(st.one_of(good, bad), min_size=n, max_size=n))
+        )
+        i = data.draw(st.integers(0, n - 1))
+        values[i] = data.draw(bad)
+        points = np.arange(2.0 * n).reshape(n, 2)
+        obj = Objective(lambda t, p: values.copy(), arity=2)
+        # the message the per-row mask names: the first NaN or -inf row
+        first = int(np.argmin(values > -np.inf))
+        kind = "NaN" if np.isnan(values[first]) else "-inf"
+        expected = (
+            f"objective returned {kind} at generation 6 for point "
+            f"{points[first].tolist()}"
+        )
+        with pytest.raises(EvaluationError) as info:
+            obj.evaluate_many(6, points)
+        assert str(info.value) == expected
 
     def test_plus_inf_is_a_legal_penalty(self):
         obj = Objective(lambda t, p: np.where(p[:, 0] > 0, np.inf, 1.0), arity=2)

@@ -20,6 +20,7 @@ from viralsearch.engine import (
     EngineState,
     VSConfig,
     _center_indices,
+    _trigger_candidates,
     burst_config,
     init_state,
     make_centers,
@@ -419,6 +420,49 @@ class TestTriggerEpidemic:
             rng=make_rng(2),
         )
         assert value < start
+
+
+class TestTriggerCandidates:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 50),
+        incumbent=st.one_of(st.just(np.inf), st.floats(-5.0, 5.0)),
+        tol=st.sampled_from([0.0, 1e-12, 0.5]),
+        data=st.data(),
+    )
+    def test_matches_the_mask_formula(self, n, incumbent, tol, data):
+        threshold = incumbent - tol
+        at = [threshold, np.nextafter(threshold, -np.inf), np.nextafter(threshold, np.inf)]
+        values = np.array(
+            data.draw(
+                st.lists(
+                    st.one_of(
+                        st.floats(-6.0, 6.0),
+                        st.just(np.inf),
+                        st.sampled_from([v for v in at if np.isfinite(v)] or [0.0]),
+                    ),
+                    min_size=n,
+                    max_size=n,
+                )
+            )
+        )
+        expected = np.flatnonzero((values < np.inf) & (values <= threshold))
+        got = _trigger_candidates(values, threshold)
+        assert got.dtype == np.intp
+        assert got.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "values, threshold, expected",
+        [
+            ([np.inf], np.inf, []),  # +inf never triggers, even on a +inf incumbent
+            ([np.inf, 3.0, np.inf], np.inf, [1]),
+            ([1.0], 1.0, [0]),  # exactly at the threshold triggers
+            ([np.nextafter(1.0, 2.0)], 1.0, []),
+            ([2.0, 0.5, 1.0, 7.0], 1.0, [1, 2]),
+        ],
+    )
+    def test_examples(self, values, threshold, expected):
+        assert _trigger_candidates(np.array(values), threshold).tolist() == expected
 
 
 class TestStep:

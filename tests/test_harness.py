@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 from dataclasses import replace
 
@@ -166,6 +167,22 @@ class TestRunExperiment:
         assert all(r.status == f"error: {error.__name__}: bad cell" for r in runs)
         assert all(np.isnan(r.value) for r in rows)
 
+    def test_wrong_length_objective_becomes_an_error_row(self, monkeypatch):
+        sphere = make_benchmark("sphere")
+        short = replace(
+            sphere, objective=Objective(lambda t, p: np.array([1.0]), arity=2)
+        )
+        monkeypatch.setattr(harness, "make_benchmark", lambda name, **kw: short)
+        rows = run_experiment(tiny_spec(repeat=1))
+        runs = [r for r in rows if r.kind != "median"]
+        assert len(runs) == 2
+        for r in runs:
+            assert re.fullmatch(
+                r"error: EvaluationError: objective returned 1 values for \d+ "
+                r"points at generation 0; it must return one value per point",
+                r.status,
+            )
+
     def test_other_errors_propagate(self, monkeypatch):
         def buggy_run(*args, **kwargs):
             raise RuntimeError("bug in the engine")
@@ -252,6 +269,14 @@ class TestSplitBounds:
         for box in boxes:
             assert (box.lb >= BOX.lb - 1e-12).all()
             assert (box.ub <= BOX.ub + 1e-12).all()
+
+    def test_read_only_limits_split_into_new_boxes(self):
+        b = Bounds([0.0, -1.0], [4.0, 1.0])
+        boxes = split_bounds(b, 3)
+        assert b.lb.tolist() == [0.0, -1.0] and b.ub.tolist() == [4.0, 1.0]
+        for box in boxes:
+            assert not box.lb.flags.writeable and not box.ub.flags.writeable
+            assert np.array_equal(box.span, box.ub - box.lb)
 
     def test_bisection_splits_longest_axis_first(self):
         b = Bounds([0.0, 0.0], [4.0, 1.0])
@@ -399,8 +424,9 @@ class TestTraceExport:
         path = tmp_path / "trace.csv"
         trace_export(result, str(path))
         lines = path.read_text().splitlines()
-        assert lines[0] == "generation,fobj_global,epidemics,elapsed_ms"
+        assert lines[0] == "generation,fobj_global,epidemics,elapsed_ms,worker"
         assert len(lines) == 4
+        assert [line.split(",")[-1] for line in lines[1:]] == ["0", "0", "0"]
 
     def test_static_column_non_increasing(self, tmp_path):
         cfg = VSConfig(

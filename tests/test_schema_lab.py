@@ -13,7 +13,13 @@ from viralsearch.schema_lab import (
     CompiledSchema,
     GAParams,
     NoInstancesError,
+    _crossover,
+    _ga_block_step,
+    _masked_sums,
+    _mutate,
+    _roulette,
     _single_point_crossover,
+    _stacked_fitness,
     classic_ga_step,
     compile_schema,
     count_matches,
@@ -391,6 +397,62 @@ class TestClassicGAStep:
                 expected[2 * k + 1, cut:] = tail
         _single_point_crossover(members, cross, cuts)
         assert np.array_equal(members, expected)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        size=st.integers(1, 5),
+        n=st.integers(1, 30),
+        m=st.integers(1, 10),
+        p_c=st.sampled_from([0.0, 0.7, 1.0]),
+        p_m=st.sampled_from([0.0, 0.05]),
+        elitism=st.booleans(),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_block_step_matches_a_fancy_indexing_reference(
+        self, size, n, m, p_c, p_m, elitism, strided, seed
+    ):
+        gen = make_rng(seed)
+        members = gen.integers(0, 2, size=(size, n, m), dtype=np.uint8)
+        if strided:  # a view whose rows are not one contiguous block
+            members = np.ascontiguousarray(members.transpose(0, 2, 1)).transpose(0, 2, 1)
+        fitness = _stacked_fitness(_wavy_fitness, members)
+        params = GAParams(p_c=p_c, p_m=p_m, elitism=elitism)
+
+        # the gather as `members[rows[:, None], picks]`, then the same operators
+        rngs = [make_rng(seed + k) for k in range(size)]
+        rows = np.arange(size)
+        expected = members[rows[:, None], _roulette(fitness, rngs)]
+        _crossover(expected, rngs, p_c)
+        _mutate(expected, rngs, p_m)
+        expected_fitness = None
+        if elitism:
+            expected_fitness = _stacked_fitness(_wavy_fitness, expected)
+            worst, best = expected_fitness.argmin(axis=-1), fitness.argmax(axis=-1)
+            expected[rows, worst] = members[rows, best]
+            expected_fitness[rows, worst] = fitness[rows, best]
+
+        rngs = [make_rng(seed + k) for k in range(size)]
+        children, child_fitness = _ga_block_step(
+            members, fitness, _wavy_fitness, params, rngs
+        )
+        assert children.shape == (size, n, m) and children.dtype == np.uint8
+        assert np.array_equal(children, expected)
+        if elitism:
+            assert np.array_equal(child_fitness, expected_fitness)
+        else:
+            assert child_fitness is None
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(size=st.integers(1, 6), n=st.integers(1, 40), seed=st.integers(0, 2**16))
+    def test_masked_sums_match_a_fancy_indexing_reference(self, size, n, seed):
+        gen = make_rng(seed)
+        values = gen.uniform(0.1, 50.0, size=(size, n)) ** 3
+        mask = gen.random((size, n)) < gen.random()
+        rows = np.flatnonzero(gen.random(size) < 0.7)
+        expected = [values[k, mask[k]].sum() for k in rows]
+        got = _masked_sums(values, mask, rows)
+        assert got.tolist() == expected
 
     def test_elitism_caches_the_child_fitness(self):
         pop = random_population(30, 12, onemax_fitness, make_rng(14))
