@@ -6,7 +6,6 @@ from .benchmarks import (
     BenchmarkSpec,
     Optimum,
     make_benchmark,
-    registry_lookup,
     rosenbrock,
     schaffer,
     shekel,

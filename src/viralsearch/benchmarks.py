@@ -251,8 +251,3 @@ def make_benchmark(name: str, **params) -> BenchmarkSpec:
             f"unknown benchmark {name!r}; valid names: {', '.join(BENCHMARK_NAMES)}"
         ) from None
     return builder(**params)
-
-
-def registry_lookup(name: str) -> BenchmarkSpec:
-    """Look up a benchmark by name with its default constants."""
-    return make_benchmark(name)

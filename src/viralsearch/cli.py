@@ -11,11 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .benchmarks import BENCHMARK_NAMES, make_benchmark
+from .benchmarks import make_benchmark
 from .core import ConfigurationError, ViralSearchError, make_rng
 from .engine import VSConfig
 from .harness import (
-    ReportRow,
+    _result_row,
     builtin_specs,
     display_value,
     parallel_run,
@@ -24,7 +24,6 @@ from .harness import (
     value_name,
     write_rows,
 )
-from .local_search import DEConfig
 from .schema_lab import (
     GAParams,
     NoInstancesError,
@@ -60,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="single optimization run")
     _add_run_options(p_run)
-    p_run.add_argument("--out", help="write a one-row report here")
-    p_run.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_run.add_argument("--out", help="write a one-row report here: JSON when the "
+                       "name ends in .json, else CSV")
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="run a built-in sweep")
@@ -69,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"one of: {', '.join(sorted(builtin_specs()))}")
     p_bench.add_argument("--repeat", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", required=True)
+    p_bench.add_argument("--out", required=True,
+                         help="report path: JSON when the name ends in .json, else CSV")
     p_bench.set_defaults(func=cmd_bench)
 
     p_trace = sub.add_parser("trace", help="run and export the generation trace")
@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_schema = sub.add_parser("schema", help="schema growth experiment")
     p_schema.add_argument("--schema", required=True, metavar="PATTERN",
                           help="string over 0, 1, * (e.g. '1*0**')")
-    p_schema.add_argument("--length", type=int, help="string length (defaults to the pattern's)")
     p_schema.add_argument("--pc", type=float, required=True, help="crossover probability")
     p_schema.add_argument("--pm", type=float, required=True, help="per-bit mutation probability")
     p_schema.add_argument("--generations", type=int, required=True)
@@ -110,7 +109,7 @@ def _run_from_args(args):
         walk_step_fraction=args.step,
         seed=args.seed,
     )
-    result = parallel_run(bench.objective, bench.bounds, cfg, DEConfig(), m=args.parallel)
+    result = parallel_run(bench.objective, bench.bounds, cfg, m=args.parallel)
     return bench, result
 
 
@@ -131,17 +130,9 @@ def cmd_run(args) -> int:
     bench, result = _run_from_args(args)
     _print_summary(bench, result)
     if args.out:
-        row = ReportRow(
-            sweep={},
-            point=None
-            if result.best_point is None
-            else tuple(float(v) for v in result.best_point),
-            value=display_value(bench, result.best_value),
-            time_s=result.wall_time_ms / 1e3,
-            seed=args.seed,
-        )
-        write_rows([row], args.out, args.format, arity=bench.arity,
-                   value_name=value_name(bench))
+        row = _result_row(bench, {}, result.best_point, result.best_value,
+                          result.wall_time_ms, args.seed)
+        write_rows([row], args.out, bench)
         print(f"wrote {args.out}")
     return 0
 
@@ -152,13 +143,11 @@ def cmd_bench(args) -> int:
         raise ConfigurationError(
             f"unknown spec {args.spec!r}; valid: {', '.join(sorted(specs))}"
         )
-    fmt = "json" if args.out.endswith(".json") else "csv"
     spec = replace(
         specs[args.spec],
         repeat=args.repeat,
         seed_base=args.seed,
         out_path=args.out,
-        out_format=fmt,
     )
     rows = run_experiment(spec)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -175,14 +164,9 @@ def cmd_trace(args) -> int:
 
 def cmd_schema(args) -> int:
     pattern = args.schema
-    length = len(pattern) if args.length is None else args.length
-    if length != len(pattern):
-        raise ConfigurationError(
-            f"--length {args.length} does not match the {len(pattern)}-position pattern"
-        )
     params = GAParams(p_c=args.pc, p_m=args.pm, seed=args.seed)
     rng = make_rng(args.seed)
-    pop0 = random_population(args.pop, length, onemax_fitness, rng)
+    pop0 = random_population(args.pop, len(pattern), onemax_fitness, rng)
     try:
         report = schema_growth_experiment(
             pop0, pattern, params, generations=args.generations, trials=args.trials

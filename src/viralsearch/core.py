@@ -90,6 +90,13 @@ class Bounds:
     def span(self) -> np.ndarray:
         return self._span
 
+    def __eq__(self, other):
+        # the dataclass default compares (lb, ub) as tuples, which asks numpy
+        # for the truth value of a whole array once a box has two axes
+        if not isinstance(other, Bounds):
+            return NotImplemented
+        return bool(np.array_equal(self.lb, other.lb) and np.array_equal(self.ub, other.ub))
+
     def __reduce__(self):
         # rebuilt through __post_init__, so a copied or unpickled box owns
         # read-only arrays too

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -28,7 +28,8 @@ class ExperimentSpec:
     """A benchmark sweep: which config fields vary, over which cells.
 
     When `checkpoints` is set the spec is a single long run sampled at
-    those trace generations instead of a grid sweep.
+    those trace generations instead of a grid sweep. A set `out_path`
+    gets a JSON report when it ends in ".json", else a CSV one.
     """
 
     name: str
@@ -40,15 +41,12 @@ class ExperimentSpec:
     benchmark_params: dict = field(default_factory=dict)
     repeat: int = 1
     seed_base: int = 0
-    out_format: str = "csv"
     out_path: Optional[str] = None
     checkpoints: Optional[tuple] = None
 
     def __post_init__(self):
         if self.repeat < 1:
             raise ConfigurationError("repeat must be >= 1")
-        if self.out_format not in ("csv", "json"):
-            raise ConfigurationError("out_format must be 'csv' or 'json'")
         for cell in self.cells:
             if len(cell) != len(self.sweep_fields):
                 raise ConfigurationError(
@@ -159,6 +157,20 @@ def display_value(bench: BenchmarkSpec, value: float) -> float:
     return -value if _maximizes(bench) else value
 
 
+def _result_row(bench: BenchmarkSpec, sweep: dict, point, value: float, elapsed_ms: float,
+                seed: int) -> ReportRow:
+    """The report row of a finished run (or of one checkpoint of it): the
+    point as a tuple of floats, the value as the benchmark states it, the
+    time in seconds."""
+    return ReportRow(
+        sweep=sweep,
+        point=None if point is None else tuple(float(v) for v in point),
+        value=display_value(bench, value),
+        time_s=elapsed_ms / 1e3,
+        seed=seed,
+    )
+
+
 def _check_keys(keys, config_type, where: str) -> None:
     valid = [f.name for f in fields(config_type)]
     for key in keys:
@@ -210,15 +222,8 @@ def run_experiment(spec: ExperimentSpec) -> list:
                     )
                 else:
                     cell_rows.append(
-                        ReportRow(
-                            sweep=sweep,
-                            point=None
-                            if result.best_point is None
-                            else tuple(float(v) for v in result.best_point),
-                            value=display_value(bench, result.best_value),
-                            time_s=result.wall_time_ms / 1e3,
-                            seed=seed,
-                        )
+                        _result_row(bench, sweep, result.best_point, result.best_value,
+                                    result.wall_time_ms, seed)
                     )
             except ViralSearchError as exc:
                 cell_rows.append(
@@ -235,8 +240,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
         if spec.checkpoints is None:
             rows.append(_median_row(cell_rows))
     if spec.out_path is not None:
-        write_rows(rows, spec.out_path, spec.out_format, arity=bench.arity,
-                   value_name=value_name(bench))
+        write_rows(rows, spec.out_path, bench)
     return rows
 
 
@@ -257,22 +261,11 @@ def _checkpoint_rows(bench, result: RunResult, checkpoints, seed: int) -> list:
                 )
             )
             continue
-        point = trace_row.best_point
         rows.append(
-            ReportRow(
-                sweep={"t": t},
-                point=None if point is None else tuple(float(v) for v in point),
-                value=display_value(bench, trace_row.fobj_global),
-                time_s=trace_row.elapsed_ms / 1e3,
-                seed=seed,
-            )
+            _result_row(bench, {"t": t}, trace_row.best_point, trace_row.fobj_global,
+                        trace_row.elapsed_ms, seed)
         )
     return rows
-
-
-def _header(rows: list, arity: int, value_name: str) -> list:
-    sweep_names = list(rows[0].sweep) if rows else []
-    return sweep_names + _coord_names(arity) + [value_name, *_TAIL_COLUMNS]
 
 
 def _fmt(v) -> str:
@@ -281,32 +274,21 @@ def _fmt(v) -> str:
     return f"{float(v):.6f}"
 
 
-def write_rows(rows: list, path: str, fmt: str = "csv", arity: int = 2,
-               value_name: str = "z") -> None:
-    if fmt == "json":
-        payload = []
-        for r in rows:
-            payload.append(
-                {
-                    "sweep": {k: v for k, v in r.sweep.items()},
-                    "point": None if r.point is None else list(r.point),
-                    "value": r.value,
-                    "time_s": r.time_s,
-                    "seed": r.seed,
-                    "kind": r.kind,
-                    "status": r.status,
-                }
-            )
+def write_rows(rows: list, path: str, bench: BenchmarkSpec) -> None:
+    """Write a report: JSON when `path` ends in ".json", CSV otherwise. The
+    CSV names its coordinate and value columns after `bench`."""
+    if path.endswith(".json"):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"rows": payload}, fh, indent=2)
+            json.dump({"rows": [asdict(r) for r in rows]}, fh, indent=2)
             fh.write("\n")
         return
-    coords = _coord_names(arity)
+    coords = _coord_names(bench.arity)
+    sweep_names = list(rows[0].sweep) if rows else []
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_header(rows, arity, value_name))
+        writer.writerow(sweep_names + coords + [value_name(bench), *_TAIL_COLUMNS])
         for r in rows:
-            point = r.point if r.point is not None else (float("nan"),) * arity
+            point = r.point if r.point is not None else (float("nan"),) * bench.arity
             writer.writerow(
                 [_fmt(v) for v in r.sweep.values()]
                 + [_fmt(c) for c in point[: len(coords)]]
@@ -317,18 +299,11 @@ def write_rows(rows: list, path: str, fmt: str = "csv", arity: int = 2,
 def read_rows_json(path: str) -> list:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    return [
-        ReportRow(
-            sweep=entry["sweep"],
-            point=None if entry["point"] is None else tuple(entry["point"]),
-            value=entry["value"],
-            time_s=entry["time_s"],
-            seed=entry["seed"],
-            kind=entry["kind"],
-            status=entry["status"],
-        )
-        for entry in payload["rows"]
-    ]
+    rows = [ReportRow(**entry) for entry in payload["rows"]]
+    for row in rows:
+        if row.point is not None:
+            row.point = tuple(row.point)
+    return rows
 
 
 def read_rows_csv(path: str) -> list:

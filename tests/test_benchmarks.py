@@ -11,7 +11,6 @@ from viralsearch.benchmarks import (
     SHEKEL_A,
     SHEKEL_C,
     make_benchmark,
-    registry_lookup,
     rosenbrock,
     schaffer,
     shekel,
@@ -180,7 +179,7 @@ class TestRegistry:
         }
 
     def test_rosenbrock_spec(self):
-        spec = registry_lookup("rosenbrock")
+        spec = make_benchmark("rosenbrock")
         assert np.allclose(spec.bounds.lb, [-3, -3])
         assert np.allclose(spec.bounds.ub, [3, 3])
         assert spec.known_optimum.point == (1.0, 1.0)
@@ -188,24 +187,24 @@ class TestRegistry:
         assert spec.known_optimum.kind == "min"
 
     def test_schaffer_spec(self):
-        spec = registry_lookup("schaffer")
+        spec = make_benchmark("schaffer")
         assert np.allclose(spec.bounds.lb, [-3, -3])
         assert spec.known_optimum.point == (0.0, 0.0)
 
     def test_two_well_spec(self):
-        spec = registry_lookup("two_well")
+        spec = make_benchmark("two_well")
         assert np.allclose(spec.bounds.lb, [-6, -6])
         assert np.allclose(spec.bounds.ub, [6, 6])
         assert spec.objective.time_varying
 
     def test_shekel_spec(self):
-        spec = registry_lookup("shekel")
+        spec = make_benchmark("shekel")
         assert np.allclose(spec.bounds.lb, np.zeros(4))
         assert np.allclose(spec.bounds.ub, np.full(4, 10.0))
         assert spec.known_optimum.kind == "max"
 
     def test_shekel_optimum_is_a_local_maximum(self):
-        opt = registry_lookup("shekel").known_optimum
+        opt = make_benchmark("shekel").known_optimum
         assert opt.value == float(shekel(np.array(opt.point)))
         assert opt.value > shekel(np.full(4, 4.0))
         refined = minimize(lambda x: -shekel(x), np.array(opt.point),
@@ -215,11 +214,11 @@ class TestRegistry:
 
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(ConfigurationError, match="rosenbrock"):
-            registry_lookup("nosuch")
+            make_benchmark("nosuch")
 
     def test_optima_within_bounds_and_values_check_out(self):
         for name in BENCHMARK_NAMES:
-            spec = registry_lookup(name)
+            spec = make_benchmark(name)
             opt = spec.known_optimum
             point = np.array(opt.point)
             assert spec.bounds.contains(point[None, :])
@@ -230,7 +229,7 @@ class TestRegistry:
                 assert engine_value == pytest.approx(opt.value, abs=1e-9)
 
     def test_minimizing_convention_for_maximization(self):
-        spec = registry_lookup("shekel")
+        spec = make_benchmark("shekel")
         peak = np.array([4.0, 4.0, 4.0, 4.0])
         assert spec.objective(0, peak) == pytest.approx(-shekel(peak), rel=1e-12)
 

@@ -1,9 +1,12 @@
 import csv
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import viralsearch
 import viralsearch.cli as cli
@@ -40,10 +43,24 @@ class TestRunCommand:
         path = tmp_path / "run.json"
         code = run_cli(
             "run", "--function", "sphere", "--ni", "40", "--ng", "10",
-            "--niv", "15", "--ngv", "10", "--out", str(path), "--format", "json",
+            "--niv", "15", "--ngv", "10", "--out", str(path),
         )
         assert code == 0
         assert len(read_rows_json(str(path))) == 1
+        assert json.loads(path.read_text())["rows"][0]["status"] == "ok"
+
+    def test_shekel_json_report_value_is_the_maximum(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        code = run_cli(
+            "run", "--function", "shekel", "--ni", "100", "--ng", "15",
+            "--niv", "40", "--ngv", "25", "--seed", "1", "--out", str(path),
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        (row,) = read_rows_json(str(path))
+        assert f"{row.value:.6f}" == re.search(r"maximized value: (\S+)", out).group(1)
+        assert f"{row.time_s:.3f}s" == re.search(r"wall time: (\S+)", out).group(1)
+        assert row.value > 0 and len(row.point) == 4
 
     def test_parallel_flag(self, capsys):
         code = run_cli(
@@ -173,13 +190,6 @@ class TestSchemaCommand:
         assert "generations meeting the bound" in out
         assert out.count("gen ") == 5
 
-    def test_length_mismatch_is_config_error(self):
-        code = run_cli(
-            "schema", "--schema", "1**", "--length", "5", "--pc", "0.5",
-            "--pm", "0.01", "--generations", "3", "--trials", "2",
-        )
-        assert code == 1
-
     def test_all_wildcard_schema_is_config_error(self, capsys):
         code = run_cli(
             "schema", "--schema", "***", "--pc", "0.5", "--pm", "0.01",
@@ -195,6 +205,22 @@ class TestSchemaCommand:
             "--generations", "3", "--trials", "2",
         )
         assert code == 1
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("run", "--function", "sphere", "--ni", "40", "--ng", "5",
+              "--niv", "10", "--ngv", "5", "--format", "json"), "--format json"),
+            (("schema", "--schema", "1**", "--length", "5", "--pc", "0.5",
+              "--pm", "0.01", "--generations", "3", "--trials", "2"), "--length 5"),
+        ],
+        ids=["run-format", "schema-length"],
+    )
+    def test_is_an_unknown_option(self, capsys, argv, option):
+        assert run_cli(*argv) == 1
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 class TestImports:
@@ -219,5 +245,7 @@ class TestHelp:
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
 
-    def test_subcommand_help_exits_zero(self):
-        assert run_cli("run", "--help") == 0
+    def test_subcommand_help_exits_zero(self, capsys):
+        for command in ("run", "bench", "trace", "schema"):
+            assert run_cli(command, "--help") == 0
+            assert capsys.readouterr().out.startswith(f"usage: viralsearch {command}")

@@ -19,6 +19,7 @@ from viralsearch.core import (
     stratified_init,
     uniform_sample,
 )
+from viralsearch.harness import split_bounds
 
 BOX = Bounds([-3.0, -3.0], [3.0, 3.0])
 UNIT = Bounds([0.0, 0.0], [1.0, 1.0])
@@ -77,6 +78,15 @@ class TestBounds:
         b = Bounds([0.0], [1.0])
         assert repr(b) == "Bounds(lb=array([0.]), ub=array([1.]))"
         assert Bounds([0.0], [1.0]) == b
+
+    def test_eq_compares_limits_by_value(self):
+        assert Bounds([0.0, 0.0], [1.0, 1.0]) == Bounds([0.0, 0.0], [1.0, 1.0])
+        assert Bounds([0.0, 0.0], [1.0, 1.0]) != Bounds([0.0, 0.0], [1.0, 2.0])
+        assert Bounds([0.0, 0.0], [1.0, 1.0]) != Bounds([0.0, -1.0], [1.0, 1.0])
+        assert Bounds([0.0, 0.0], [1.0, 1.0]) != Bounds([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        assert BOX != (BOX.lb, BOX.ub)
+        # a fresh box, so list equality cannot fall back on identity
+        assert split_bounds(BOX, 1) == [Bounds(BOX.lb, BOX.ub)]
 
 
 class TestClamp:

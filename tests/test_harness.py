@@ -19,6 +19,7 @@ from viralsearch.core import (
 from viralsearch.engine import VSConfig, run
 from viralsearch.harness import (
     ExperimentSpec,
+    ReportRow,
     builtin_specs,
     parallel_run,
     read_rows_csv,
@@ -208,6 +209,28 @@ class TestRunExperiment:
         values = [r.value for r in rows]
         assert values == sorted(values, reverse=True)  # incumbent improves
 
+    def test_checkpoint_past_the_run_is_an_error_row(self):
+        spec = ExperimentSpec(
+            name="ck",
+            benchmark="sphere",
+            base={
+                "n_individuals": 5,
+                "n_generations": 6,
+                "n_viral_individuals": 5,
+                "n_viral_generations": 3,
+            },
+            checkpoints=(5, 6, 9),
+        )
+        last, *missing = run_experiment(spec)
+        assert last.status == "ok" and last.sweep == {"t": 5}
+        assert [r.status for r in missing] == [
+            "error: no trace row for generation 6",
+            "error: no trace row for generation 9",
+        ]
+        for r in missing:
+            assert r.point is None and np.isnan(r.value)
+            assert r.kind == "run" and r.seed == last.seed
+
     def test_maximization_benchmark_reports_positive_values(self):
         spec = ExperimentSpec(
             name="max",
@@ -221,6 +244,10 @@ class TestRunExperiment:
             },
         )
         rows = run_experiment(spec)
+        assert all(r.value > 0 for r in rows)
+        # a checkpoint run flips the sign of its trace values the same way
+        rows = run_experiment(replace(spec, checkpoints=(0, 4, 9)))
+        assert [r.status for r in rows] == ["ok"] * 3
         assert all(r.value > 0 for r in rows)
 
 
@@ -243,17 +270,56 @@ class TestSerialization:
         run_experiment(tiny_spec(out_path=str(path)))
         rows1 = read_rows_csv(str(path))
         path2 = tmp_path / "again.csv"
-        write_rows(rows1, str(path2), "csv", arity=2, value_name="z")
+        write_rows(rows1, str(path2), make_benchmark("sphere"))
         assert path.read_bytes() == path2.read_bytes()
         assert read_rows_csv(str(path2)) == rows1
 
     def test_json_round_trip_exact(self, tmp_path):
         path = tmp_path / "report.json"
-        rows = run_experiment(tiny_spec(out_path=str(path), out_format="json"))
+        rows = run_experiment(tiny_spec(out_path=str(path)))
         parsed = read_rows_json(str(path))
         assert parsed == rows
         payload = json.loads(path.read_text())
         assert len(payload["rows"]) == len(rows)
+
+    @pytest.mark.parametrize("name", ["report.json", "report.csv", "report.json.csv",
+                                      "report.txt", "report"])
+    def test_suffix_picks_the_format(self, tmp_path, name):
+        rows = run_experiment(tiny_spec(repeat=1))
+        path = tmp_path / name
+        write_rows(rows, str(path), make_benchmark("sphere"))
+        if name.endswith(".json"):
+            assert read_rows_json(str(path)) == rows
+        else:
+            assert path.read_text().startswith("n_individuals,n_generations,x,y,z,")
+            assert [r.value for r in read_rows_csv(str(path))] == pytest.approx(
+                [r.value for r in rows], abs=1e-6
+            )
+
+    def test_columns_named_after_the_benchmark(self, tmp_path):
+        row = ReportRow(sweep={"t": 3}, point=(1.0, 2.0, 3.0, 4.0), value=10.5,
+                        time_s=0.25, seed=7)
+        path = tmp_path / "shekel.csv"
+        write_rows([row], str(path), make_benchmark("shekel"))
+        assert path.read_text() == (
+            "t,x1,x2,x3,x4,val,time_s,seed,kind,status\n"
+            "3,1.000000,2.000000,3.000000,4.000000,10.500000,0.250000,7,run,ok\n"
+        )
+
+    def test_json_keeps_nan_and_missing_points(self, tmp_path):
+        rows = [
+            ReportRow(sweep={"t": 1}, point=None, value=float("nan"), time_s=0.0,
+                      seed=3, status="error: no trace row for generation 1"),
+            ReportRow(sweep={"t": 2}, point=(0.5, -0.25), value=-1.5, time_s=0.125,
+                      seed=3, kind="median"),
+        ]
+        path = tmp_path / "report.json"
+        write_rows(rows, str(path), make_benchmark("sphere"))
+        assert '"value": NaN' in path.read_text()
+        back = read_rows_json(str(path))
+        assert back[0].point is None and np.isnan(back[0].value)
+        assert back[0].status == rows[0].status
+        assert back[1] == rows[1] and isinstance(back[1].point, tuple)
 
 
 class TestSplitBounds:
