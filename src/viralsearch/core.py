@@ -55,9 +55,10 @@ def child_seed(parent_seed: int, index: int) -> int:
 class Bounds:
     """Axis-aligned box: per-axis lower and upper limits of the search space.
 
-    `lb`, `ub` and `span` are read-only arrays the box owns: it copies the
-    limits it is given, so a caller changing its own arrays later leaves
-    the box as it was checked."""
+    `lb`, `ub`, `span` and `period` (2·span, the reflecting fold's period)
+    are read-only arrays the box owns: it copies the limits it is given,
+    so a caller changing its own arrays later leaves the box as it was
+    checked."""
 
     lb: np.ndarray
     ub: np.ndarray
@@ -78,7 +79,7 @@ class Bounds:
                 f"has lb={lb[bad]}, ub={ub[bad]}"
             )
         span = ub - lb
-        for name, value in (("lb", lb), ("ub", ub), ("_span", span)):
+        for name, value in (("lb", lb), ("ub", ub), ("_span", span), ("_period", 2.0 * span)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -90,12 +91,20 @@ class Bounds:
     def span(self) -> np.ndarray:
         return self._span
 
+    @property
+    def period(self) -> np.ndarray:
+        return self._period
+
     def __eq__(self, other):
         # the dataclass default compares (lb, ub) as tuples, which asks numpy
         # for the truth value of a whole array once a box has two axes
         if not isinstance(other, Bounds):
             return NotImplemented
         return bool(np.array_equal(self.lb, other.lb) and np.array_equal(self.ub, other.ub))
+
+    def __hash__(self):
+        # agrees with __eq__: -0.0 and 0.0 compare and hash alike
+        return hash((tuple(self.lb.tolist()), tuple(self.ub.tolist())))
 
     def __reduce__(self):
         # rebuilt through __post_init__, so a copied or unpickled box owns
@@ -118,11 +127,14 @@ def _checked(p: np.ndarray, b: Bounds) -> np.ndarray:
 def clamp_to_bounds(p: np.ndarray, b: Bounds) -> np.ndarray:
     """Project onto the box: each coordinate saturates at the nearer wall.
 
-    Accepts a single point or a stack of points; idempotent. For a zero
-    coordinate on a zero wall of the other sign, `np.clip` may return
-    either zero, depending on the array's shape and memory layout.
+    Accepts a single point or a stack of points; idempotent. A coordinate
+    with lb <= p <= ub comes back as `p` itself, so a zero on a zero wall
+    of the other sign keeps its sign in every shape and memory layout,
+    where `np.clip` may return either zero. The result keeps the memory
+    layout of `p`.
     """
-    return np.clip(_checked(p, b), b.lb, b.ub)
+    p = _checked(p, b)
+    return np.where(p < b.lb, b.lb, np.where(p > b.ub, b.ub, p))
 
 
 def reflect_into_bounds(p: np.ndarray, b: Bounds) -> np.ndarray:
@@ -137,8 +149,7 @@ def reflect_into_bounds(p: np.ndarray, b: Bounds) -> np.ndarray:
     `p`, so a Fortran-ordered stack folds along whole axes.
     """
     p = _checked(p, b)
-    span = b.span
-    period = 2.0 * span
+    span, period = b.span, b.period
     y = p - b.lb
     if (np.abs(y) < period).all():
         # what np.mod returns for |y| < period: y, or y + period below zero;
@@ -219,7 +230,7 @@ class Objective:
         # one reduction screens the batch: the minimum is NaN when any value
         # is NaN, and -inf when any is -inf; the per-row mask is built only
         # to name the first bad point
-        if not values.min(initial=np.inf) > -np.inf:
+        if not np.minimum.reduce(values, initial=np.inf) > -np.inf:
             usable = values > -np.inf  # false for NaN and -inf alike
             i = int(np.argmin(usable))
             kind = "NaN" if np.isnan(values[i]) else "-inf"

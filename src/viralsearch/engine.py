@@ -114,7 +114,10 @@ class EngineState:
     """Mutable run state; single-owner, never shared between engines.
 
     `population` is Fortran-ordered (axis-major): each axis is one
-    contiguous column, so per-axis arithmetic runs along all n scouts."""
+    contiguous column, so per-axis arithmetic runs along all n scouts.
+    `walk_box` caches `_walk_box`'s per-element box with the box and scout
+    count it was built for. `evaluations` counts the objective rows each
+    phase evaluated: scouts, bursts, and incumbent refreshes."""
 
     population: Population
     generation: int = 0
@@ -124,6 +127,8 @@ class EngineState:
     epidemic_count: int = 0
     trace: list = field(default_factory=list)
     started_at: float = field(default_factory=time.perf_counter)
+    walk_box: Optional[tuple] = None
+    evaluations: dict = field(default_factory=lambda: {"scout": 0, "burst": 0, "refresh": 0})
 
     def has_centers(self) -> bool:
         return self.visit_counts is not None and len(self.visit_counts) > 0
@@ -137,6 +142,8 @@ class RunResult:
     epidemic_count: int
     wall_time_ms: float
     config_echo: VSConfig
+    # objective rows evaluated per phase: "scout", "burst" and "refresh"
+    evaluations: dict
 
 
 def _center_count(b: Bounds, centers_per_axis: int) -> int:
@@ -200,7 +207,7 @@ def _trigger_candidates(values: np.ndarray, threshold: float) -> np.ndarray:
     `np.flatnonzero((values < inf) & (values <= threshold))` for n >= 1
     values, with the masks built only when the minimum qualifies, which
     it rarely does."""
-    low = values.min()
+    low = np.minimum.reduce(values)
     if not (low <= threshold and low < np.inf):
         return _NO_ROWS
     return np.flatnonzero((values < np.inf) & (values <= threshold))
@@ -215,6 +222,19 @@ def init_state(b: Bounds, cfg: VSConfig, rng: RngStream) -> EngineState:
     return EngineState(population=pop, visit_counts=np.zeros(n_centers, dtype=np.int64))
 
 
+def _walk_box(state: EngineState, b: Bounds) -> Bounds:
+    """`b`'s limits repeated per scout in the axis-major order of the
+    flattened population, so each fold call is one pass along n * dim
+    coordinates with no broadcasting. Built on a state's first move and
+    again only when the box or the scout count changes, in O(n * dim)
+    memory."""
+    n = len(state.population)
+    cached = state.walk_box
+    if cached is None or cached[0] is not b or cached[1] != n:
+        state.walk_box = cached = (b, n, Bounds(np.repeat(b.lb, n), np.repeat(b.ub, n)))
+    return cached[2]
+
+
 def move_random(
     state: EngineState, b: Bounds, cfg: VSConfig, rng: RngStream
 ) -> EngineState:
@@ -222,14 +242,18 @@ def move_random(
     folding at the walls per the configured boundary policy, and tally
     center visits when centers are on.
 
-    The tally finds each scout's center by grid arithmetic, so it costs
-    O(n * dim + C) per call for C centers."""
-    # the draw fills a C-ordered block; its Fortran copy keeps each step's
-    # value and the RNG stream, and the sums below stay axis-major
-    steps = np.asfortranarray(rng.standard_normal(state.population.shape))
-    steps *= cfg.walk_step_fraction * b.span
+    The walk and the fold are flat passes over the n * dim coordinates
+    against `_walk_box`'s per-element limits. The tally finds each scout's
+    center by grid arithmetic, so it costs O(n * dim + C) per call for C
+    centers."""
+    shape = state.population.shape
+    # the draw fills a C-ordered block; scaling it into a Fortran buffer
+    # keeps each step's value and the RNG stream, and the sums axis-major
+    steps = np.empty(shape, order="F")
+    np.multiply(rng.standard_normal(shape), cfg.walk_step_fraction * b.span, out=steps)
     steps += state.population
-    state.population = _boundary_policy(cfg)(steps, b)
+    folded = _boundary_policy(cfg)(steps.ravel(order="F"), _walk_box(state, b))
+    state.population = folded.reshape(shape, order="F")
     if state.has_centers():
         idx = _center_indices(state.population, b, cfg.centers_per_axis)
         state.visit_counts += np.bincount(idx, minlength=len(state.visit_counts))
@@ -289,13 +313,15 @@ def trigger_epidemic(
     objective: Objective,
     t: int,
     rng: RngStream,
+    evaluations: Optional[dict] = None,
 ) -> tuple[Point, float]:
     """Run a localized DE burst in a cube around the triggering scout.
 
     The cube spans trigger +/- epidemic_radius_fraction * axis range on
     each axis, clipped to the global box, and the trigger itself seeds
     the burst population so the result can never be worse than the
-    trigger's own value. `burst_cfg` comes from `burst_config`.
+    trigger's own value. `burst_cfg` comes from `burst_config`. The
+    burst's rows are added to `evaluations["burst"]` when given.
     """
     trigger = np.asarray(trigger, dtype=float)
     half = cfg.epidemic_radius_fraction * b.span
@@ -307,7 +333,8 @@ def trigger_epidemic(
             f"trigger inside the bounds?"
         )
     return de_optimize(
-        objective, Bounds(lo, hi), burst_cfg, seed_point=trigger, t=t, rng=rng
+        objective, Bounds(lo, hi), burst_cfg, seed_point=trigger, t=t, rng=rng,
+        evaluations=evaluations,
     )
 
 
@@ -327,8 +354,10 @@ def step(
         # the landscape moved under the incumbent; refresh its value so
         # trigger comparisons stay meaningful
         state.fobj_global = objective(t, state.best_individual_global)
+        state.evaluations["refresh"] += 1
 
     values = objective.evaluate_many(t, state.population)
+    state.evaluations["scout"] += len(values)
 
     # the incumbent only decreases during the sweep, so scouts that fail
     # against the sweep-start value can be skipped outright; +inf is a legal
@@ -338,7 +367,8 @@ def step(
         if values[i] > state.fobj_global - cfg.trigger_tolerance:
             continue
         best_point, best_value = trigger_epidemic(
-            state.population[i].copy(), b, cfg, burst_cfg, objective, t, rng
+            state.population[i].copy(), b, cfg, burst_cfg, objective, t, rng,
+            state.evaluations,
         )
         state.epidemic_count += 1
         if best_value <= state.fobj_global:
@@ -409,4 +439,5 @@ def run(
         epidemic_count=state.epidemic_count,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
         config_echo=cfg,
+        evaluations=dict(state.evaluations),
     )

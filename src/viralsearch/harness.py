@@ -373,7 +373,8 @@ def parallel_run(
 ) -> RunResult:
     """Split the box into `m` sub-boxes, run an independent engine per box
     (population split evenly, child seeds per worker), and keep the best
-    worker's result. Traces are merged, tagged with the worker index.
+    worker's result. Traces are merged, tagged with the worker index, and
+    the evaluation counts summed.
 
     The workers run one after another in the calling thread. The split is
     a diversity option, not a speedup: each worker keeps its own incumbent
@@ -418,6 +419,10 @@ def parallel_run(
         epidemic_count=sum(res.epidemic_count for res in results),
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
         config_echo=cfg,
+        evaluations={
+            phase: sum(res.evaluations[phase] for res in results)
+            for phase in results[0].evaluations
+        },
     )
 
 

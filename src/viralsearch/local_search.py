@@ -128,14 +128,17 @@ def de_optimize(
     t: int = 0,
     rng: RngStream = None,
     history: Optional[list] = None,
+    evaluations: Optional[dict] = None,
 ) -> tuple[Point, float]:
     """Minimize `objective` over `region` at frozen generation `t`.
 
     The population starts uniform in the region; when `seed_point` is
     given it replaces member 0, and greedy selection guarantees the
     returned value never exceeds the seed's value. Trials are clamped to
-    the region. When `history` is a list, the per-generation best value
-    is appended to it. Partners and crossover masks are drawn once per
+    the region, tiled once per call to one limit per coordinate. When
+    `history` is a list, the per-generation best value is appended to it;
+    when `evaluations` is a dict, the rows of every batch are added to
+    its "burst" count. Partners and crossover masks are drawn once per
     block of `_BLOCK` generations, so a generation makes no RNG call.
 
     Returns the best point found and its value.
@@ -155,23 +158,29 @@ def de_optimize(
             )
         pop[0] = seed_point
     values = objective.evaluate_many(t, pop)
+    if evaluations is not None:
+        evaluations["burst"] += n
+    lb, ub = np.tile(region.lb, n), np.tile(region.ub, n)
 
     for start in range(0, cfg.generations, _BLOCK):
         block = _draw_block(rng, n, d, cr, min(_BLOCK, cfg.generations - start))
         for partners, cross in zip(*block):
-            r1, r2, r3 = partners.T
+            # rows r1, r2 and r3 of every member, gathered by one `take`
+            r1, r2, r3 = pop.take(partners.T, 0)
             # pop[r1] + f * (pop[r2] - pop[r3]), bit for bit: IEEE * and +
-            # commute exactly, and `take` gathers rows for less than `pop[r]`
-            mutant = pop.take(r2, 0)
-            mutant -= pop.take(r3, 0)
+            # commute exactly
+            mutant = np.subtract(r2, r3, out=r2)
             mutant *= f
-            mutant += pop.take(r1, 0)
+            mutant += r1
             trial = np.where(cross, mutant, pop)
-            # np.clip's values without the cost of its Python wrapper
-            np.maximum(trial, region.lb, out=trial)
-            np.minimum(trial, region.ub, out=trial)
+            # np.clip's values as two flat passes against the tiled limits
+            flat = trial.reshape(-1)
+            np.maximum(flat, lb, out=flat)
+            np.minimum(flat, ub, out=flat)
 
             trial_values = objective.evaluate_many(t, trial)
+            if evaluations is not None:
+                evaluations["burst"] += n
             accept = trial_values <= values
             np.copyto(pop, trial, where=accept[:, None])
             np.copyto(values, trial_values, where=accept)

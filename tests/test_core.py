@@ -51,7 +51,7 @@ class TestBounds:
         assert b.ub.tolist() == [1.0, 1.0]
         assert b.span.tolist() == [1.0, 1.0]
 
-    @pytest.mark.parametrize("name", ["lb", "ub", "span"])
+    @pytest.mark.parametrize("name", ["lb", "ub", "span", "period"])
     def test_arrays_are_read_only(self, name):
         b = Bounds([-1.0, 0.5], [2.0, 4.0])
         with pytest.raises(ValueError):
@@ -74,6 +74,11 @@ class TestBounds:
         assert np.array_equal(b.span, b.ub - b.lb)
         assert b.span is b.span
 
+    def test_period_is_twice_the_span(self):
+        b = Bounds([-0.1, 1e-8, -3.0], [0.2, 7.0, 3.0])
+        assert np.array_equal(b.period, 2.0 * (b.ub - b.lb))
+        assert b.period is b.period
+
     def test_eq_and_repr_show_only_the_limits(self):
         b = Bounds([0.0], [1.0])
         assert repr(b) == "Bounds(lb=array([0.]), ub=array([1.]))"
@@ -87,6 +92,21 @@ class TestBounds:
         assert BOX != (BOX.lb, BOX.ub)
         # a fresh box, so list equality cannot fall back on identity
         assert split_bounds(BOX, 1) == [Bounds(BOX.lb, BOX.ub)]
+
+    def test_hash_agrees_with_eq(self):
+        assert hash(Bounds([0.0], [1.0])) == hash(Bounds(np.zeros(1), np.ones(1)))
+        # -0.0 == 0.0, so the two boxes are equal and must hash alike
+        assert Bounds([-0.0, 1.0], [1.0, 2.0]) == Bounds([0.0, 1.0], [1.0, 2.0])
+        assert hash(Bounds([-0.0, 1.0], [1.0, 2.0])) == hash(Bounds([0.0, 1.0], [1.0, 2.0]))
+
+    def test_usable_as_dict_key_and_set_member(self):
+        table = {Bounds([0.0, 0.0], [1.0, 1.0]): "unit", BOX: "box"}
+        assert table[Bounds([-0.0, 0.0], [1.0, 1.0])] == "unit"
+        assert table[Bounds([-3.0, -3.0], [3.0, 3.0])] == "box"
+        assert Bounds([0.0, 0.0], [1.0, 2.0]) not in table
+        boxes = {Bounds([0.0], [1.0]), Bounds([-0.0], [1.0]), Bounds([0.0], [2.0])}
+        assert len(boxes) == 2
+        assert Bounds([0.0], [2.0]) in boxes
 
 
 class TestClamp:
@@ -111,6 +131,41 @@ class TestClamp:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             clamp_to_bounds(np.array([1.0, 2.0, 3.0]), BOX)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (4, 2), (4, 3), (30, 2), (1000, 4)])
+    @pytest.mark.parametrize("order", ["C", "F", "flat"])
+    def test_a_zero_on_a_zero_wall_keeps_its_sign(self, shape, order):
+        # np.clip returns either zero here, by the array's shape and layout
+        n, d = shape
+        for wall in (0.0, -0.0):
+            lower = Bounds(np.full(d, wall), np.ones(d))
+            upper = Bounds(-np.ones(d), np.full(d, wall))
+            for b in (lower, upper):
+                p = np.full(shape, -wall, order="F" if order == "F" else "C")
+                if order == "flat":
+                    b = Bounds(np.repeat(b.lb, n), np.repeat(b.ub, n))
+                    p = p.reshape(-1)
+                got = clamp_to_bounds(p, b)
+                assert np.array_equal(np.signbit(got), np.signbit(p))
+                assert got.flags.f_contiguous == p.flags.f_contiguous
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5), n=st.integers(1, 12))
+    def test_returns_p_inside_and_the_wall_outside(self, data, dim, n):
+        lb = np.array(data.draw(st.lists(st.sampled_from([-0.0, 0.0, -1.5, 2.0]),
+                                         min_size=dim, max_size=dim)))
+        b = Bounds(lb, lb + np.array(data.draw(
+            st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim))))
+        size = dict(min_size=n * dim, max_size=n * dim)
+        p = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e4, 1e4)), **size)
+        )).reshape(n, dim)
+        got = clamp_to_bounds(p, b)
+        assert np.array_equal(got, np.clip(p, b.lb, b.ub))
+        inside = (p >= b.lb) & (p <= b.ub)
+        nearer_wall = np.where(p < b.lb, b.lb, b.ub)
+        assert np.array_equal(np.signbit(got[inside]), np.signbit(p[inside]))
+        assert np.array_equal(np.signbit(got[~inside]), np.signbit(nearer_wall[~inside]))
 
 
 class TestReflect:
@@ -241,11 +296,6 @@ class TestReflect:
         b = self._box(data, dim)
         p = self._either_branch(data, b, n)
         for policy in (reflect_into_bounds, clamp_to_bounds):
-            if policy is clamp_to_bounds:
-                # np.clip returns either zero for -0.0 on a +0.0 wall, by the
-                # array's layout as by its shape; a walk sum is -0.0 only
-                # when both of its terms are
-                p = p + 0.0
             expected = policy(p, b)
             got = policy(np.asfortranarray(p), b)
             assert np.array_equal(got, expected)

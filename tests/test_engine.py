@@ -16,11 +16,13 @@ from viralsearch.core import (
     make_rng,
     reflect_into_bounds,
 )
+from viralsearch import engine
 from viralsearch.engine import (
     EngineState,
     VSConfig,
     _center_indices,
     _trigger_candidates,
+    _walk_box,
     burst_config,
     init_state,
     make_centers,
@@ -271,6 +273,128 @@ class TestPopulationLayout:
             move_random(state, b, cfg, make_rng(1))
         assert np.array_equal(states[0].population, states[1].population)
         assert np.array_equal(states[0].visit_counts, states[1].visit_counts)
+
+
+class TestFlatWalk:
+    """The walk folds the flattened scouts against a per-element box built
+    once per run; it must give the bits the (d,)-broadcast walk gave."""
+
+    @staticmethod
+    def broadcast_walk(population, b, cfg, rng):
+        """The walk with (d,) limits broadcast over the (n, d) scouts: a
+        Fortran copy of the draw, scaled and shifted in place, then folded
+        or clipped."""
+        steps = np.asfortranarray(rng.standard_normal(population.shape))
+        steps *= cfg.walk_step_fraction * b.span
+        steps += population
+        if cfg.walk_boundary == "clamp":
+            return np.clip(steps, b.lb, b.ub)
+        span = b.span
+        period = 2.0 * span
+        y = steps - b.lb
+        if (np.abs(y) < period).all():
+            np.add(y, period, out=y, where=y < 0)
+        else:
+            y = np.mod(y, period)
+        np.subtract(period, y, out=y, where=y > span)
+        y += b.lb
+        return np.minimum(y, b.ub, out=y)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 40),
+        dim=st.integers(1, 5),
+        fraction=st.sampled_from([1e-3, 0.1, 1.0]),
+        far=st.booleans(),
+        walk_boundary=st.sampled_from(["reflect", "clamp"]),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_broadcast_walk(
+        self, data, n, dim, fraction, far, walk_boundary, order, seed
+    ):
+        lb = np.array(data.draw(st.lists(st.sampled_from([0.0, -1.5, 2.0, -100.0]),
+                                         min_size=dim, max_size=dim)))
+        width = data.draw(st.lists(st.floats(1e-3, 100.0), min_size=dim, max_size=dim))
+        b = Bounds(lb, lb + np.array(width))
+        gen = make_rng(seed)
+        population = gen.uniform(b.lb, b.ub, (n, dim))
+        # scouts at -0.0 and on either wall
+        population[gen.random((n, dim)) < 0.2] = -0.0
+        population = np.where(gen.random((n, dim)) < 0.2, b.lb, population)
+        population = np.where(gen.random((n, dim)) < 0.2, b.ub, population)
+        if far:
+            # a scout three or more spans out sends the reflecting fold
+            # through np.mod whatever the step
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, dim - 1))
+            k = data.draw(st.one_of(st.floats(-8.0, -4.0), st.floats(5.0, 9.0)))
+            population[i, j] = b.lb[j] + k * b.span[j]
+        population = population.copy(order=order)
+        cfg = small_cfg(n_individuals=n, walk_step_fraction=fraction,
+                        walk_boundary=walk_boundary)
+        expected = self.broadcast_walk(population, b, cfg, make_rng(seed))
+        state = EngineState(population=population.copy(order=order))
+        move_random(state, b, cfg, make_rng(seed))
+        assert np.array_equal(state.population, expected)
+        assert np.array_equal(np.signbit(state.population), np.signbit(expected))
+        assert state.population.flags.f_contiguous
+
+    def test_walk_box_repeats_each_axis_per_scout(self):
+        b = Bounds([-1.0, 0.0, 2.0], [1.0, 5.0, 2.5])
+        state = EngineState(population=np.zeros((4, 3), order="F"))
+        box = _walk_box(state, b)
+        # axis-major, as population.ravel(order="F")
+        assert box.lb.tolist() == [-1.0] * 4 + [0.0] * 4 + [2.0] * 4
+        assert box.ub.tolist() == [1.0] * 4 + [5.0] * 4 + [2.5] * 4
+
+    def test_walk_box_is_built_once_per_run(self, monkeypatch):
+        cfg = small_cfg(n_individuals=30, centers_per_axis=3, n_generations=25)
+        rng = make_rng(0)
+        state = init_state(BOX, cfg, rng)
+        burst_cfg = burst_config(cfg, BOX.dim)
+        step(state, SPHERE, BOX, cfg, burst_cfg, rng)
+        box = _walk_box(state, BOX)
+        for _ in range(20):
+            step(state, SPHERE, BOX, cfg, burst_cfg, rng)
+            assert _walk_box(state, BOX) is box
+        # rebuilt for another scout count or another box
+        state.population = state.population[:10]
+        assert _walk_box(state, BOX).dim == 20
+        other = Bounds(BOX.lb, BOX.ub)
+        assert _walk_box(state, other) is not _walk_box(state, BOX)
+
+        built = []
+
+        class CountingBounds(Bounds):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(self.dim)
+
+        monkeypatch.setattr(engine, "Bounds", CountingBounds)
+        result = run(SPHERE, BOX, cfg)
+        # one walk box of n * d axes; every other box is a burst region
+        assert built.count(cfg.n_individuals * BOX.dim) == 1
+        assert built.count(BOX.dim) == result.epidemic_count
+
+    @pytest.mark.parametrize("walk_boundary", ["reflect", "clamp"])
+    @pytest.mark.parametrize("n, dim", [(2000, 2), (8000, 2), (2000, 8)])
+    def test_walk_memory_is_linear_in_coordinates(self, walk_boundary, n, dim):
+        b = Bounds(np.zeros(dim), np.ones(dim))
+        cfg = small_cfg(n_individuals=n, walk_step_fraction=1.0, walk_boundary=walk_boundary)
+        rng = make_rng(0)
+        state = init_state(b, cfg, rng)
+        tracemalloc.start()
+        try:
+            # the first move builds the walk box, the second reuses it
+            move_random(state, b, cfg, rng)
+            move_random(state, b, cfg, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # about 9 float arrays of n * dim: the box's four, the draw, the
+        # step buffer, the fold's temporaries and both populations
+        assert peak < 12 * 8 * n * dim + 2**16
 
 
 class TestRebalance:

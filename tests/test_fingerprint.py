@@ -1,0 +1,79 @@
+"""Pinned results of short seeded runs.
+
+Speedups are meant to leave seeded runs bit-identical. These cases pin
+the best value, the best point, the burst count and a digest of every
+trace row, so a change that moves any bit of them fails here. The
+objectives use only + - * and /, and the walk, the fold and DE only
+those and comparisons, so the pins hold on any IEEE-754 numpy build. A
+change that alters the random stream or the arithmetic on purpose
+updates the pins and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from viralsearch.benchmarks import make_benchmark
+from viralsearch.engine import VSConfig
+from viralsearch.harness import parallel_run
+
+# name: (benchmark, benchmark params, VSConfig fields, m workers,
+#        best value, best point, bursts, trace digest), floats as float.hex
+PINNED = {
+    "rosenbrock": (
+        "rosenbrock", {}, dict(n_generations=40, n_individuals=20, seed=3), 1,
+        "0x1.bcffeb7bb6ef0p-6", ["0x1.aba05ea873f82p-1", "0x1.650d5c9498d74p-1"], 4,
+        "65e03291ec3c02a864c8c7e58b1fe2421ee19febfa1802c68d239093e46c8b7b",
+    ),
+    "rosenbrock-clamp": (
+        "rosenbrock", {},
+        dict(n_generations=40, n_individuals=20, seed=4, walk_boundary="clamp"), 1,
+        "0x1.32672feb6a96ap-5", ["0x1.9e0c8d5f0f9ccp-1", "0x1.4d62dfd4707c8p-1"], 5,
+        "e6a50894db189628371ed15272b5c17576ab3acf23d072af4a7417701c6331d9",
+    ),
+    "rosenbrock-split": (
+        "rosenbrock", {}, dict(n_generations=30, n_individuals=30, seed=7), 2,
+        "0x1.9ed896409f80ep-8", ["0x1.d767ccdc883fdp-1", "0x1.b25e409fb679ap-1"], 7,
+        "5fe69a78b8b8c3bd153132a01fba71c3d64f7b3ea27cf46f92b7ac5e2f78980c",
+    ),
+    "shekel-centers": (
+        "shekel", {}, dict(n_generations=30, n_individuals=60, centers_per_axis=3, seed=1), 1,
+        "-0x1.b20a8874ff0e4p+0",
+        ["0x1.fe96ab8ea3fc4p+2", "0x1.08dbbbf3d9a94p+0", "0x1.ff366973198f6p+2",
+         "0x1.09b6ace6e5b8fp+0"],
+        3,
+        "d1d243d3a9836df12a3b9280cae19cf5d5349e25b4c21cca90008b2786ea41f9",
+    ),
+    # a step of 0.9 spans sends the fold through np.mod
+    "sphere-far-walk": (
+        "sphere", {"dim": 3},
+        dict(n_generations=30, n_individuals=25, walk_step_fraction=0.9, seed=2), 1,
+        "0x1.e88298774c6a3p-6",
+        ["0x1.740e4a0c51500p-10", "-0x1.1f4232e4cbb30p-9", "-0x1.6198876084e58p-3"],
+        2,
+        "51064f6265a6484139f5cec40a2555dd3ae98775038fdf76ac5244a2d0a08356",
+    ),
+}
+
+
+def trace_digest(trace) -> str:
+    """SHA-256 over every trace row's worker, generation, incumbent value,
+    incumbent point and burst count, floats written as float.hex."""
+    h = hashlib.sha256()
+    for row in trace:
+        point = () if row.best_point is None else tuple(float(v).hex() for v in row.best_point)
+        h.update(repr((row.worker, row.generation, float(row.fobj_global).hex(), point,
+                       row.epidemics_so_far)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_seeded_run_matches_its_pinned_fingerprint(name):
+    bench_name, params, fields, m, value, point, bursts, digest = PINNED[name]
+    bench = make_benchmark(bench_name, **params)
+    cfg = VSConfig(n_viral_generations=20, n_viral_individuals=20, **fields)
+    result = parallel_run(bench.objective, bench.bounds, cfg, m=m)
+    assert float(result.best_value).hex() == value
+    assert [float(v).hex() for v in result.best_point] == point
+    assert result.epidemic_count == bursts
+    assert trace_digest(result.trace) == digest

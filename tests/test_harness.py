@@ -477,6 +477,49 @@ class TestParallelRun:
         assert np.median(merged) <= 10.0 * np.median(singles) + 1e-6
 
 
+class TestEvaluationCounts:
+    """`RunResult.evaluations` counts the rows of each phase at the engine's
+    own call sites; a counting objective checks it from outside."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("time_varying", [False, True])
+    def test_counts_match_the_objective_and_the_identity(self, m, time_varying):
+        rows = []
+
+        def fn(t, p):
+            rows.append(len(p))
+            # a minimum that drifts by 0.01 per generation when time-varying
+            shift = 0.01 * t if time_varying else 0.0
+            return ((p - shift) ** 2).sum(axis=1)
+
+        obj = Objective(fn, arity=2, time_varying=time_varying)
+        cfg = VSConfig(n_generations=25, n_viral_generations=7, n_individuals=12,
+                       n_viral_individuals=6, seed=3)
+        result = parallel_run(obj, BOX, cfg, m=m)
+        counts = result.evaluations
+        assert set(counts) == {"scout", "burst", "refresh"}
+        assert sum(counts.values()) == sum(rows)
+        assert result.epidemic_count > 0
+        # n * G + bursts * pop * (G + 1), plus one row per generation that
+        # starts with an incumbent when the objective moves
+        assert counts["scout"] == cfg.n_individuals * cfg.n_generations
+        assert counts["burst"] == result.epidemic_count * 6 * (7 + 1)
+        by_worker = {}
+        for row in result.trace:
+            by_worker.setdefault(row.worker, []).append(row)
+        with_incumbent = sum(
+            row.best_point is not None for rows_w in by_worker.values() for row in rows_w[:-1]
+        )
+        assert counts["refresh"] == (with_incumbent if time_varying else 0)
+        if time_varying:
+            assert counts["refresh"] > 0
+
+    def test_m1_counts_equal_a_direct_run(self):
+        cfg = VSConfig(n_generations=10, n_viral_generations=5, n_individuals=8,
+                       n_viral_individuals=6, seed=1)
+        assert parallel_run(SPHERE, BOX, cfg, m=1).evaluations == run(SPHERE, BOX, cfg).evaluations
+
+
 class TestTraceExport:
     def test_row_count_and_header(self, tmp_path):
         cfg = VSConfig(
