@@ -9,6 +9,7 @@ back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -88,23 +89,34 @@ def shekel(x, a_matrix: np.ndarray = SHEKEL_A, c: np.ndarray = SHEKEL_C) -> np.n
         raise ValueError("peak matrix columns and c lengths differ")
     lead = x.shape[:-1]
     x = x.reshape(-1, x.shape[-1])
-    # peak-major: row i of the (m, n) block holds every point's squared
-    # distance to peak i, accumulated one axis at a time, so each operation
-    # runs along n points whatever the layout of x; for d < 8 this adds the
-    # same terms in the same order as numpy's sum over the (..., m, d)
-    # tensor's last axis, bit for bit (from 8 terms on, numpy sums
-    # pairwise), and `_pairwise_rows` adds the m peak terms as numpy would
-    sq = np.empty((c.size, len(x)))
-    d = np.empty_like(sq)
-    np.subtract(x[:, 0], a_matrix[0, :, None], out=sq)
-    sq *= sq
-    for j in range(1, a_matrix.shape[0]):
-        np.subtract(x[:, j], a_matrix[j, :, None], out=d)
-        d *= d
-        sq += d
-    sq += c[:, None]
+    # peak-major: one subtract against the (d, m, n) peak plane gives each
+    # axis's differences, and row i of the (m, n) block adds up every
+    # point's squared distance to peak i one axis at a time, so each
+    # operation runs along n points whatever the layout of x; for d < 8
+    # this adds the same terms in the same order as numpy's sum over the
+    # (..., m, d) tensor's last axis, bit for bit (from 8 terms on, numpy
+    # sums pairwise), and `_pairwise_rows` adds the m peak terms as numpy would
+    a_plane, c_plane = _peak_planes(len(x), a_matrix.shape, a_matrix.tobytes(), c.tobytes())
+    terms = np.subtract(x.T[:, None, :], a_plane)
+    terms *= terms
+    sq = terms[0]
+    for term in terms[1:]:
+        sq += term
+    sq += c_plane
     np.reciprocal(sq, out=sq)
     return _pairwise_rows(sq).reshape(lead)[()]
+
+
+@lru_cache(maxsize=4)
+def _peak_planes(n: int, shape: tuple, a_bytes: bytes, c_bytes: bytes) -> tuple:
+    """Read-only planes of the peak coordinates, (d, m, n), and of c, (m, n), in one
+    block keyed by value: a contiguous plane subtracts faster than a stride-0 column."""
+    d, m = shape
+    planes = np.empty((d + 1, m, n))
+    planes[:d] = np.frombuffer(a_bytes).reshape(shape)[:, :, None]
+    planes[d] = np.frombuffer(c_bytes)[:, None]
+    planes.flags.writeable = False
+    return planes[:d], planes[d]
 
 
 def _pairwise_rows(rows: np.ndarray) -> np.ndarray:

@@ -155,6 +155,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if args.ng < 1:
+        raise ConfigurationError(f"trace needs --ng >= 1, got {args.ng}: no generation, no trace")
     bench, result = _run_from_args(args)
     _print_summary(bench, result)
     trace_export(result, args.out)

@@ -99,13 +99,14 @@ class VSConfig:
 
 @dataclass
 class TraceRow:
-    """One generation's snapshot of the incumbent."""
+    """One generation's snapshot of the incumbent and the rows evaluated so far."""
 
     generation: int
     fobj_global: float
     best_point: Optional[Point]
     epidemics_so_far: int
     elapsed_ms: float
+    evaluations: int
     worker: int = 0
 
 
@@ -117,7 +118,7 @@ class EngineState:
     contiguous column, so per-axis arithmetic runs along all n scouts.
     `walk_box` caches `_walk_box`'s per-element box with the box and scout
     count it was built for. `evaluations` counts the objective rows each
-    phase evaluated: scouts, bursts, and incumbent refreshes."""
+    phase evaluated (scouts, bursts, refreshes); `evaluated`, their total."""
 
     population: Population
     generation: int = 0
@@ -129,6 +130,7 @@ class EngineState:
     started_at: float = field(default_factory=time.perf_counter)
     walk_box: Optional[tuple] = None
     evaluations: dict = field(default_factory=lambda: {"scout": 0, "burst": 0, "refresh": 0})
+    evaluated: int = 0
 
     def has_centers(self) -> bool:
         return self.visit_counts is not None and len(self.visit_counts) > 0
@@ -355,9 +357,11 @@ def step(
         # trigger comparisons stay meaningful
         state.fobj_global = objective(t, state.best_individual_global)
         state.evaluations["refresh"] += 1
+        state.evaluated += 1
 
     values = objective.evaluate_many(t, state.population)
     state.evaluations["scout"] += len(values)
+    burst_rows = state.evaluations["burst"]
 
     # the incumbent only decreases during the sweep, so scouts that fail
     # against the sweep-start value can be skipped outright; +inf is a legal
@@ -374,6 +378,7 @@ def step(
         if best_value <= state.fobj_global:
             state.fobj_global = best_value
             state.best_individual_global = best_point
+    state.evaluated += len(values) + state.evaluations["burst"] - burst_rows
 
     move_random(state, b, cfg, rng)
     if (
@@ -392,6 +397,7 @@ def step(
             best_point=None if best is None else best.copy(),
             epidemics_so_far=state.epidemic_count,
             elapsed_ms=(time.perf_counter() - state.started_at) * 1e3,
+            evaluations=state.evaluated,
         )
     )
     state.generation = t + 1

@@ -429,12 +429,14 @@ def parallel_run(
 def trace_export(result: RunResult, path: str) -> None:
     """Write the per-generation incumbent trace as a plottable CSV. The
     `worker` column tells apart the rows of a `parallel_run`'s workers,
-    which share generation numbers; a single run's rows are worker 0."""
+    which share generation numbers; a single run's rows are worker 0.
+    `evaluations` counts that run's or worker's objective rows so far."""
     if not result.trace:
         raise ValueError("cannot export an empty trace")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["generation", "fobj_global", "epidemics", "elapsed_ms", "worker"])
+        writer.writerow(["generation", "fobj_global", "epidemics", "elapsed_ms", "worker",
+                         "evaluations"])
         for row in result.trace:
             writer.writerow(
                 [
@@ -443,5 +445,6 @@ def trace_export(result: RunResult, path: str) -> None:
                     row.epidemics_so_far,
                     f"{row.elapsed_ms:.3f}",
                     row.worker,
+                    row.evaluations,
                 ]
             )

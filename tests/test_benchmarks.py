@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from viralsearch import benchmarks
 from viralsearch.benchmarks import (
     BENCHMARK_NAMES,
     SHEKEL_A,
@@ -166,6 +168,69 @@ class TestShekel:
             shekel(x)
             reflect_into_bounds(x, box)
             assert np.array_equal(x, before)
+
+
+def shekel_by_tensor(x, a, c):
+    return (1.0 / (c + ((x[..., None, :] - a.T) ** 2).sum(-1))).sum(-1)
+
+
+class TestShekelPlanes:
+    """`shekel` subtracts from peak and constant planes cached per batch
+    size; the cache is keyed by value and bounded."""
+
+    def test_matrices_of_one_shape_keep_their_own_values(self):
+        rng = make_rng(5)
+        x = rng.uniform(0.0, 10.0, (300, 4))
+        mats = [(rng.uniform(0.0, 10.0, (4, 10)), rng.uniform(0.1, 1.0, 10)) for _ in range(3)]
+        for _ in range(2):
+            for a, c in mats:
+                assert np.array_equal(shekel(x, a, c), shekel_by_tensor(x, a, c))
+
+    def test_inputs_edited_in_place_give_the_new_values(self):
+        rng = make_rng(6)
+        x = rng.uniform(0.0, 10.0, (50, 4))
+        a, c = SHEKEL_A.copy(), SHEKEL_C.copy()
+        assert np.array_equal(shekel(x, a, c), shekel(x))
+        a[1, 3] += 0.5
+        assert np.array_equal(shekel(x, a, c), shekel_by_tensor(x, a, c))
+        c[7] *= 2.0
+        assert np.array_equal(shekel(x, a, c), shekel_by_tensor(x, a, c))
+        assert not np.array_equal(shekel(x, a, c), shekel(x))
+
+    def test_planes_are_read_only(self):
+        shekel(np.zeros((7, 4)))
+        a_plane, c_plane = benchmarks._peak_planes(
+            7, SHEKEL_A.shape, SHEKEL_A.tobytes(), SHEKEL_C.tobytes()
+        )
+        assert a_plane.shape == (4, 10, 7) and c_plane.shape == (10, 7)
+        for plane in (a_plane, c_plane):
+            assert not plane.flags.writeable
+            with pytest.raises(ValueError):
+                plane[0, 0] = 1.0
+
+    def test_no_points_give_an_empty_array(self):
+        for x in (np.empty((0, 4)), np.empty((3, 0, 4))):
+            got = shekel(x)
+            assert got.shape == x.shape[:-1]
+
+    def test_memory_stays_within_the_cache_bound(self):
+        sizes = range(2000, 2020)
+        points = [make_rng(n).uniform(0.0, 10.0, (n, 4)) for n in sizes]
+        bound = benchmarks._peak_planes.cache_info().maxsize
+        assert bound <= 8
+        d, m = SHEKEL_A.shape
+        planes = (d + 1) * m * sizes[-1] * 8
+        benchmarks._peak_planes.cache_clear()
+        tracemalloc.start()
+        try:
+            for x in points:
+                shekel(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the kept planes, a new size's planes built before the oldest go,
+        # and one call's (d, m, n) work block; 20 kept sizes would be 16 MB
+        assert peak <= (bound + 2) * planes
 
 
 class TestRegistry:

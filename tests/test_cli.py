@@ -161,7 +161,7 @@ class TestTraceCommand:
         )
         assert code == 0
         lines = path.read_text().splitlines()
-        assert lines[0] == "generation,fobj_global,epidemics,elapsed_ms,worker"
+        assert lines[0] == "generation,fobj_global,epidemics,elapsed_ms,worker,evaluations"
         assert len(lines) == 13
 
     def test_parallel_trace_tags_each_workers_rows(self, tmp_path):
@@ -177,6 +177,35 @@ class TestTraceCommand:
         for worker in ("0", "1"):
             mine = [r for r in rows if r["worker"] == worker]
             assert [int(r["generation"]) for r in mine] == list(range(6))
+
+    @pytest.mark.parametrize("ng", ["0", "-1"])
+    def test_no_generations_is_config_error_before_any_run(self, tmp_path, monkeypatch,
+                                                           capsys, ng):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "parallel_run", no_run)
+        path = tmp_path / "trace.csv"
+        code = run_cli(
+            "trace", "--function", "sphere", "--ni", "40", "--ng", ng,
+            "--niv", "15", "--ngv", "5", "--out", str(path),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not path.exists()
+
+    def test_no_generations_exits_without_a_traceback(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        src = str(Path(viralsearch.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "viralsearch.cli", "trace", "--function", "sphere",
+             "--ni", "40", "--ng", "0", "--niv", "15", "--ngv", "5", "--out", str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert not path.exists()
 
 
 class TestSchemaCommand:

@@ -18,7 +18,8 @@ from viralsearch.engine import VSConfig
 from viralsearch.harness import parallel_run
 
 # name: (benchmark, benchmark params, VSConfig fields, m workers,
-#        best value, best point, bursts, trace digest), floats as float.hex
+#        best value, best point, bursts, trace digest), floats as float.hex;
+# bursts are 20 x 20 unless a case sets its own
 PINNED = {
     "rosenbrock": (
         "rosenbrock", {}, dict(n_generations=40, n_individuals=20, seed=3), 1,
@@ -43,6 +44,17 @@ PINNED = {
          "0x1.09b6ace6e5b8fp+0"],
         3,
         "d1d243d3a9836df12a3b9280cae19cf5d5349e25b4c21cca90008b2786ea41f9",
+    ),
+    # criterion 5's scout and burst sizes: C-ordered (300, 4) burst batches
+    "shekel-wide": (
+        "shekel", {},
+        dict(n_generations=40, n_individuals=1000, n_viral_generations=5,
+             n_viral_individuals=300, seed=0), 1,
+        "-0x1.45dbbacd140a1p+3",
+        ["0x1.fcb0ca02928c8p+1", "0x1.0076465e31eddp+2", "0x1.f944183786f26p+1",
+         "0x1.0058a856f6c32p+2"],
+        4,
+        "3bd3c1e90c77acf37f4a30094f2ff8bdcfbfe4147828412f1093778879a35391",
     ),
     # a step of 0.9 spans sends the fold through np.mod
     "sphere-far-walk": (
@@ -71,7 +83,7 @@ def trace_digest(trace) -> str:
 def test_seeded_run_matches_its_pinned_fingerprint(name):
     bench_name, params, fields, m, value, point, bursts, digest = PINNED[name]
     bench = make_benchmark(bench_name, **params)
-    cfg = VSConfig(n_viral_generations=20, n_viral_individuals=20, **fields)
+    cfg = VSConfig(**{"n_viral_generations": 20, "n_viral_individuals": 20, **fields})
     result = parallel_run(bench.objective, bench.bounds, cfg, m=m)
     assert float(result.best_value).hex() == value
     assert [float(v).hex() for v in result.best_point] == point

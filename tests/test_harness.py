@@ -514,6 +514,41 @@ class TestEvaluationCounts:
         if time_varying:
             assert counts["refresh"] > 0
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("time_varying", [False, True])
+    def test_trace_rows_carry_the_running_total(self, m, time_varying):
+        calls = []  # (generation, rows) of every objective call, refreshes too
+
+        def fn(t, p):
+            calls.append((t, len(p)))
+            shift = 0.01 * t if time_varying else 0.0
+            return ((p - shift) ** 2).sum(axis=1)
+
+        obj = Objective(fn, arity=2, time_varying=time_varying)
+        cfg = VSConfig(n_generations=25, n_viral_generations=7, n_individuals=12,
+                       n_viral_individuals=6, seed=3)
+        result = parallel_run(obj, BOX, cfg, m=m)
+        # the workers run one after another, each from generation 0
+        per_worker = []
+        for i, (t, rows) in enumerate(calls):
+            if i == 0 or t < calls[i - 1][0]:
+                per_worker.append(np.zeros(cfg.n_generations, dtype=int))
+            per_worker[-1][t] += rows
+        assert len(per_worker) == m
+        last_rows = []
+        for w, rows in enumerate(per_worker):
+            column = [row.evaluations for row in result.trace if row.worker == w]
+            assert column == np.cumsum(rows).tolist()
+            assert all(b >= a for a, b in zip(column, column[1:]))
+            last_rows.append(column[-1])
+        assert sum(last_rows) == sum(result.evaluations.values())
+        if time_varying:
+            # the refreshes are in the column: it exceeds scouts plus bursts
+            assert result.evaluations["refresh"] > 0
+            assert sum(last_rows) > result.evaluations["scout"] + result.evaluations["burst"]
+        if m == 1:
+            assert result.trace[-1].evaluations == sum(result.evaluations.values())
+
     def test_m1_counts_equal_a_direct_run(self):
         cfg = VSConfig(n_generations=10, n_viral_generations=5, n_individuals=8,
                        n_viral_individuals=6, seed=1)
@@ -533,9 +568,12 @@ class TestTraceExport:
         path = tmp_path / "trace.csv"
         trace_export(result, str(path))
         lines = path.read_text().splitlines()
-        assert lines[0] == "generation,fobj_global,epidemics,elapsed_ms,worker"
+        assert lines[0] == "generation,fobj_global,epidemics,elapsed_ms,worker,evaluations"
         assert len(lines) == 4
-        assert [line.split(",")[-1] for line in lines[1:]] == ["0", "0", "0"]
+        assert [line.split(",")[4] for line in lines[1:]] == ["0", "0", "0"]
+        assert [int(line.split(",")[5]) for line in lines[1:]] == [
+            row.evaluations for row in result.trace
+        ]
 
     def test_static_column_non_increasing(self, tmp_path):
         cfg = VSConfig(
