@@ -75,7 +75,10 @@ def shekel(x, a_matrix: np.ndarray = SHEKEL_A, c: np.ndarray = SHEKEL_C) -> np.n
     """Multi-peak landscape S(x) = sum_i 1 / (c_i + sum_j (x_j - a_ji)^2).
 
     This is the quantity to MAXIMIZE: each column of `a_matrix` is a peak
-    of height 1/c_i, finite everywhere because c_i > 0.
+    of height 1/c_i, finite everywhere because c_i > 0. The m positive
+    peak terms are added with `sum` over the peak axis, in another order
+    than a sum over the last axis of an (..., m, d) tensor takes, so the
+    two agree to (d + m)·eps relative, not bit for bit.
     """
     x = np.asarray(x, dtype=float)
     a_matrix = np.asarray(a_matrix, dtype=float)
@@ -92,10 +95,7 @@ def shekel(x, a_matrix: np.ndarray = SHEKEL_A, c: np.ndarray = SHEKEL_C) -> np.n
     # peak-major: one subtract against the (d, m, n) peak plane gives each
     # axis's differences, and row i of the (m, n) block adds up every
     # point's squared distance to peak i one axis at a time, so each
-    # operation runs along n points whatever the layout of x; for d < 8
-    # this adds the same terms in the same order as numpy's sum over the
-    # (..., m, d) tensor's last axis, bit for bit (from 8 terms on, numpy
-    # sums pairwise), and `_pairwise_rows` adds the m peak terms as numpy would
+    # operation runs along n points whatever the layout of x
     a_plane, c_plane = _peak_planes(len(x), a_matrix.shape, a_matrix.tobytes(), c.tobytes())
     terms = np.subtract(x.T[:, None, :], a_plane)
     terms *= terms
@@ -104,7 +104,7 @@ def shekel(x, a_matrix: np.ndarray = SHEKEL_A, c: np.ndarray = SHEKEL_C) -> np.n
         sq += term
     sq += c_plane
     np.reciprocal(sq, out=sq)
-    return _pairwise_rows(sq).reshape(lead)[()]
+    return sq.sum(axis=0).reshape(lead)[()]
 
 
 @lru_cache(maxsize=4)
@@ -117,36 +117,6 @@ def _peak_planes(n: int, shape: tuple, a_bytes: bytes, c_bytes: bytes) -> tuple:
     planes[d] = np.frombuffer(c_bytes)[:, None]
     planes.flags.writeable = False
     return planes[:d], planes[d]
-
-
-def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
-    """Sum of the rows of an (m, n) array, adding in the order numpy's
-    pairwise summation adds m contiguous terms: sequential below 8 terms,
-    8 running lanes up to 128, and halves split at a multiple of 8 beyond.
-    So it equals `rows.T.sum(-1)` bit for bit, up to the sign of a zero
-    sum. Overwrites `rows`."""
-    m = len(rows)
-    if m < 8:
-        res = np.zeros(rows.shape[1])
-        for row in rows:
-            res += row
-        return res
-    if m <= 128:
-        r = rows[:8]
-        full = m - m % 8
-        for i in range(8, full, 8):
-            r += rows[i : i + 8]
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place
-        r[::2] += r[1::2]
-        r[::4] += r[2::4]
-        res = r[0]
-        res += r[4]
-        for row in rows[full:]:
-            res += row
-        return res
-    half = m // 2
-    half -= half % 8
-    return _pairwise_rows(rows[:half]) + _pairwise_rows(rows[half:])
 
 
 @dataclass(frozen=True)

@@ -56,9 +56,10 @@ class Bounds:
     """Axis-aligned box: per-axis lower and upper limits of the search space.
 
     `lb`, `ub`, `span` and `period` (2·span, the reflecting fold's period)
-    are read-only arrays the box owns: it copies the limits it is given,
-    so a caller changing its own arrays later leaves the box as it was
-    checked."""
+    are read-only arrays the box owns, as are the doubled walls `lb + lb`
+    and `ub + ub` the fold reflects across: it copies the limits it is
+    given, so a caller changing its own arrays later leaves the box as it
+    was checked."""
 
     lb: np.ndarray
     ub: np.ndarray
@@ -79,7 +80,8 @@ class Bounds:
                 f"has lb={lb[bad]}, ub={ub[bad]}"
             )
         span = ub - lb
-        for name, value in (("lb", lb), ("ub", ub), ("_span", span), ("_period", 2.0 * span)):
+        for name, value in (("lb", lb), ("ub", ub), ("_span", span), ("_period", 2.0 * span),
+                            ("_lb2", lb + lb), ("_ub2", ub + ub)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -138,31 +140,35 @@ def clamp_to_bounds(p: np.ndarray, b: Bounds) -> np.ndarray:
 
 
 def reflect_into_bounds(p: np.ndarray, b: Bounds) -> np.ndarray:
-    """Fold coordinates back across violated walls.
+    """Fold coordinates back across violated walls, as if reflecting
+    repeatedly until inside.
 
-    The closed-form triangle-wave fold is exact for any overshoot, which
-    is equivalent to reflecting repeatedly until inside. An interior
-    coordinate comes back as `lb + (p - lb)`: `p` itself on a zero wall,
-    but off one the round trip can move it by an ulp (0.1 on [-3, 3]
-    returns 0.10000000000000009). `np.mod` runs only when some coordinate
-    lies 2·span or more from `lb`. The result keeps the memory layout of
-    `p`, so a Fortran-ordered stack folds along whole axes.
+    A coordinate with lb <= p <= ub comes back as `p` itself, signed zeros
+    included. One below `lb` comes back as `(lb + lb) - p`, one above `ub`
+    as `(ub + ub) - p`: the exact reflection, rounded once, so within an
+    ulp of it and inside the box. Only where that is still outside, more
+    than a span past the wall, does the closed-form triangle wave run, on
+    those inputs alone: `lb + np.mod(p - lb, period)` folded at `span`,
+    whose roundings of `p - lb` and of the period can leave it up to
+    8·eps times the largest of |p|, |lb| and |ub| from the exact
+    reflection. The result keeps the memory layout of `p`.
     """
     p = _checked(p, b)
-    span, period = b.span, b.period
-    y = p - b.lb
-    if (np.abs(y) < period).all():
-        # what np.mod returns for |y| < period: y, or y + period below zero;
-        # it returns +0.0 for y = -0.0, which arises only from p = -0.0 on
-        # lb = +0.0, and adding lb below makes that +0.0 too
-        np.add(y, period, out=y, where=y < 0)
-    else:
-        y = np.mod(y, period)
-    np.subtract(period, y, out=y, where=y > span)
-    # y >= 0, so lb + y >= lb; but lb + span can round past ub, as
-    # (0.2 - (-0.1)) + (-0.1) == 0.20000000000000004 on [-0.1, 0.2]
-    y += b.lb
-    return np.minimum(y, b.ub, out=y)
+    out = p.copy(order="K")
+    np.subtract(b._lb2, p, out=out, where=p < b.lb)
+    np.subtract(b._ub2, p, out=out, where=p > b.ub)
+    far = (out < b.lb) | (out > b.ub)
+    if far.any():
+        lb, ub, span, period = (
+            np.broadcast_to(a, p.shape)[far] for a in (b.lb, b.ub, b.span, b.period)
+        )
+        y = np.mod(p[far] - lb, period)
+        np.subtract(period, y, out=y, where=y > span)
+        # y >= 0, so lb + y >= lb; but lb + span can round past ub, as
+        # (0.2 - (-0.1)) + (-0.1) == 0.20000000000000004 on [-0.1, 0.2]
+        y += lb
+        out[far] = np.minimum(y, ub, out=y)
+    return out
 
 
 def uniform_sample(b: Bounds, rng: RngStream) -> Point:

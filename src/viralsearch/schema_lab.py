@@ -415,8 +415,14 @@ def schema_growth_experiment(
     generation. The schema is parsed once, each population's fitness is
     evaluated once and its match mask built once, and memory is bounded by
     one block, not by `trials`, beyond the (trials, generations) result
-    arrays. With `generations >= 1`, a schema or string length the bound is
-    undefined for raises `ValueError` before any trial starts."""
+    arrays. `trials < 1` or `generations < 0` raises `ConfigurationError`,
+    and with `generations >= 1` a schema or string length the bound is
+    undefined for raises `ValueError`, both before any trial starts."""
+    if trials < 1 or generations < 0:
+        raise ConfigurationError(
+            f"need trials >= 1 and generations >= 0, got trials={trials}, "
+            f"generations={generations}"
+        )
     schema = compile_schema(schema)
     mask0 = match_mask(schema, pop0)
     if not mask0.any():

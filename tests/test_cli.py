@@ -228,6 +228,22 @@ class TestSchemaCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "all-wildcard" in err
 
+    @pytest.mark.parametrize(
+        "generations, trials", [("3", "0"), ("3", "-2"), ("-1", "3")]
+    )
+    def test_no_trials_or_negative_generations_are_config_errors(
+        self, capsys, generations, trials
+    ):
+        code = run_cli(
+            "schema", "--schema", "1*****", "--pc", "0.7", "--pm", "0.01",
+            "--generations", generations, "--trials", trials,
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "trials >= 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert "generations meeting the bound" not in captured.out
+
     def test_bad_pattern_is_config_error(self):
         code = run_cli(
             "schema", "--schema", "1x*", "--pc", "0.5", "--pm", "0.01",

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -181,14 +182,13 @@ class TestReflect:
         assert np.allclose(reflect_into_bounds(np.array(p), BOX), expected)
 
     def test_interior_points_move_at_most_one_ulp(self):
-        # interior points come back as lb + (p - lb); a Gaussian nudge takes
-        # them off the grid of rng.uniform(-3, 3), where that round trip is
-        # exact (0.1 comes back as 0.10000000000000009)
+        # a Gaussian nudge takes the points off the grid of rng.uniform(-3, 3);
+        # the bound of the name holds with room to spare: an interior point
+        # comes back as itself, so it moves by no ulp at all
         rng = make_rng(1)
         pts = rng.uniform(-2.9, 2.9, size=(500, 2)) + rng.normal(0.0, 0.01, size=(500, 2))
         assert BOX.contains(pts)
-        got = reflect_into_bounds(pts, BOX)
-        assert (np.abs(got - pts) <= np.spacing(BOX.span)).all()
+        assert np.array_equal(reflect_into_bounds(pts, BOX), pts)
 
     def test_contained_for_any_overshoot(self):
         rng = make_rng(2)
@@ -211,90 +211,114 @@ class TestReflect:
         with pytest.raises(ValueError):
             reflect_into_bounds(np.array([0.0]), BOX)
 
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), dim=st.integers(1, 5), n=st.integers(1, 12))
-    def test_bit_identical_to_the_clipped_fold(self, data, dim, n):
-        # walls are never -0.0: against a -0.0 wall numpy's own clip returns
-        # either zero depending on the array's shape (x + 0.0 maps -0.0 to 0.0)
-        lb = np.array([
-            data.draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e3).map(lambda x: x + 0.0)))
-            for _ in range(dim)
-        ])
-        span = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim))
-        b = Bounds(lb, lb + np.array(span))
-        size = dict(min_size=n * dim, max_size=n * dim)
-        # each coordinate is on the lower wall, on the upper wall, -0.0, or
-        # lb + k spans with k from several spans below to several above
-        kind = np.array(data.draw(st.lists(st.integers(0, 3), **size))).reshape(n, dim)
-        k = np.array(data.draw(st.lists(st.floats(-6.0, 7.0), **size))).reshape(n, dim)
-        p = np.select([kind == 0, kind == 1, kind == 2],
-                      [np.broadcast_to(b.lb, (n, dim)), np.broadcast_to(b.ub, (n, dim)), -0.0],
-                      b.lb + k * b.span)
-
-        span = b.span
-        y = np.mod(p - b.lb, 2.0 * span)
-        expected = np.clip(b.lb + np.where(y > span, 2.0 * span - y, y), b.lb, b.ub)
-        got = reflect_into_bounds(p, b)
-        assert np.array_equal(got, expected)
-        assert np.array_equal(np.signbit(got), np.signbit(expected))
+    # each axis is [x, x + span], or has a zero wall of either sign
+    WALLS = st.lists(st.sampled_from(["any", "+0 lb", "-0 lb", "+0 ub", "-0 ub"]),
+                     min_size=1, max_size=5)
 
     @staticmethod
-    def _box(data, dim):
-        # as above: walls are never -0.0
-        lb = np.array([
-            data.draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e3).map(lambda x: x + 0.0)))
-            for _ in range(dim)
-        ])
-        span = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim))
-        return Bounds(lb, lb + np.array(span))
+    def _box(walls, rng):
+        span = 10.0 ** rng.uniform(-3.0, 3.0, len(walls))
+        x = rng.uniform(-1e3, 1e3, len(walls))
+        zero = np.array([-0.0 if wall.startswith("-") else 0.0 for wall in walls])
+        on = np.array([wall[-2:] for wall in walls])
+        lb = np.select([on == "lb", on == "ub"], [zero, -span], x)
+        ub = np.select([on == "lb", on == "ub"], [span, zero], x + span)
+        return Bounds(lb, ub)
 
     @staticmethod
-    def _near(data, b, n):
-        # each coordinate is on a wall, -0.0, or lb + k spans with |k| < 2,
-        # which is the range where the fold needs no np.mod
-        dim = b.dim
-        size = dict(min_size=n * dim, max_size=n * dim)
-        kind = np.array(data.draw(st.lists(st.integers(0, 3), **size))).reshape(n, dim)
-        k = st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True)
-        k = np.array(data.draw(st.lists(k, **size))).reshape(n, dim)
-        return np.select([kind == 0, kind == 1, kind == 2],
-                         [np.broadcast_to(b.lb, (n, dim)), np.broadcast_to(b.ub, (n, dim)), -0.0],
-                         b.lb + k * b.span)
+    def _points(b, n, rng, far):
+        """(n, dim) coordinates: on either wall, +-0.0, inside, or a fraction
+        of a span outside; with `far`, also 2 to 9 spans past a wall, where
+        one reflection still lands outside and the np.mod fold runs."""
+        shape = (n, b.dim)
+        kind = rng.integers(0, 7 if far else 6, shape)
+        if far:
+            # at least one coordinate far out, so the fallback always runs
+            kind.flat[rng.integers(kind.size)] = 6
+        t = rng.random(shape)
+        lb, ub, span = (np.broadcast_to(a, shape) for a in (b.lb, b.ub, b.span))
+        below = rng.random(shape) < 0.5
+        wall, sign = np.where(below, lb, ub), np.where(below, -1.0, 1.0)
+        return np.select(
+            [kind == 0, kind == 1, kind == 2, kind == 3, kind == 4, kind == 5],
+            [lb, ub, 0.0, -0.0, lb + t * span, wall + sign * t * span],
+            wall + sign * (2.0 + 7.0 * t) * span,
+        )
 
     @staticmethod
-    def _clipped_fold(p, b):
-        span = b.span
-        y = np.mod(p - b.lb, 2.0 * span)
-        return np.clip(b.lb + np.where(y > span, 2.0 * span - y, y), b.lb, b.ub)
+    def _folds(p, b):
+        """The fold of each layout the engine hands it, back in (n, dim)
+        shape with the input it folded: the (n, dim) stack against the (dim,)
+        box as rebalance passes it, in C and in Fortran order, the flat
+        axis-major coordinates against the per-coordinate box as the walk
+        passes them, and a single point. Inputs are read-only, so a write
+        to them raises."""
+        n = len(p)
+        flat = Bounds(np.repeat(b.lb, n), np.repeat(b.ub, n))
+        for x, box in ((p, b), (np.asfortranarray(p), b), (p.ravel(order="F"), flat), (p[0], b)):
+            x = x.copy(order="K")
+            x.flags.writeable = False
+            got = reflect_into_bounds(x, box)
+            assert got.shape == x.shape
+            assert got.flags.c_contiguous == x.flags.c_contiguous
+            assert got.flags.f_contiguous == x.flags.f_contiguous
+            shape = (-1, b.dim)
+            yield x.reshape(shape, order="F"), got.reshape(shape, order="F")
 
-    @classmethod
-    def _either_branch(cls, data, b, n):
-        p = cls._near(data, b, n)
-        if data.draw(st.booleans()):
-            # one coordinate two or more spans from lb sends the whole
-            # array through np.mod
-            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, b.dim - 1))
-            k = data.draw(st.one_of(st.floats(-6.0, -2.0), st.floats(2.0, 7.0)))
-            p[i, j] = b.lb[j] + k * b.span[j]
-        return p
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), dim=st.integers(1, 5), n=st.integers(1, 12))
-    def test_bit_identical_on_both_fold_branches(self, data, dim, n):
-        b = self._box(data, dim)
-        p = self._either_branch(data, b, n)
-        expected = self._clipped_fold(p, b)
-        got = reflect_into_bounds(p, b)
-        assert np.array_equal(got, expected)
-        assert np.array_equal(np.signbit(got), np.signbit(expected))
+    @staticmethod
+    def _check_exterior(x, got, lb, ub) -> bool:
+        """Check `got` against the exact reflection of the exterior
+        coordinate x, computed with Fractions; True when one reflection
+        still lands outside, so the np.mod fold had to run."""
+        x, lb, ub = float(x), float(lb), float(ub)
+        fx, flb, fub = Fraction(x), Fraction(lb), Fraction(ub)
+        y = (fx - flb) % (2 * (fub - flb))
+        error = abs(Fraction(float(got)) - flb - min(y, 2 * (fub - flb) - y))
+        once = 2 * (flb if x < lb else fub) - fx
+        if flb <= once <= fub:
+            # one reflection, rounded once: within an ulp of the result
+            assert error <= Fraction(np.spacing(abs(float(got))))
+            return False
+        # the np.mod fold rounds p - lb, the period and lb + y; to first order
+        # that errs by at most 2|p - lb| + 4 span + |lb| units of eps / 2,
+        # under 8 eps of the largest magnitude
+        assert error <= Fraction(8 * np.finfo(float).eps * max(abs(x), abs(lb), abs(ub)))
+        return True
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), dim=st.integers(1, 5), n=st.integers(1, 12))
-    def test_memory_order_leaves_values_unchanged(self, data, dim, n):
+    @given(walls=WALLS, n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), far=st.booleans())
+    def test_interior_coordinates_come_back_unchanged(self, walls, n, seed, far):
+        rng = make_rng(seed)
+        b = self._box(walls, rng)
+        for x, got in self._folds(self._points(b, n, rng, far), b):
+            inside = (x >= b.lb) & (x <= b.ub)
+            assert np.array_equal(got[inside], x[inside])
+            assert np.array_equal(np.signbit(got[inside]), np.signbit(x[inside]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(walls=WALLS, n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), far=st.booleans())
+    def test_exterior_coordinates_land_inside_near_the_exact_reflection(
+        self, walls, n, seed, far
+    ):
+        rng = make_rng(seed)
+        b = self._box(walls, rng)
+        (x, got), *others = self._folds(self._points(b, n, rng, far), b)
+        for _, other in others:
+            assert np.array_equal(other, got[: len(other)])
+        assert b.contains(got)
+        lb, ub = (np.broadcast_to(a, x.shape) for a in (b.lb, b.ub))
+        folded = [self._check_exterior(x[i], got[i], lb[i], ub[i])
+                  for i in zip(*np.nonzero((x < lb) | (x > ub)))]
+        assert any(folded) or not far
+
+    @settings(max_examples=200, deadline=None)
+    @given(walls=WALLS, n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), far=st.booleans())
+    def test_memory_order_leaves_values_unchanged(self, walls, n, seed, far):
         # the engine passes Fortran-ordered scouts; both boundary policies
         # must give the same bits, and keep that order, on either fold branch
-        b = self._box(data, dim)
-        p = self._either_branch(data, b, n)
+        rng = make_rng(seed)
+        b = self._box(walls, rng)
+        p = self._points(b, n, rng, far)
         for policy in (reflect_into_bounds, clamp_to_bounds):
             expected = policy(p, b)
             got = policy(np.asfortranarray(p), b)
@@ -304,14 +328,17 @@ class TestReflect:
 
     def test_upper_clip_keeps_the_upper_wall_inside(self):
         b = Bounds([-0.1], [0.2])
-        # lb + span rounds past ub on this box, so without the clip a point
-        # on ub would fold outside it
+        # lb + span rounds past ub on this box, so without the clip the np.mod
+        # fold would put a point two spans past ub outside the box
         assert (b.ub - b.lb) + b.lb > b.ub
         for k in (0, 1, 2):
             p = b.ub + k * b.span
             got = reflect_into_bounds(p, b)
             assert b.contains(got, atol=0.0)
-            assert np.array_equal(got, self._clipped_fold(p, b))
+            if k:
+                self._check_exterior(p[0], got[0], b.lb[0], b.ub[0])
+            else:
+                assert np.array_equal(got, p)
 
 
 class TestUniformSample:

@@ -277,28 +277,26 @@ class TestPopulationLayout:
 
 class TestFlatWalk:
     """The walk folds the flattened scouts against a per-element box built
-    once per run; it must give the bits the (d,)-broadcast walk gave."""
+    once per run; it must give the bits of a walk that broadcasts the (d,)
+    box instead."""
 
     @staticmethod
     def broadcast_walk(population, b, cfg, rng):
         """The walk with (d,) limits broadcast over the (n, d) scouts: a
-        Fortran copy of the draw, scaled and shifted in place, then folded
-        or clipped."""
+        Fortran copy of the draw, scaled and shifted in place, then clipped,
+        or reflected once across the doubled wall it crossed, with the
+        triangle wave wherever that still lands outside."""
         steps = np.asfortranarray(rng.standard_normal(population.shape))
         steps *= cfg.walk_step_fraction * b.span
         steps += population
         if cfg.walk_boundary == "clamp":
             return np.clip(steps, b.lb, b.ub)
-        span = b.span
-        period = 2.0 * span
-        y = steps - b.lb
-        if (np.abs(y) < period).all():
-            np.add(y, period, out=y, where=y < 0)
-        else:
-            y = np.mod(y, period)
-        np.subtract(period, y, out=y, where=y > span)
-        y += b.lb
-        return np.minimum(y, b.ub, out=y)
+        once = np.where(steps < b.lb, (b.lb + b.lb) - steps,
+                        np.where(steps > b.ub, (b.ub + b.ub) - steps, steps))
+        span, period = b.span, 2.0 * b.span
+        y = np.mod(steps - b.lb, period)
+        wave = np.minimum(b.lb + np.where(y > span, period - y, y), b.ub)
+        return np.where((once < b.lb) | (once > b.ub), wave, once)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(

@@ -23,8 +23,8 @@ from viralsearch.harness import parallel_run
 PINNED = {
     "rosenbrock": (
         "rosenbrock", {}, dict(n_generations=40, n_individuals=20, seed=3), 1,
-        "0x1.bcffeb7bb6ef0p-6", ["0x1.aba05ea873f82p-1", "0x1.650d5c9498d74p-1"], 4,
-        "65e03291ec3c02a864c8c7e58b1fe2421ee19febfa1802c68d239093e46c8b7b",
+        "0x1.bcffeb7bb6efdp-6", ["0x1.aba05ea873f80p-1", "0x1.650d5c9498d76p-1"], 4,
+        "47ea0b54dc1ed8f3516e89291b64a5a1f578bb4e2f9fca7e3d8b453c7a6c9f5c",
     ),
     "rosenbrock-clamp": (
         "rosenbrock", {},
@@ -34,8 +34,8 @@ PINNED = {
     ),
     "rosenbrock-split": (
         "rosenbrock", {}, dict(n_generations=30, n_individuals=30, seed=7), 2,
-        "0x1.9ed896409f80ep-8", ["0x1.d767ccdc883fdp-1", "0x1.b25e409fb679ap-1"], 7,
-        "5fe69a78b8b8c3bd153132a01fba71c3d64f7b3ea27cf46f92b7ac5e2f78980c",
+        "0x1.9ed896409f786p-8", ["0x1.d767ccdc883fdp-1", "0x1.b25e409fb6792p-1"], 7,
+        "8f55c928a899405b0b601adb24f72dac99f88ad916391dfaeb61e25f36036ce3",
     ),
     "shekel-centers": (
         "shekel", {}, dict(n_generations=30, n_individuals=60, centers_per_axis=3, seed=1), 1,
@@ -50,11 +50,11 @@ PINNED = {
         "shekel", {},
         dict(n_generations=40, n_individuals=1000, n_viral_generations=5,
              n_viral_individuals=300, seed=0), 1,
-        "-0x1.45dbbacd140a1p+3",
-        ["0x1.fcb0ca02928c8p+1", "0x1.0076465e31eddp+2", "0x1.f944183786f26p+1",
+        "-0x1.45dbbacd14095p+3",
+        ["0x1.fcb0ca02928bep+1", "0x1.0076465e31eddp+2", "0x1.f944183786f26p+1",
          "0x1.0058a856f6c32p+2"],
         4,
-        "3bd3c1e90c77acf37f4a30094f2ff8bdcfbfe4147828412f1093778879a35391",
+        "740a46d4653d793ca722653e5a9083b3917f262d4605e6fa997506c25affbaf7",
     ),
     # a step of 0.9 spans sends the fold through np.mod
     "sphere-far-walk": (

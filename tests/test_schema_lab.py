@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viralsearch import schema_lab
-from viralsearch.core import child_seed, make_rng
+from viralsearch.core import ConfigurationError, child_seed, make_rng
 from viralsearch.schema_lab import (
     BinaryPopulation,
     CompiledSchema,
@@ -552,6 +552,21 @@ class TestGrowthExperiment:
         report = schema_growth_experiment(pop0, schema, GAParams(), 0, 5)
         assert report.mean_counts.tolist() == [6.0]
         assert report.fitness_rows == 0 and seen == []
+
+    @pytest.mark.parametrize("generations, trials", [(3, 0), (3, -2), (-1, 3), (-1, 0)])
+    def test_no_trials_or_negative_generations_raise_before_any_evaluation(
+        self, generations, trials
+    ):
+        seen = []
+
+        def counting(members):
+            seen.append(members)
+            return onemax_fitness(members)
+
+        pop0 = random_population(20, 6, counting, make_rng(17))
+        with pytest.raises(ConfigurationError, match="trials >= 1 and generations >= 0"):
+            schema_growth_experiment(pop0, "1*****", GAParams(), generations, trials)
+        assert seen == []
 
     def test_schema_string_parsed_once(self, monkeypatch):
         parsed = []
