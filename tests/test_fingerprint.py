@@ -4,7 +4,9 @@ Speedups are meant to leave seeded runs bit-identical. These cases pin
 the best value, the best point, the burst count and a digest of every
 trace row, so a change that moves any bit of them fails here. The
 objectives use only + - * and /, and the walk, the fold and DE only
-those and comparisons, so the pins hold on any IEEE-754 numpy build. A
+those and comparisons, so the pins hold on any IEEE-754 numpy build.
+The schema lab's cases pin a digest of seeded growth reports on one-max,
+whose fitness values are exact integers plus one. A
 change that alters the random stream or the arithmetic on purpose
 updates the pins and says so in CHANGES.md.
 """
@@ -14,8 +16,16 @@ import hashlib
 import pytest
 
 from viralsearch.benchmarks import make_benchmark
+from viralsearch.core import make_rng
 from viralsearch.engine import VSConfig
 from viralsearch.harness import parallel_run
+from viralsearch.schema_lab import (
+    GAParams,
+    classic_ga_step,
+    onemax_fitness,
+    random_population,
+    schema_growth_experiment,
+)
 
 # name: (benchmark, benchmark params, VSConfig fields, m workers,
 #        best value, best point, bursts, trace digest), floats as float.hex;
@@ -89,3 +99,61 @@ def test_seeded_run_matches_its_pinned_fingerprint(name):
     assert [float(v).hex() for v in result.best_point] == point
     assert result.epidemic_count == bursts
     assert trace_digest(result.trace) == digest
+
+
+# name: (n, schema, GAParams fields, generations, trials, report digest);
+# one-max populations drawn from make_rng(n)
+PINNED_SCHEMA = {
+    # more trials than one lockstep block holds, and not a multiple of it
+    "trials-70": (
+        30, "11" + "*" * 8, dict(p_c=0.7, p_m=0.02, seed=5), 5, 70,
+        "30b27f9d22559ce55226eb51f21208032ee4b9b5bdcdd6fcc7cf8382189717f4",
+    ),
+    # an odd population leaves its last member out of crossover
+    "odd-n": (
+        21, "1*1" + "*" * 5, dict(p_c=0.9, p_m=0.05, seed=8), 8, 12,
+        "7506261e56ac26d75992f0411b97ee0e04dd1da593a9803f63d241c696f78f1e",
+    ),
+    "elitism": (
+        24, "1" + "*" * 8 + "1", dict(p_c=0.6, p_m=0.03, elitism=True, seed=2), 6, 70,
+        "171b6d6e9751d23a8b59dfb268cc07a65c1524958e5317a2c02bf4b9b9248957",
+    ),
+}
+
+
+def report_digest(report) -> str:
+    """SHA-256 over a growth report's mean counts, mean bounds, per-generation
+    pass flags, fraction of passing cells and fitness rows, floats written
+    as float.hex."""
+    h = hashlib.sha256()
+    h.update(repr((
+        [float(v).hex() for v in report.mean_counts],
+        [float(v).hex() for v in report.mean_bounds],
+        report.generation_pass.tolist(),
+        float(report.frac_cells_pass).hex(),
+        report.fitness_rows,
+    )).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCHEMA))
+def test_seeded_schema_experiment_matches_its_pinned_fingerprint(name):
+    n, schema, fields, generations, trials, digest = PINNED_SCHEMA[name]
+    pop0 = random_population(n, len(schema), onemax_fitness, make_rng(n))
+    report = schema_growth_experiment(pop0, schema, GAParams(**fields), generations, trials)
+    assert report_digest(report) == digest
+
+
+def test_seeded_one_bit_ga_matches_its_pinned_fingerprint():
+    # one-bit strings have no crossover point, so a step draws no crossover
+    # uniforms and no cuts; the bound is undefined there, so the steps run
+    # without the experiment
+    pop = random_population(15, 1, onemax_fitness, make_rng(4))
+    rng = make_rng(6)
+    h = hashlib.sha256()
+    for _ in range(10):
+        pop = classic_ga_step(pop, GAParams(p_c=1.0, p_m=0.1), rng)
+        h.update(pop.members.tobytes())
+    assert h.hexdigest() == (
+        "d805b6d6f501f19a3238c9a7ebee44924d37a6f04edc4d7dd907ac956be8e116"
+    )
