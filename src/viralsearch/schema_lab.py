@@ -24,7 +24,7 @@ from .core import ConfigurationError, RngStream, ViralSearchError, child_seed, m
 
 WILDCARD = "*"
 
-_TRIALS = 16  # trials of a schema experiment that evolve in lockstep
+_TRIALS = 64  # trials of a schema experiment that evolve in lockstep
 
 
 class NoInstancesError(ViralSearchError):
@@ -191,13 +191,20 @@ class GAParams:
 
 
 def onemax_fitness(members: np.ndarray) -> np.ndarray:
-    """1 + number of ones: strictly positive, favors all-ones strings."""
-    return 1.0 + np.asarray(members, dtype=float).sum(axis=1)
+    """1 + number of ones: strictly positive, favors all-ones strings. The
+    bits are summed as integers, so no float copy of `members` is made."""
+    return 1.0 + np.asarray(members).sum(axis=1)
 
 
 def random_population(
     n: int, length: int, fitness_fn: Callable, rng: RngStream
 ) -> BinaryPopulation:
+    """`n` uniformly random strings of `length` bits; `ConfigurationError`
+    unless both are at least 1, before any draw."""
+    if n < 1 or length < 1:
+        raise ConfigurationError(
+            f"need a population size and string length >= 1, got n={n}, length={length}"
+        )
     members = rng.integers(0, 2, size=(n, length), dtype=np.uint8)
     return BinaryPopulation._trusted(members, fitness_fn)
 
@@ -263,19 +270,6 @@ def expected_count_bound(
     return _bound(xi, float(fitness[mask].mean()), float(fitness.mean()), survival)
 
 
-def _roulette(fitness: np.ndarray, rngs: list) -> np.ndarray:
-    """For each row of the (B, n) `fitness`, n indices drawn with
-    probability proportional to that row, from that row's stream in `rngs`:
-    the indices and the draws of `rng.choice(n, size=n, p=row / row.sum())`,
-    without its checks."""
-    cdf = np.cumsum(fitness / fitness.sum(axis=-1, keepdims=True), axis=-1)
-    cdf /= cdf[:, -1:]
-    picks = np.empty(fitness.shape, dtype=np.intp)
-    for k, rng in enumerate(rngs):
-        picks[k] = cdf[k].searchsorted(rng.random(fitness.shape[1]), side="right")
-    return picks
-
-
 def _single_point_crossover(
     members: np.ndarray, cross: np.ndarray, cuts: np.ndarray
 ) -> None:
@@ -284,35 +278,12 @@ def _single_point_crossover(
     position `cuts[..., k]` on. An odd last row is left alone."""
     half = cross.shape[-1]
     first, second = members[..., 0 : 2 * half : 2, :], members[..., 1 : 2 * half : 2, :]
-    swap = cross[..., None] & (np.arange(members.shape[-1]) >= cuts[..., None])
-    diff = (first ^ second) & swap
+    swap = np.arange(members.shape[-1]) >= cuts[..., None]
+    swap &= cross[..., None]
+    diff = first ^ second
+    diff &= swap
     first ^= diff
     second ^= diff
-
-
-def _crossover(children: np.ndarray, rngs: list, p_c: float) -> None:
-    """Single-point crossover of each population in the (B, n, m)
-    `children`, drawn from its own stream as `rng.random(n // 2) < p_c`
-    and then `rng.integers(1, m, size=n // 2)`."""
-    size, n, m = children.shape
-    if m < 2:
-        return
-    cross = np.empty((size, n // 2), dtype=bool)
-    cuts = np.empty((size, n // 2), dtype=np.int64)
-    for k, rng in enumerate(rngs):
-        np.less(rng.random(n // 2), p_c, out=cross[k])
-        cuts[k] = rng.integers(1, m, size=n // 2)
-    _single_point_crossover(children, cross, cuts)
-
-
-def _mutate(children: np.ndarray, rngs: list, p_m: float) -> None:
-    """Flip each bit of each population in the (B, n, m) `children`
-    independently, drawn from its own stream as `rng.random((n, m)) < p_m`."""
-    draws = np.empty(children.shape[1:])
-    flips = np.empty(children.shape, dtype=bool)
-    for k, rng in enumerate(rngs):
-        np.less(rng.random(out=draws), p_m, out=flips[k])
-    children ^= flips
 
 
 def _stacked_fitness(fitness_fn: Callable, members: np.ndarray) -> np.ndarray:
@@ -333,17 +304,36 @@ def _ga_block_step(
     params: GAParams, rngs: list,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """`classic_ga_step` on B populations at once: the (B, n, m) `members`
-    with their (B, n) `fitness`. Population k draws from `rngs[k]` what a
-    lone step would. Returns the children and, under elitism, their
-    fitness (else None)."""
+    with their (B, n) `fitness`. One pass per population k makes all of
+    its draws from `rngs[k]`, in this order: `random(n)` for the roulette
+    and `random(n // 2) < p_c` for which pairs cross, as one
+    `random(n + n // 2)`; `integers(1, m, size=n // 2)` for the cuts; and
+    `random((n, m)) < p_m` for the bits that flip. Strings of one bit draw
+    no crossover uniforms and no cuts. The gather, the crossover and the
+    mutation then run once for the block. Returns the children and, under
+    elitism, their fitness (else None)."""
     size, n, m = members.shape
+    half = n // 2 if m > 1 else 0
     rows = np.arange(size)
+    # roulette: the indices and draws of `rng.choice(n, size=n, p=row / row.sum())`
+    cdf = np.cumsum(fitness / fitness.sum(axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[:, -1:]
+    uniforms = np.empty((size, n + half))
+    picks = np.empty((size, n), dtype=np.intp)
+    cuts = np.empty((size, half), dtype=np.int64)
+    draws = np.empty((n, m))
+    flips = np.empty(members.shape, dtype=bool)
+    for k, rng in enumerate(rngs):
+        rng.random(out=uniforms[k])
+        picks[k] = cdf[k].searchsorted(uniforms[k, :n], side="right")
+        if half:
+            cuts[k] = rng.integers(1, m, size=half)
+        np.less(rng.random(out=draws), params.p_m, out=flips[k])
     # members[rows[:, None], picks] as one flat gather over the B*n rows
-    picks = _roulette(fitness, rngs)
     picks += rows[:, None] * n
     children = members.reshape(size * n, m).take(picks, 0)
-    _crossover(children, rngs, params.p_c)
-    _mutate(children, rngs, params.p_m)
+    _single_point_crossover(children, uniforms[:, n:] < params.p_c, cuts)
+    children ^= flips
     if not params.elitism:
         return children, None
     # the best parent replaces the worst child; fitness is row-wise,
@@ -409,15 +399,17 @@ def schema_growth_experiment(
     schema's observed next-generation counts to the expected-count bound.
 
     Trial t draws from its own stream `make_rng(child_seed(params.seed, t))`
-    exactly what `classic_ga_step` would. The trials evolve in lockstep
-    blocks of 16, one numpy call serving a whole block: the fitness
-    function gets the block's populations stacked into one matrix, once per
-    generation. The schema is parsed once, each population's fitness is
-    evaluated once and its match mask built once, and memory is bounded by
-    one block, not by `trials`, beyond the (trials, generations) result
-    arrays. `trials < 1` or `generations < 0` raises `ConfigurationError`,
-    and with `generations >= 1` a schema or string length the bound is
-    undefined for raises `ValueError`, both before any trial starts."""
+    exactly what `classic_ga_step` would, in one pass per generation: the
+    roulette and crossover uniforms, the cuts, then the mutation uniforms.
+    The trials evolve in lockstep blocks of 64, one numpy call serving a
+    whole block for everything else: the fitness function gets the block's
+    populations stacked into one matrix, once per generation. The schema
+    is parsed once, each population's fitness is evaluated once and its
+    match mask built once, and memory is bounded by one block, not by
+    `trials`, beyond the (trials, generations) result arrays. `trials < 1`
+    or `generations < 0` raises `ConfigurationError`, and with
+    `generations >= 1` a schema or string length the bound is undefined
+    for raises `ValueError`, both before any trial starts."""
     if trials < 1 or generations < 0:
         raise ConfigurationError(
             f"need trials >= 1 and generations >= 0, got trials={trials}, "

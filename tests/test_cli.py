@@ -244,6 +244,17 @@ class TestSchemaCommand:
         assert "Traceback" not in captured.err
         assert "generations meeting the bound" not in captured.out
 
+    @pytest.mark.parametrize("pop", ["-3", "0"])
+    def test_population_below_one_is_config_error(self, capsys, pop):
+        code = run_cli(
+            "schema", "--schema", "1*", "--pc", "0.7", "--pm", "0.01",
+            "--generations", "2", "--trials", "3", "--pop", pop,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"n={pop}" in err
+        assert "Traceback" not in err
+
     def test_bad_pattern_is_config_error(self):
         code = run_cli(
             "schema", "--schema", "1x*", "--pc", "0.5", "--pm", "0.01",

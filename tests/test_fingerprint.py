@@ -6,9 +6,9 @@ trace row, so a change that moves any bit of them fails here. The
 objectives use only + - * and /, and the walk, the fold and DE only
 those and comparisons, so the pins hold on any IEEE-754 numpy build.
 The schema lab's cases pin a digest of seeded growth reports on one-max,
-whose fitness values are exact integers plus one. A
-change that alters the random stream or the arithmetic on purpose
-updates the pins and says so in CHANGES.md.
+whose fitness values are exact integers plus one. A change that alters
+the random stream or the arithmetic on purpose updates the pins and says
+so in CHANGES.md.
 """
 
 import hashlib

@@ -13,11 +13,8 @@ from viralsearch.schema_lab import (
     CompiledSchema,
     GAParams,
     NoInstancesError,
-    _crossover,
     _ga_block_step,
     _masked_sums,
-    _mutate,
-    _roulette,
     _single_point_crossover,
     _stacked_fitness,
     classic_ga_step,
@@ -186,6 +183,16 @@ class TestMatches:
             pattern = format(value, "04b")
             mask_total += count_matches(pattern, pop)
         assert mask_total == 200
+
+
+class TestRandomPopulation:
+    @pytest.mark.parametrize("n, length", [(0, 5), (-3, 5), (4, 0), (4, -1)])
+    def test_sizes_below_one_raise_before_any_draw(self, n, length):
+        rng = make_rng(20)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match=f"n={n}, length={length}"):
+            random_population(n, length, onemax_fitness, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestBinaryPopulation:
@@ -419,12 +426,23 @@ class TestClassicGAStep:
         fitness = _stacked_fitness(_wavy_fitness, members)
         params = GAParams(p_c=p_c, p_m=p_m, elitism=elitism)
 
-        # the gather as `members[rows[:, None], picks]`, then the same operators
+        # each population's documented draws, one population after another;
+        # rng.choice(n, size=n, p=...) draws random(n)
         rngs = [make_rng(seed + k) for k in range(size)]
         rows = np.arange(size)
-        expected = members[rows[:, None], _roulette(fitness, rngs)]
-        _crossover(expected, rngs, p_c)
-        _mutate(expected, rngs, p_m)
+        expected = np.empty((size, n, m), dtype=np.uint8)
+        for k, rng in enumerate(rngs):
+            child = members[k, rng.choice(n, size=n, p=fitness[k] / fitness[k].sum())]
+            if m > 1:
+                cross = rng.random(n // 2) < p_c
+                cuts = rng.integers(1, m, size=n // 2)
+                for pair in range(n // 2):
+                    if cross[pair]:
+                        cut = cuts[pair]
+                        tail = child[2 * pair, cut:].copy()
+                        child[2 * pair, cut:] = child[2 * pair + 1, cut:]
+                        child[2 * pair + 1, cut:] = tail
+            expected[k] = child ^ (rng.random((n, m)) < p_m)
         expected_fitness = None
         if elitism:
             expected_fitness = _stacked_fitness(_wavy_fitness, expected)
@@ -509,8 +527,8 @@ class TestGrowthExperiment:
         # pop0 once, then every generation of every trial but the last,
         # whose fitness nothing reads
         assert sum(len(members) for members in seen) == n * (1 + trials * (generations - 1))
-        # one call per lockstep block of 16 trials and generation
-        assert len(seen) == 1 + math.ceil(trials / 16) * (generations - 1)
+        # one call per lockstep block of trials and generation
+        assert len(seen) == 1 + math.ceil(trials / schema_lab._TRIALS) * (generations - 1)
         assert len({id(members) for members in seen}) == len(seen)
 
     @pytest.mark.parametrize("elitism", [False, True])
@@ -626,3 +644,37 @@ class TestGrowthExperiment:
         # plus 3.2 MB of mutation draws
         assert peak < 2**20
 
+    def test_memory_grows_with_one_block_not_with_trials(self):
+        generations = 5
+
+        def peak_beyond_results(trials):
+            pop0 = random_population(100, 20, onemax_fitness, make_rng(18))
+            pop0.fitness()
+            tracemalloc.start()
+            try:
+                schema_growth_experiment(
+                    pop0, "11" + "*" * 18, GAParams(seed=5), generations, trials
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # the float (trials, generations + 1) counts and (trials,
+            # generations) bounds
+            return peak - trials * (2 * generations + 1) * 8
+
+        one_block = peak_beyond_results(schema_lab._TRIALS)
+        assert peak_beyond_results(4 * schema_lab._TRIALS) <= 1.5 * one_block
+
+    def test_bit_identical_to_the_per_trial_loop_across_a_block_boundary(self):
+        pop0 = random_population(9, 6, _wavy_fitness, make_rng(22))
+        schema = "".join(str(bit) for bit in pop0.members[0, :2]) + "*" * 4
+        trials = schema_lab._TRIALS + 1
+        for elitism in (False, True):
+            params = GAParams(p_c=0.8, p_m=0.05, elitism=elitism, seed=23)
+            report = schema_growth_experiment(pop0, schema, params, 3, trials)
+            expected = _per_trial_report(pop0, schema, params, 3, trials)
+            for name in ("mean_counts", "mean_observed_next", "mean_bounds"):
+                assert np.array_equal(
+                    getattr(report, name), expected[name], equal_nan=True
+                ), name
+            assert report.frac_cells_pass == expected["frac_cells_pass"]
