@@ -31,7 +31,6 @@ from .engine import (
     RunResult,
     TraceRow,
     VSConfig,
-    burst_config,
     init_state,
     make_centers,
     move_random,

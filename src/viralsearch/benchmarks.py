@@ -8,7 +8,7 @@ back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -135,7 +135,6 @@ class BenchmarkSpec:
     bounds: Bounds
     objective: Objective
     known_optimum: Optional[Optimum] = None
-    parameters: dict = field(default_factory=dict)
 
 
 def _sphere_spec(dim: int = 2) -> BenchmarkSpec:
@@ -146,7 +145,6 @@ def _sphere_spec(dim: int = 2) -> BenchmarkSpec:
         bounds=Bounds(np.full(dim, -3.0), np.full(dim, 3.0)),
         objective=obj,
         known_optimum=Optimum(tuple([0.0] * dim), 0.0, "min"),
-        parameters={"dim": dim},
     )
 
 
@@ -162,7 +160,6 @@ def _rosenbrock_spec(a: float = 1.0, b: float = 100.0) -> BenchmarkSpec:
         bounds=Bounds([-3.0, -3.0], [3.0, 3.0]),
         objective=obj,
         known_optimum=Optimum((a, a * a), 0.0, "min"),
-        parameters={"a": a, "b": b},
     )
 
 
@@ -192,7 +189,6 @@ def _two_well_spec(tau: float = 1000.0) -> BenchmarkSpec:
         bounds=Bounds([-6.0, -6.0], [6.0, 6.0]),
         objective=obj,
         known_optimum=Optimum((-2.5, -2.5), -2.0, "min"),
-        parameters={"tau": tau},
     )
 
 
@@ -208,7 +204,6 @@ def _shekel_spec() -> BenchmarkSpec:
         bounds=Bounds(np.zeros(4), np.full(4, 10.0)),
         objective=obj,
         known_optimum=Optimum(peak, float(shekel(np.array(peak))), "max"),
-        parameters={"m": SHEKEL_A.shape[1]},
     )
 
 

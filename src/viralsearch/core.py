@@ -47,6 +47,8 @@ def child_seed(parent_seed: int, index: int) -> int:
     Spawn keys keep sibling streams statistically independent, so the
     workers of one decomposition never share a generator.
     """
+    if parent_seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {parent_seed}")
     seq = np.random.SeedSequence(parent_seed, spawn_key=(index,))
     return int(seq.generate_state(1, np.uint64)[0])
 

@@ -12,7 +12,7 @@ under-visited regions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -37,6 +37,10 @@ def _boundary_policy(cfg: "VSConfig"):
     return reflect_into_bounds if cfg.walk_boundary == "reflect" else clamp_to_bounds
 
 _MAX_CENTERS = 1_000_000
+# VSConfig fields that count something, so must be integers; so must
+# `stagnation_window` when set
+_COUNT_FIELDS = ("n_generations", "n_viral_generations", "n_individuals",
+                 "n_viral_individuals", "centers_per_axis", "rebalance_every", "seed")
 
 
 @dataclass(frozen=True)
@@ -66,11 +70,21 @@ class VSConfig:
     walk_boundary: str = "reflect"
 
     def __post_init__(self):
+        window = () if self.stagnation_window is None else ("stagnation_window",)
+        for name in _COUNT_FIELDS + window:
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {v!r}")
         if self.n_generations < 0:
             raise ConfigurationError("n_generations must be >= 0")
-        for name in ("n_viral_generations", "n_individuals", "n_viral_individuals"):
+        for name in ("n_viral_generations", "n_individuals"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
+        if self.n_viral_individuals < 4:
+            raise ConfigurationError(
+                f"n_viral_individuals must be >= 4 (a burst member needs three "
+                f"distinct partners), got {self.n_viral_individuals}"
+            )
         if self.centers_per_axis < 0:
             raise ConfigurationError("centers_per_axis must be >= 0")
         for name in ("epidemic_radius_fraction", "walk_step_fraction"):
@@ -118,7 +132,7 @@ class EngineState:
     contiguous column, so per-axis arithmetic runs along all n scouts.
     `walk_box` caches `_walk_box`'s per-element box with the box and scout
     count it was built for. `evaluations` counts the objective rows each
-    phase evaluated (scouts, bursts, refreshes); `evaluated`, their total."""
+    phase evaluated (scouts, bursts, refreshes)."""
 
     population: Population
     generation: int = 0
@@ -130,7 +144,6 @@ class EngineState:
     started_at: float = field(default_factory=time.perf_counter)
     walk_box: Optional[tuple] = None
     evaluations: dict = field(default_factory=lambda: {"scout": 0, "burst": 0, "refresh": 0})
-    evaluated: int = 0
 
     def has_centers(self) -> bool:
         return self.visit_counts is not None and len(self.visit_counts) > 0
@@ -143,7 +156,6 @@ class RunResult:
     trace: list
     epidemic_count: int
     wall_time_ms: float
-    config_echo: VSConfig
     # objective rows evaluated per phase: "scout", "burst" and "refresh"
     evaluations: dict
 
@@ -294,24 +306,10 @@ def rebalance(
     return state
 
 
-def burst_config(cfg: VSConfig, dim: int, de_cfg: Optional[DEConfig] = None) -> DEConfig:
-    """The DE config every burst of a run uses: `de_cfg` (default
-    `DEConfig()`) sized to the burst population and duration. Raises
-    `ConfigurationError` when that population cannot run in `dim` axes."""
-    burst_cfg = replace(
-        de_cfg if de_cfg is not None else DEConfig(),
-        pop_size=cfg.n_viral_individuals,
-        generations=cfg.n_viral_generations,
-    )
-    check_draw_range(burst_cfg.pop_size, dim)
-    return burst_cfg
-
-
 def trigger_epidemic(
     trigger: Point,
     b: Bounds,
     cfg: VSConfig,
-    burst_cfg: DEConfig,
     objective: Objective,
     t: int,
     rng: RngStream,
@@ -322,8 +320,9 @@ def trigger_epidemic(
     The cube spans trigger +/- epidemic_radius_fraction * axis range on
     each axis, clipped to the global box, and the trigger itself seeds
     the burst population so the result can never be worse than the
-    trigger's own value. `burst_cfg` comes from `burst_config`. The
-    burst's rows are added to `evaluations["burst"]` when given.
+    trigger's own value. The burst runs `n_viral_individuals` members for
+    `n_viral_generations` generations with `DEConfig`'s default weights.
+    Its rows are added to `evaluations["burst"]` when given.
     """
     trigger = np.asarray(trigger, dtype=float)
     half = cfg.epidemic_radius_fraction * b.span
@@ -334,8 +333,9 @@ def trigger_epidemic(
             f"burst region collapsed around {trigger.tolist()}; is the "
             f"trigger inside the bounds?"
         )
+    burst = DEConfig(pop_size=cfg.n_viral_individuals, generations=cfg.n_viral_generations)
     return de_optimize(
-        objective, Bounds(lo, hi), burst_cfg, seed_point=trigger, t=t, rng=rng,
+        objective, Bounds(lo, hi), burst, seed_point=trigger, t=t, rng=rng,
         evaluations=evaluations,
     )
 
@@ -345,23 +345,20 @@ def step(
     objective: Objective,
     b: Bounds,
     cfg: VSConfig,
-    burst_cfg: DEConfig,
     rng: RngStream,
 ) -> EngineState:
-    """One generation: evaluate scouts, fire `burst_cfg` bursts on
-    improvement, update the incumbent, move everyone, rebalance on
-    cadence, append a trace row."""
+    """One generation: evaluate scouts, fire a `trigger_epidemic` burst
+    from each scout that improves on the incumbent, update the incumbent,
+    move everyone, rebalance on cadence, append a trace row."""
     t = state.generation
     if objective.time_varying and state.best_individual_global is not None:
         # the landscape moved under the incumbent; refresh its value so
         # trigger comparisons stay meaningful
         state.fobj_global = objective(t, state.best_individual_global)
         state.evaluations["refresh"] += 1
-        state.evaluated += 1
 
     values = objective.evaluate_many(t, state.population)
     state.evaluations["scout"] += len(values)
-    burst_rows = state.evaluations["burst"]
 
     # the incumbent only decreases during the sweep, so scouts that fail
     # against the sweep-start value can be skipped outright; +inf is a legal
@@ -371,14 +368,12 @@ def step(
         if values[i] > state.fobj_global - cfg.trigger_tolerance:
             continue
         best_point, best_value = trigger_epidemic(
-            state.population[i].copy(), b, cfg, burst_cfg, objective, t, rng,
-            state.evaluations,
+            state.population[i].copy(), b, cfg, objective, t, rng, state.evaluations
         )
         state.epidemic_count += 1
         if best_value <= state.fobj_global:
             state.fobj_global = best_value
             state.best_individual_global = best_point
-    state.evaluated += len(values) + state.evaluations["burst"] - burst_rows
 
     move_random(state, b, cfg, rng)
     if (
@@ -397,29 +392,24 @@ def step(
             best_point=None if best is None else best.copy(),
             epidemics_so_far=state.epidemic_count,
             elapsed_ms=(time.perf_counter() - state.started_at) * 1e3,
-            evaluations=state.evaluated,
+            evaluations=sum(state.evaluations.values()),
         )
     )
     state.generation = t + 1
     return state
 
 
-def run(
-    objective: Objective,
-    b: Bounds,
-    cfg: VSConfig,
-    de_cfg: Optional[DEConfig] = None,
-) -> RunResult:
+def run(objective: Objective, b: Bounds, cfg: VSConfig) -> RunResult:
     """Full optimization: initialize, iterate `step` for n_generations (or
     until the incumbent stagnates for `stagnation_window` generations),
-    and package the result."""
+    and package the result. A burst population too large to draw its
+    partners in `b.dim` axes fails before any evaluation."""
     if objective.arity != b.dim:
         raise ConfigurationError(
             f"objective arity {objective.arity} does not match bounds "
             f"dimension {b.dim}"
         )
-    # fails fast on an unusable burst configuration
-    burst_cfg = burst_config(cfg, b.dim, de_cfg)
+    check_draw_range(cfg.n_viral_individuals, b.dim)
 
     t0 = time.perf_counter()
     rng = make_rng(cfg.seed)
@@ -427,7 +417,7 @@ def run(
     last_improvement = 0
     while state.generation < cfg.n_generations:
         previous = state.fobj_global
-        step(state, objective, b, cfg, burst_cfg, rng)
+        step(state, objective, b, cfg, rng)
         t = state.generation - 1
         if previous - state.fobj_global > cfg.trigger_tolerance:
             last_improvement = t
@@ -444,6 +434,5 @@ def run(
         trace=state.trace,
         epidemic_count=state.epidemic_count,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        config_echo=cfg,
         evaluations=dict(state.evaluations),
     )

@@ -18,7 +18,6 @@ import numpy as np
 from .benchmarks import BenchmarkSpec, make_benchmark
 from .core import Bounds, ConfigurationError, Objective, ViralSearchError, child_seed
 from .engine import RunResult, VSConfig, run
-from .local_search import DEConfig
 
 _TAIL_COLUMNS = ("time_s", "seed", "kind", "status")
 
@@ -32,12 +31,10 @@ class ExperimentSpec:
     gets a JSON report when it ends in ".json", else a CSV one.
     """
 
-    name: str
     benchmark: str
     sweep_fields: tuple = ()
     cells: tuple = ((),)
     base: dict = field(default_factory=dict)
-    de: dict = field(default_factory=dict)
     benchmark_params: dict = field(default_factory=dict)
     repeat: int = 1
     seed_base: int = 0
@@ -47,6 +44,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.repeat < 1:
             raise ConfigurationError("repeat must be >= 1")
+        if self.seed_base < 0:
+            raise ConfigurationError(f"seed_base must be non-negative, got {self.seed_base}")
         for cell in self.cells:
             if len(cell) != len(self.sweep_fields):
                 raise ConfigurationError(
@@ -71,14 +70,12 @@ def builtin_specs() -> dict:
     """The shipped sweep definitions, keyed by CLI name."""
     return {
         "rosenbrock-table2": ExperimentSpec(
-            name="rosenbrock-table2",
             benchmark="rosenbrock",
             sweep_fields=("n_individuals", "n_generations"),
             cells=((5, 50), (10, 75), (30, 100), (60, 200), (100, 300), (400, 1200)),
             base={"n_viral_individuals": 150, "n_viral_generations": 75},
         ),
         "rosenbrock-table3": ExperimentSpec(
-            name="rosenbrock-table3",
             benchmark="rosenbrock",
             sweep_fields=("n_viral_individuals", "n_viral_generations"),
             cells=(
@@ -93,7 +90,6 @@ def builtin_specs() -> dict:
             base={"n_individuals": 40, "n_generations": 100},
         ),
         "schaffer-table3": ExperimentSpec(
-            name="schaffer-table3",
             benchmark="schaffer",
             sweep_fields=("n_individuals", "n_generations"),
             cells=(
@@ -107,7 +103,6 @@ def builtin_specs() -> dict:
             base={"n_viral_individuals": 150, "n_viral_generations": 75},
         ),
         "twowell-table4": ExperimentSpec(
-            name="twowell-table4",
             benchmark="two_well",
             benchmark_params={"tau": 500.0},
             base={
@@ -119,7 +114,6 @@ def builtin_specs() -> dict:
             checkpoints=tuple(range(300, 3000, 300)) + (2999,),
         ),
         "shekel-table5": ExperimentSpec(
-            name="shekel-table5",
             benchmark="shekel",
             sweep_fields=("n_individuals", "n_generations"),
             cells=(
@@ -171,12 +165,12 @@ def _result_row(bench: BenchmarkSpec, sweep: dict, point, value: float, elapsed_
     )
 
 
-def _check_keys(keys, config_type, where: str) -> None:
-    valid = [f.name for f in fields(config_type)]
+def _check_keys(keys, where: str) -> None:
+    valid = [f.name for f in fields(VSConfig)]
     for key in keys:
         if key not in valid:
             raise ConfigurationError(
-                f"unknown {config_type.__name__} key {key!r} in {where}; "
+                f"unknown VSConfig key {key!r} in {where}; "
                 f"valid keys: {', '.join(valid)}"
             )
 
@@ -196,11 +190,10 @@ def run_experiment(spec: ExperimentSpec) -> list:
     sweep; any other exception is a bug and propagates. Writes
     `spec.out_path` when set.
 
-    An unknown config key in `base`, `sweep_fields` or `de` raises
+    An unknown config key in `base` or `sweep_fields` raises
     `ConfigurationError` before any run."""
-    _check_keys(spec.base, VSConfig, "base")
-    _check_keys(spec.sweep_fields, VSConfig, "sweep_fields")
-    _check_keys(spec.de, DEConfig, "de")
+    _check_keys(spec.base, "base")
+    _check_keys(spec.sweep_fields, "sweep_fields")
     bench = make_benchmark(spec.benchmark, **spec.benchmark_params)
     rows = []
     flat = 0
@@ -215,7 +208,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
             sweep = dict(zip(spec.sweep_fields, cell))
             try:
                 cfg = VSConfig(**overrides)
-                result = run(bench.objective, bench.bounds, cfg, DEConfig(**spec.de))
+                result = run(bench.objective, bench.bounds, cfg)
                 if spec.checkpoints is not None:
                     cell_rows.extend(
                         _checkpoint_rows(bench, result, spec.checkpoints, seed)
@@ -364,17 +357,11 @@ def split_bounds(b: Bounds, m: int) -> list:
     return boxes
 
 
-def parallel_run(
-    objective: Objective,
-    b: Bounds,
-    cfg: VSConfig,
-    de_cfg: Optional[DEConfig] = None,
-    m: int = 1,
-) -> RunResult:
+def parallel_run(objective: Objective, b: Bounds, cfg: VSConfig, m: int = 1) -> RunResult:
     """Split the box into `m` sub-boxes, run an independent engine per box
-    (population split evenly, child seeds per worker), and keep the best
-    worker's result. Traces are merged, tagged with the worker index, and
-    the evaluation counts summed.
+    (population split evenly, child seeds per worker, bursts as `cfg`
+    sets them), and keep the best worker's result. Traces are merged,
+    tagged with the worker index, and the evaluation counts summed.
 
     The workers run one after another in the calling thread. The split is
     a diversity option, not a speedup: each worker keeps its own incumbent
@@ -389,7 +376,7 @@ def parallel_run(
             f"n_individuals={cfg.n_individuals}"
         )
     if m == 1:
-        return run(objective, b, cfg, de_cfg)
+        return run(objective, b, cfg)
 
     t0 = time.perf_counter()
     boxes = split_bounds(b, m)
@@ -402,7 +389,7 @@ def parallel_run(
         )
         for w in range(m)
     ]
-    results = [run(objective, box, wcfg, de_cfg) for box, wcfg in zip(boxes, worker_cfgs)]
+    results = [run(objective, box, wcfg) for box, wcfg in zip(boxes, worker_cfgs)]
 
     best_w = min(range(m), key=lambda w: (results[w].best_value, w))
     trace = []
@@ -418,7 +405,6 @@ def parallel_run(
         trace=trace,
         epidemic_count=sum(res.epidemic_count for res in results),
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        config_echo=cfg,
         evaluations={
             phase: sum(res.evaluations[phase] for res in results)
             for phase in results[0].evaluations

@@ -26,9 +26,9 @@ from .core import (
 class DEConfig:
     """Differential evolution parameters.
 
-    The engine overrides `pop_size` and `generations` with its burst
-    population and burst duration; `differential_weight` and
-    `crossover_rate` are used as given.
+    An engine burst takes `pop_size` and `generations` from its
+    `VSConfig` (`n_viral_individuals`, `n_viral_generations`) and keeps
+    the default weights, F = 0.8 and CR = 0.9.
     """
 
     pop_size: int = 20

@@ -12,7 +12,7 @@ import numpy as np
 
 from viralsearch.benchmarks import make_benchmark, schaffer, shekel
 from viralsearch.core import Bounds, Objective, make_rng
-from viralsearch.engine import VSConfig, burst_config, init_state, run, step
+from viralsearch.engine import VSConfig, init_state, run, step
 from viralsearch.harness import parallel_run
 from viralsearch.local_search import DEConfig, de_optimize
 from viralsearch.schema_lab import (
@@ -304,7 +304,7 @@ def test_criterion_7_engine_invariants():
         rng = make_rng(cfg.seed)
         state = init_state(b, cfg, rng)
         for _ in range(cfg.n_generations):
-            step(state, objective, b, cfg, burst_config(cfg, b.dim), rng)
+            step(state, objective, b, cfg, rng)
             assert len(state.population) == cfg.n_individuals  # conservation
             assert b.contains(state.population)  # containment
             assert b.contains(state.best_individual_global[None, :])

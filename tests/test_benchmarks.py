@@ -307,7 +307,6 @@ class TestRegistry:
 
     def test_parameter_override(self):
         spec = make_benchmark("two_well", tau=500.0)
-        assert spec.parameters["tau"] == 500.0
         assert spec.objective(1000, np.array([2.0, 2.0])) == pytest.approx(
             float(two_well(1000, 2.0, 2.0, tau=500.0)), rel=1e-12
         )

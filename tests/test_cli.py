@@ -28,6 +28,14 @@ class TestRunCommand:
         assert "best point" in out
         assert "epidemics" in out
 
+    def test_burst_population_below_four_names_its_field(self, capsys):
+        code = run_cli(
+            "run", "--function", "sphere", "--ni", "40", "--ng", "5",
+            "--niv", "3", "--ngv", "5",
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: n_viral_individuals must be >= 4")
+
     def test_writes_csv_report(self, tmp_path, capsys):
         path = tmp_path / "run.csv"
         code = run_cli(
@@ -122,9 +130,21 @@ class TestBenchCommand:
         code = run_cli("bench", "--spec", "nosuch", "--out", str(tmp_path / "x.csv"))
         assert code == 1
 
+    def test_negative_seed_exits_without_a_traceback(self, tmp_path):
+        path = tmp_path / "x.csv"
+        src = str(Path(viralsearch.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "viralsearch.cli", "bench", "--spec", "rosenbrock-table2",
+             "--seed", "-1", "--out", str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert not path.exists()
+
     def test_tiny_spec_end_to_end(self, tmp_path, monkeypatch, capsys):
         tiny = ExperimentSpec(
-            name="tiny",
             benchmark="sphere",
             sweep_fields=("n_individuals", "n_generations"),
             cells=((5, 3),),
@@ -140,7 +160,6 @@ class TestBenchCommand:
 
     def test_json_extension_switches_format(self, tmp_path, monkeypatch):
         tiny = ExperimentSpec(
-            name="tiny",
             benchmark="sphere",
             sweep_fields=("n_individuals", "n_generations"),
             cells=((5, 3),),

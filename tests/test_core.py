@@ -404,6 +404,10 @@ class TestRngPlumbing:
         with pytest.raises(ConfigurationError):
             make_rng(-1)
 
+    def test_child_seed_rejects_a_negative_parent(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            child_seed(-1, 0)
+
     def test_child_seed_deterministic(self):
         assert child_seed(42, 3) == child_seed(42, 3)
 

@@ -23,7 +23,6 @@ from viralsearch.engine import (
     _center_indices,
     _trigger_candidates,
     _walk_box,
-    burst_config,
     init_state,
     make_centers,
     move_random,
@@ -71,6 +70,30 @@ class TestVSConfig:
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
             small_cfg(**{field: value})
+
+    def test_burst_population_below_four_names_its_field(self):
+        with pytest.raises(ConfigurationError, match="n_viral_individuals must be >= 4"):
+            small_cfg(n_viral_individuals=3)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["n_generations", "n_viral_generations", "n_individuals", "n_viral_individuals",
+         "centers_per_axis", "rebalance_every", "stagnation_window", "seed"],
+    )
+    @pytest.mark.parametrize("value", [3.5, 10.0])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            small_cfg(**{field: value})
+
+    def test_numpy_integer_counts_run_like_python_ints(self):
+        counts = dict(n_generations=8, n_viral_generations=5, n_individuals=20,
+                      n_viral_individuals=10, centers_per_axis=2, rebalance_every=3,
+                      stagnation_window=4, seed=9)
+        plain = run(SPHERE, BOX, small_cfg(**counts))
+        np_ints = run(SPHERE, BOX, small_cfg(**{k: np.int64(v) for k, v in counts.items()}))
+        assert np_ints.best_value == plain.best_value
+        assert np.array_equal(np_ints.best_point, plain.best_point)
+        assert len(np_ints.trace) == len(plain.trace)
 
 
 class TestMakeCenters:
@@ -350,11 +373,10 @@ class TestFlatWalk:
         cfg = small_cfg(n_individuals=30, centers_per_axis=3, n_generations=25)
         rng = make_rng(0)
         state = init_state(BOX, cfg, rng)
-        burst_cfg = burst_config(cfg, BOX.dim)
-        step(state, SPHERE, BOX, cfg, burst_cfg, rng)
+        step(state, SPHERE, BOX, cfg, rng)
         box = _walk_box(state, BOX)
         for _ in range(20):
-            step(state, SPHERE, BOX, cfg, burst_cfg, rng)
+            step(state, SPHERE, BOX, cfg, rng)
             assert _walk_box(state, BOX) is box
         # rebuilt for another scout count or another box
         state.population = state.population[:10]
@@ -509,9 +531,7 @@ class TestTriggerEpidemic:
     def test_corner_trigger_clips_region(self):
         cfg = small_cfg(n_viral_individuals=20, n_viral_generations=25)
         corner = np.array([-3.0, -3.0])
-        point, value = trigger_epidemic(
-            corner, BOX, cfg, burst_config(cfg, BOX.dim), SPHERE, t=0, rng=make_rng(0)
-        )
+        point, value = trigger_epidemic(corner, BOX, cfg, SPHERE, t=0, rng=make_rng(0))
         assert BOX.contains(point[None, :])
         # clipped quarter-cube is [-3, -2.7]^2; the best point stays in it
         assert (point <= -2.7 + 1e-9).all()
@@ -524,9 +544,7 @@ class TestTriggerEpidemic:
             n_viral_generations=40,
         )
         trigger = np.array([2.9, 2.9])
-        point, value = trigger_epidemic(
-            trigger, BOX, cfg, burst_config(cfg, BOX.dim), SPHERE, t=0, rng=make_rng(1)
-        )
+        point, value = trigger_epidemic(trigger, BOX, cfg, SPHERE, t=0, rng=make_rng(1))
         # the burst degenerates to a global search and finds the origin
         assert value < 1e-6
 
@@ -537,9 +555,7 @@ class TestTriggerEpidemic:
         start = bench.objective(0, trigger)
         assert start == pytest.approx(0.2, abs=1e-12)
         point, value = trigger_epidemic(
-            trigger, bench.bounds, cfg, burst_config(cfg, bench.bounds.dim),
-            bench.objective, t=0,
-            rng=make_rng(2),
+            trigger, bench.bounds, cfg, bench.objective, t=0, rng=make_rng(2)
         )
         assert value < start
 
@@ -593,7 +609,7 @@ class TestStep:
         cfg = small_cfg()
         rng = make_rng(0)
         state = init_state(BOX, cfg, rng)
-        step(state, constant, BOX, cfg, burst_config(cfg, BOX.dim), rng)
+        step(state, constant, BOX, cfg, rng)
         assert state.epidemic_count == 1
         assert state.fobj_global == 5.0
 
@@ -604,7 +620,7 @@ class TestStep:
         state = init_state(BOX, cfg, rng)
         state.fobj_global = 0.0
         state.best_individual_global = np.array([1.0, 1.0])
-        step(state, bench.objective, BOX, cfg, burst_config(cfg, BOX.dim), rng)
+        step(state, bench.objective, BOX, cfg, rng)
         assert state.epidemic_count == 0
         assert state.fobj_global == 0.0
 
@@ -614,7 +630,7 @@ class TestStep:
         rng = make_rng(cfg.seed)
         state = init_state(BOX, cfg, rng)
         initial_best = SPHERE.evaluate_many(0, state.population).min()
-        step(state, SPHERE, BOX, cfg, burst_config(cfg, BOX.dim), rng)
+        step(state, SPHERE, BOX, cfg, rng)
         assert state.fobj_global <= initial_best
 
     def test_nan_objective_aborts_naming_the_point(self):
@@ -627,8 +643,7 @@ class TestStep:
         rng = make_rng(0)
         state = init_state(BOX, cfg, rng)
         with pytest.raises(EvaluationError, match=r"NaN at generation 0 for point"):
-            step(state, Objective(leaky, arity=2), BOX, cfg,
-                 burst_config(cfg, BOX.dim), rng)
+            step(state, Objective(leaky, arity=2), BOX, cfg, rng)
 
     def test_minus_inf_scout_aborts_naming_the_point(self):
         def bottomless(t, p):
@@ -640,8 +655,7 @@ class TestStep:
         rng = make_rng(0)
         state = init_state(BOX, cfg, rng)
         with pytest.raises(EvaluationError, match=r"-inf at generation 0 for point"):
-            step(state, Objective(bottomless, arity=2), BOX, cfg,
-                 burst_config(cfg, BOX.dim), rng)
+            step(state, Objective(bottomless, arity=2), BOX, cfg, rng)
 
     def test_minus_inf_inside_a_burst_aborts(self):
         cfg = small_cfg()
@@ -660,7 +674,7 @@ class TestStep:
         rng = make_rng(2)
         state = init_state(BOX, cfg, rng)
         for expected_t in range(4):
-            step(state, SPHERE, BOX, cfg, burst_config(cfg, BOX.dim), rng)
+            step(state, SPHERE, BOX, cfg, rng)
             assert state.trace[-1].generation == expected_t
         gens = [row.generation for row in state.trace]
         assert gens == sorted(set(gens))
@@ -807,7 +821,7 @@ class TestRun:
         rng = make_rng(6)
         state = init_state(BOX, cfg, rng)
         for _ in range(cfg.n_generations):
-            step(state, SPHERE, BOX, cfg, burst_config(cfg, BOX.dim), rng)
+            step(state, SPHERE, BOX, cfg, rng)
             assert BOX.contains(state.population)
         # clamping accumulates scouts exactly on the walls, reflection
         # does not

@@ -29,7 +29,6 @@ from viralsearch.harness import (
     trace_export,
     write_rows,
 )
-from viralsearch.local_search import DEConfig
 
 SPHERE = Objective(lambda t, p: (p**2).sum(axis=1), arity=2, name="sphere")
 BOX = Bounds([-3.0, -3.0], [3.0, 3.0])
@@ -37,7 +36,6 @@ BOX = Bounds([-3.0, -3.0], [3.0, 3.0])
 
 def tiny_spec(**overrides):
     base = dict(
-        name="tiny",
         benchmark="sphere",
         sweep_fields=("n_individuals", "n_generations"),
         cells=((4, 3), (6, 4)),
@@ -57,6 +55,10 @@ class TestExperimentSpec:
     def test_repeat_floor(self):
         with pytest.raises(ConfigurationError):
             tiny_spec(repeat=0)
+
+    def test_negative_seed_base_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed_base must be non-negative"):
+            tiny_spec(seed_base=-1)
 
     def test_builtin_grids(self):
         specs = builtin_specs()
@@ -121,9 +123,8 @@ class TestRunExperiment:
              "bogus", "n_viral_individuals"),
             (dict(sweep_fields=("n_individuals", "n_generatoins")),
              "n_generatoins", "n_generations"),
-            (dict(de={"crossover": 0.5}), "crossover", "crossover_rate"),
         ],
-        ids=["base", "sweep_fields", "de"],
+        ids=["base", "sweep_fields"],
     )
     def test_unknown_config_key_fails_before_any_run(self, monkeypatch, overrides, key, valid):
         calls = []
@@ -155,6 +156,14 @@ class TestRunExperiment:
         rows = run_experiment(bad)
         assert any(r.status.startswith("error: ConfigurationError") for r in rows)
         assert np.isnan([r.value for r in rows if r.status != "ok"][0])
+
+    def test_non_integer_cell_is_an_error_row_naming_the_field(self):
+        rows = run_experiment(tiny_spec(cells=((10.5, 3), (6, 4)), repeat=1))
+        runs = [r for r in rows if r.kind == "run"]
+        assert runs[0].status == (
+            "error: ConfigurationError: n_individuals must be an integer, got 10.5"
+        )
+        assert runs[1].status == "ok" and np.isfinite(runs[1].value)
 
     @pytest.mark.parametrize("error", [EvaluationError, ConfigurationError])
     def test_package_errors_become_error_rows(self, monkeypatch, error):
@@ -194,7 +203,6 @@ class TestRunExperiment:
 
     def test_checkpoint_rows(self):
         spec = ExperimentSpec(
-            name="ck",
             benchmark="sphere",
             base={
                 "n_individuals": 5,
@@ -211,7 +219,6 @@ class TestRunExperiment:
 
     def test_checkpoint_past_the_run_is_an_error_row(self):
         spec = ExperimentSpec(
-            name="ck",
             benchmark="sphere",
             base={
                 "n_individuals": 5,
@@ -233,7 +240,6 @@ class TestRunExperiment:
 
     def test_maximization_benchmark_reports_positive_values(self):
         spec = ExperimentSpec(
-            name="max",
             benchmark="shekel",
             cells=((),),
             base={

@@ -602,7 +602,9 @@ class TestGrowthExperiment:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        trials=st.sampled_from([1, 15, 16, 17, 33]),
+        trials=st.sampled_from(
+            [1, schema_lab._TRIALS - 1, schema_lab._TRIALS, schema_lab._TRIALS + 1]
+        ),
         n=st.integers(2, 40),
         m=st.integers(2, 12),
         generations=st.integers(0, 5),
