@@ -34,6 +34,15 @@ class EvaluationError(ViralSearchError):
     """
 
 
+def check_integers(config, names) -> None:
+    """Reject any of the `names` fields of `config` that is not a Python or
+    numpy integer: numpy's draws and `range` take no float counts."""
+    for name in names:
+        v = getattr(config, name)
+        if not isinstance(v, (int, np.integer)):
+            raise ConfigurationError(f"{name} must be an integer, got {v!r}")
+
+
 def make_rng(seed: int) -> RngStream:
     """Create a seeded generator; equal seeds yield identical streams."""
     if seed < 0:

@@ -24,6 +24,7 @@ from .core import (
     Point,
     Population,
     RngStream,
+    check_integers,
     clamp_to_bounds,
     make_rng,
     random_init,
@@ -71,10 +72,7 @@ class VSConfig:
 
     def __post_init__(self):
         window = () if self.stagnation_window is None else ("stagnation_window",)
-        for name in _COUNT_FIELDS + window:
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {v!r}")
+        check_integers(self, _COUNT_FIELDS + window)
         if self.n_generations < 0:
             raise ConfigurationError("n_generations must be >= 0")
         for name in ("n_viral_generations", "n_individuals"):
@@ -261,10 +259,10 @@ def move_random(
     center by grid arithmetic, so it costs O(n * dim + C) per call for C
     centers."""
     shape = state.population.shape
-    # the draw fills a C-ordered block; scaling it into a Fortran buffer
-    # keeps each step's value and the RNG stream, and the sums axis-major
-    steps = np.empty(shape, order="F")
-    np.multiply(rng.standard_normal(shape), cfg.walk_step_fraction * b.span, out=steps)
+    # one transposing copy makes the C-ordered draw axis-major, so the scale
+    # (one scalar per column) and the step run along contiguous columns
+    steps = np.asfortranarray(rng.standard_normal(shape))
+    steps *= cfg.walk_step_fraction * b.span
     steps += state.population
     folded = _boundary_policy(cfg)(steps.ravel(order="F"), _walk_box(state, b))
     state.population = folded.reshape(shape, order="F")

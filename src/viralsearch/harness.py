@@ -16,7 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .benchmarks import BenchmarkSpec, make_benchmark
-from .core import Bounds, ConfigurationError, Objective, ViralSearchError, child_seed
+from .core import (
+    Bounds, ConfigurationError, Objective, ViralSearchError, check_integers, child_seed,
+)
 from .engine import RunResult, VSConfig, run
 
 _TAIL_COLUMNS = ("time_s", "seed", "kind", "status")
@@ -42,6 +44,7 @@ class ExperimentSpec:
     checkpoints: Optional[tuple] = None
 
     def __post_init__(self):
+        check_integers(self, ("repeat", "seed_base"))
         if self.repeat < 1:
             raise ConfigurationError("repeat must be >= 1")
         if self.seed_base < 0:

@@ -117,21 +117,27 @@ class TestShekel:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        data=st.data(),
         d=st.integers(1, 6),
         m=st.integers(1, 12),
         shape=st.sampled_from([(), (5,), (3, 4)]),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_tensor_formula_to_rounding(self, data, d, m, shape):
-        a = np.array(
-            data.draw(st.lists(st.floats(0.0, 10.0), min_size=d * m, max_size=d * m))
-        ).reshape(d, m)
-        c = np.array(data.draw(st.lists(st.floats(1e-3, 10.0), min_size=m, max_size=m)))
-        size = int(np.prod(shape, dtype=int)) * d
+    def test_matches_the_tensor_formula_to_rounding(self, d, m, shape, seed):
+        rng = make_rng(seed)
+
+        def with_edges(values, edges):
+            # about a fifth of the entries on the ends of their range
+            hit = rng.random(values.shape) < 0.2
+            values[hit] = rng.choice(edges, hit.sum())
+            return values
+
+        a = with_edges(rng.uniform(0.0, 10.0, (d, m)), [0.0, 10.0])
+        c = with_edges(rng.uniform(1e-3, 10.0, m), [1e-3, 10.0])
         # points in [0, 10]^d, or up to 10^3 outside it on either side
-        coords = st.one_of(st.floats(0.0, 10.0), st.floats(-1e3, 1e3 + 10.0))
-        x = np.array(data.draw(st.lists(coords, min_size=size, max_size=size)))
-        x = x.reshape(shape + (d,))
+        x = np.where(rng.random(shape + (d,)) < 0.5,
+                     rng.uniform(0.0, 10.0, shape + (d,)),
+                     rng.uniform(-1e3, 1e3 + 10.0, shape + (d,)))
+        x = with_edges(x, [0.0, 10.0, -1e3, 1e3, 1e3 + 10.0])
         got = shekel(x, a, c)
         assert got.shape == shape
         assert_near_the_tensor_formula(got, x, a, c)

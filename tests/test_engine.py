@@ -255,6 +255,44 @@ class TestMoveRandom:
         nearest = [nearest_center(p, make_centers(BOX, 2)) for p in state.population]
         assert np.array_equal(state.visit_counts, np.bincount(nearest, minlength=4))
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([1, 2, 30, 1000]),
+        dim=st.sampled_from([1, 2, 4, 8]),
+        fraction=st.sampled_from([1e-3, 0.1, 1.0]),
+        walk_boundary=st.sampled_from(["reflect", "clamp"]),
+        centers=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_scaled_draw_folded(
+        self, n, dim, fraction, walk_boundary, centers, seed
+    ):
+        """One walk is fold(pop + z * (walk_step_fraction * span)) for the
+        (n, d) draw z of the same stream, bit for bit and sign of zero."""
+        gen = make_rng(seed)
+        lb = gen.choice([0.0, -1.5, 2.0, -100.0], dim)
+        b = Bounds(lb, lb + gen.uniform(1e-3, 100.0, dim))
+        population = gen.uniform(b.lb, b.ub, (n, dim))
+        # scouts at -0.0 and on either wall
+        population[gen.random((n, dim)) < 0.2] = -0.0
+        population = np.where(gen.random((n, dim)) < 0.2, b.lb, population)
+        population = np.where(gen.random((n, dim)) < 0.2, b.ub, population)
+        k = 3 if centers else 0
+        cfg = small_cfg(n_individuals=n, centers_per_axis=k, walk_step_fraction=fraction,
+                        walk_boundary=walk_boundary)
+        fold = reflect_into_bounds if walk_boundary == "reflect" else clamp_to_bounds
+        z = make_rng(seed).standard_normal((n, dim))
+        expected = fold(population + z * (fraction * b.span), b)
+        state = EngineState(population=population.copy(),
+                            visit_counts=np.zeros(k**dim, dtype=np.int64))
+        move_random(state, b, cfg, make_rng(seed))
+        assert np.array_equal(state.population, expected)
+        assert np.array_equal(np.signbit(state.population), np.signbit(expected))
+        assert state.population.flags.f_contiguous
+        if centers:
+            tally = np.bincount(_center_indices(expected, b, k), minlength=k**dim)
+            assert np.array_equal(state.visit_counts, tally)
+
 
 class TestPopulationLayout:
     """Scouts stay Fortran-ordered (axis-major), so the walk, the fold and

@@ -60,6 +60,19 @@ class TestExperimentSpec:
         with pytest.raises(ConfigurationError, match="seed_base must be non-negative"):
             tiny_spec(seed_base=-1)
 
+    @pytest.mark.parametrize("field", ["repeat", "seed_base"])
+    @pytest.mark.parametrize("value", [2.5, 2.0])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            tiny_spec(**{field: value})
+
+    def test_numpy_integer_counts_run_like_python_ints(self):
+        plain = run_experiment(tiny_spec(repeat=2, seed_base=3))
+        np_ints = run_experiment(tiny_spec(repeat=np.int64(2), seed_base=np.int64(3)))
+        assert [(r.seed, r.value, r.point) for r in np_ints] == [
+            (r.seed, r.value, r.point) for r in plain
+        ]
+
     def test_builtin_grids(self):
         specs = builtin_specs()
         assert set(specs) == {
