@@ -24,7 +24,6 @@ from .core import (
     random_init,
     reflect_into_bounds,
     stratified_init,
-    uniform_sample,
 )
 from .engine import (
     EngineState,
@@ -32,9 +31,7 @@ from .engine import (
     TraceRow,
     VSConfig,
     init_state,
-    make_centers,
     move_random,
-    nearest_center,
     rebalance,
     run,
     step,
@@ -61,9 +58,7 @@ from .schema_lab import (
     count_matches,
     defining_length,
     expected_count_bound,
-    matches,
     onemax_fitness,
-    order,
     random_population,
     schema_fitness,
     schema_growth_experiment,

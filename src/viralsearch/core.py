@@ -182,11 +182,6 @@ def reflect_into_bounds(p: np.ndarray, b: Bounds) -> np.ndarray:
     return out
 
 
-def uniform_sample(b: Bounds, rng: RngStream) -> Point:
-    """One point with each coordinate uniform on its axis interval."""
-    return rng.uniform(b.lb, b.ub)
-
-
 def random_init(b: Bounds, n: int, rng: RngStream) -> Population:
     """A cloud of `n` independent uniform points."""
     if n < 1:

@@ -111,7 +111,9 @@ class VSConfig:
 
 @dataclass
 class TraceRow:
-    """One generation's snapshot of the incumbent and the rows evaluated so far."""
+    """One generation's snapshot of the incumbent and the rows evaluated so
+    far. `best_point` is the incumbent's read-only array, shared by every
+    row it was the incumbent of and by the run's result."""
 
     generation: int
     fobj_global: float
@@ -170,40 +172,15 @@ def _center_count(b: Bounds, centers_per_axis: int) -> int:
     return total
 
 
-def make_centers(b: Bounds, centers_per_axis: int) -> np.ndarray:
-    """Full Cartesian grid of reference centers.
-
-    Each axis is cut into `centers_per_axis` equal slices and centers sit
-    at slice midpoints, so the grid has centers_per_axis ** dim points.
-    The engine stores only visit counts; this grid is the tests' oracle.
-    """
-    if centers_per_axis < 1:
-        raise ConfigurationError("centers_per_axis must be >= 1 to build centers")
-    _center_count(b, centers_per_axis)
-    marks = [
-        b.lb[j] + (np.arange(centers_per_axis) + 0.5) * (b.span[j] / centers_per_axis)
-        for j in range(b.dim)
-    ]
-    grid = np.meshgrid(*marks, indexing="ij")
-    return np.stack([g.ravel() for g in grid], axis=-1)
-
-
-def nearest_center(p: Point, centers: np.ndarray) -> int:
-    """Index of the Euclidean-nearest center; ties go to the lowest index."""
-    if len(centers) == 0:
-        raise ValueError("centers list is empty")
-    d2 = ((centers - np.asarray(p, dtype=float)) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
-
-
 def _center_indices(points: np.ndarray, b: Bounds, k: int) -> np.ndarray:
-    """Row index in `make_centers(b, k)` of each point's nearest center.
+    """Index of each point's Euclidean-nearest center on the grid of `k`
+    centers per axis: cells of width w = span / k with their centers at the
+    midpoints lb + (j + 0.5) * w, flattened in C order.
 
-    The centers are the cell midpoints of a regular grid, so the nearest
-    one is found axis by axis: cell ceil((x - lb) / w) - 1 with width
-    w = span / k, clipped to [0, k - 1], then flattened in the grid's
-    C order. A point on a cell edge goes to the lower cell, which is
-    `nearest_center`'s lowest-index tie. Costs O(n * dim) time and memory.
+    Because the centers are cell midpoints, the nearest one is found axis
+    by axis: cell ceil((x - lb) / w) - 1, clipped to [0, k - 1]. A point on
+    a cell edge, equidistant from two centers, goes to the lower cell, the
+    lowest index. Costs O(n * dim) time and memory.
     """
     cells = np.ceil((points - b.lb) / (b.span / k)).astype(np.intp) - 1
     np.clip(cells, 0, k - 1, out=cells)
@@ -281,9 +258,10 @@ def rebalance(
     centers first, scattering them (per-axis Gaussian, stdev = half the
     center spacing) around the quietest centers, quietest first. Visit
     counts are history and stay untouched. Each scout's center comes from
-    the same grid arithmetic as `move_random`'s tally, and each
-    destination's coordinates from `make_centers`' midpoint formula;
-    ranking the C centers costs O(C log C) time and O(C) memory.
+    the same grid arithmetic as `move_random`'s tally (ties to the lowest
+    center index), and a destination center at grid cell c sits at the
+    midpoint lb + (c + 0.5) * span / centers_per_axis; ranking the C
+    centers costs O(C log C) time and O(C) memory.
     """
     n = len(state.population)
     k = int(cfg.rebalance_fraction * n)
@@ -370,6 +348,9 @@ def step(
         )
         state.epidemic_count += 1
         if best_value <= state.fobj_global:
+            # a fresh array from the burst, shared read-only by every later
+            # trace row and the run's result
+            best_point.flags.writeable = False
             state.fobj_global = best_value
             state.best_individual_global = best_point
 
@@ -382,12 +363,11 @@ def step(
     ):
         rebalance(state, b, cfg, rng)
 
-    best = state.best_individual_global
     state.trace.append(
         TraceRow(
             generation=t,
             fobj_global=state.fobj_global,
-            best_point=None if best is None else best.copy(),
+            best_point=state.best_individual_global,
             epidemics_so_far=state.epidemic_count,
             elapsed_ms=(time.perf_counter() - state.started_at) * 1e3,
             evaluations=sum(state.evaluations.values()),
@@ -425,9 +405,8 @@ def run(objective: Objective, b: Bounds, cfg: VSConfig) -> RunResult:
         ):
             break
 
-    best = state.best_individual_global
     return RunResult(
-        best_point=None if best is None else best.copy(),
+        best_point=state.best_individual_global,
         best_value=state.fobj_global,
         trace=state.trace,
         epidemic_count=state.epidemic_count,

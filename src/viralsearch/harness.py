@@ -292,54 +292,6 @@ def write_rows(rows: list, path: str, bench: BenchmarkSpec) -> None:
             )
 
 
-def read_rows_json(path: str) -> list:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    rows = [ReportRow(**entry) for entry in payload["rows"]]
-    for row in rows:
-        if row.point is not None:
-            row.point = tuple(row.point)
-    return rows
-
-
-def read_rows_csv(path: str) -> list:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        time_at = header.index("time_s")
-        value_at = time_at - 1
-        coord_start = value_at
-        for j, name in enumerate(header[:value_at]):
-            if name == "x" or name == "x1":
-                coord_start = j
-                break
-        rows = []
-        for record in reader:
-            sweep = {
-                name: _parse_number(record[j]) for j, name in enumerate(header[:coord_start])
-            }
-            point = tuple(float(record[j]) for j in range(coord_start, value_at))
-            rows.append(
-                ReportRow(
-                    sweep=sweep,
-                    point=point,
-                    value=float(record[value_at]),
-                    time_s=float(record[time_at]),
-                    seed=int(record[time_at + 1]),
-                    kind=record[time_at + 2],
-                    status=record[time_at + 3],
-                )
-            )
-    return rows
-
-
-def _parse_number(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 def split_bounds(b: Bounds, m: int) -> list:
     """Partition the box into `m` boxes by repeatedly halving the widest
     box along its longest axis (ties to the lowest index)."""
@@ -401,9 +353,7 @@ def parallel_run(objective: Objective, b: Bounds, cfg: VSConfig, m: int = 1) -> 
             row.worker = w
         trace.extend(res.trace)
     return RunResult(
-        best_point=None
-        if results[best_w].best_point is None
-        else results[best_w].best_point.copy(),
+        best_point=results[best_w].best_point,
         best_value=results[best_w].best_value,
         trace=trace,
         epidemic_count=sum(res.epidemic_count for res in results),

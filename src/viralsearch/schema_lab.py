@@ -80,33 +80,6 @@ def defining_length(schema: SchemaLike) -> int:
     return delta
 
 
-def order(schema: SchemaLike) -> int:
-    """Number of fixed (non-wildcard) positions."""
-    return compile_schema(schema).order
-
-
-def _as_bits(values, what: str) -> np.ndarray:
-    """`values` as a new uint8 array, checked before the cast: `ValueError`
-    unless every entry is exactly 0 or 1."""
-    values = np.asarray(values)
-    if not ((values == 0) | (values == 1)).all():
-        raise ValueError(f"{what} must contain only 0/1 bits")
-    return values.astype(np.uint8)
-
-
-def matches(schema: SchemaLike, candidate) -> bool:
-    """True when the candidate bit-string agrees with every fixed position."""
-    s = compile_schema(schema)
-    if isinstance(candidate, str):
-        candidate = [int(ch) for ch in candidate]
-    bits = _as_bits(candidate, "candidate")
-    if bits.size != len(s.pattern):
-        raise ValueError(
-            f"candidate has {bits.size} bits, schema has {len(s.pattern)} positions"
-        )
-    return bool((bits[s.idx] == s.vals).all())
-
-
 def _checked_fitness(fitness_fn: Callable, members: np.ndarray) -> np.ndarray:
     """`fitness_fn(members)` as a new float vector, one finite, strictly
     positive value per member."""
@@ -136,7 +109,11 @@ class BinaryPopulation:
     _fitness: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        members = _as_bits(self.members, "members")
+        # checked before the cast, which would wrap 256 to 0 and 0.5 to 0
+        members = np.asarray(self.members)
+        if not ((members == 0) | (members == 1)).all():
+            raise ValueError("members must contain only 0/1 bits")
+        members = members.astype(np.uint8)
         if members.ndim != 2:
             raise ValueError("members must be a 2-D bit matrix")
         members.flags.writeable = False

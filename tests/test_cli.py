@@ -10,7 +10,8 @@ import pytest
 
 import viralsearch
 import viralsearch.cli as cli
-from viralsearch.harness import ExperimentSpec, read_rows_csv, read_rows_json
+from viralsearch.harness import ExperimentSpec
+from reference import read_rows_csv, read_rows_json
 
 
 def run_cli(*args):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import tracemalloc
 
@@ -24,14 +25,13 @@ from viralsearch.engine import (
     _trigger_candidates,
     _walk_box,
     init_state,
-    make_centers,
     move_random,
-    nearest_center,
     rebalance,
     run,
     step,
     trigger_epidemic,
 )
+from reference import make_centers, nearest_center
 
 BOX = Bounds([-3.0, -3.0], [3.0, 3.0])
 SPHERE = Objective(lambda t, p: (p**2).sum(axis=1), arity=2, name="sphere")
@@ -110,9 +110,10 @@ class TestMakeCenters:
         assert np.allclose(sorted(set(np.round(centers[:, 1], 12))), expected_axis)
 
     def test_center_count_guard(self):
+        # the engine caps the grid; the reference grid builds any size
         b3 = Bounds([0.0] * 3, [1.0] * 3)
         with pytest.raises(ConfigurationError, match="parallel"):
-            make_centers(b3, 101)  # 101^3 > 1e6
+            init_state(b3, small_cfg(centers_per_axis=101), make_rng(0))  # 101^3 > 1e6
 
 
 class TestNearestCenter:
@@ -472,13 +473,21 @@ class TestRebalance:
         assert np.array_equal(state.population, before)
 
     def test_moves_toward_least_visited_center(self):
-        b, state = self.two_center_state([0.2] * 8)
+        # scouts 0, 2, 4 and 6 sit at the busy center 0.25, the rest at the
+        # quiet center 0.75
+        b, state = self.two_center_state([0.2, 0.8, 0.3, 0.9, 0.1, 0.6, 0.4, 0.7])
         state.visit_counts[:] = (10, 0)
+        before = state.population.copy()
         cfg = small_cfg(centers_per_axis=2, rebalance_fraction=0.5)
-        rebalance(state, b, cfg, make_rng(4))
-        k = 4
-        assert len(state.population) == 8
-        assert (state.population[:, 0] > 0.5).sum() >= k
+        rng = make_rng(4)
+        replay = copy.deepcopy(rng)
+        rebalance(state, b, cfg, rng)
+        movers, stayers = [0, 2, 4, 6], [1, 3, 5, 7]
+        # the four movers land around the quiet center's midpoint
+        # lb + (1 + 0.5) * spacing = 0.75, scattered with stdev spacing / 2
+        expected = reflect_into_bounds(0.75 + replay.normal(0.0, 0.25, (4, 1)), b)
+        assert np.array_equal(state.population[movers], expected)
+        assert np.array_equal(state.population[stayers], before[stayers])
         assert np.array_equal(state.visit_counts, [10, 0])
 
     def test_mover_destinations_center_on_the_quiet_side(self):
@@ -604,23 +613,18 @@ class TestTriggerCandidates:
         n=st.integers(1, 50),
         incumbent=st.one_of(st.just(np.inf), st.floats(-5.0, 5.0)),
         tol=st.sampled_from([0.0, 1e-12, 0.5]),
-        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_mask_formula(self, n, incumbent, tol, data):
+    def test_matches_the_mask_formula(self, n, incumbent, tol, seed):
         threshold = incumbent - tol
         at = [threshold, np.nextafter(threshold, -np.inf), np.nextafter(threshold, np.inf)]
-        values = np.array(
-            data.draw(
-                st.lists(
-                    st.one_of(
-                        st.floats(-6.0, 6.0),
-                        st.just(np.inf),
-                        st.sampled_from([v for v in at if np.isfinite(v)] or [0.0]),
-                    ),
-                    min_size=n,
-                    max_size=n,
-                )
-            )
+        edges = np.array([v for v in at if np.isfinite(v)] or [0.0])
+        # each value is, with equal odds, uniform on [-6, 6], +inf, or the
+        # threshold or a neighbour of it
+        rng = make_rng(seed)
+        values = np.choose(
+            rng.integers(0, 3, n),
+            [rng.uniform(-6.0, 6.0, n), np.full(n, np.inf), edges[rng.integers(0, len(edges), n)]],
         )
         expected = np.flatnonzero((values < np.inf) & (values <= threshold))
         got = _trigger_candidates(values, threshold)
@@ -746,6 +750,16 @@ class TestRun:
         result = run(SPHERE, BOX, small_cfg(n_generations=20, seed=4))
         pts = np.array([row.best_point for row in result.trace])
         assert BOX.contains(pts)
+
+    def test_trace_rows_share_one_read_only_incumbent(self):
+        result = run(SPHERE, BOX, small_cfg(n_generations=20, seed=4))
+        with pytest.raises(ValueError):
+            result.best_point[0] = 0.0
+        assert result.trace[-1].best_point is result.best_point
+        # one array per incumbent: no more arrays than bursts
+        points = {id(row.best_point) for row in result.trace}
+        assert len(points) <= result.epidemic_count
+        assert not any(row.best_point.flags.writeable for row in result.trace)
 
     def test_bit_exact_reproducibility(self):
         cfg = small_cfg(n_generations=15, centers_per_axis=3, seed=11)

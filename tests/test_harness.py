@@ -22,13 +22,12 @@ from viralsearch.harness import (
     ReportRow,
     builtin_specs,
     parallel_run,
-    read_rows_csv,
-    read_rows_json,
     run_experiment,
     split_bounds,
     trace_export,
     write_rows,
 )
+from reference import read_rows_csv, read_rows_json
 
 SPHERE = Objective(lambda t, p: (p**2).sum(axis=1), arity=2, name="sphere")
 BOX = Bounds([-3.0, -3.0], [3.0, 3.0])
@@ -449,6 +448,7 @@ class TestParallelRun:
         best = min(oracle, key=lambda r: r.best_value)  # ties go to the lowest index
         assert merged.best_value == best.best_value
         assert np.array_equal(merged.best_point, best.best_point)
+        assert not merged.best_point.flags.writeable
         assert merged.epidemic_count == sum(r.epidemic_count for r in oracle)
         assert merged.epidemic_count > m  # the workers did fire bursts
         expected = [(w, row) for w, r in enumerate(oracle) for row in r.trace]
