@@ -19,7 +19,6 @@ from .core import (
     Objective,
     ViralSearchError,
     child_seed,
-    clamp_to_bounds,
     make_rng,
     random_init,
     reflect_into_bounds,

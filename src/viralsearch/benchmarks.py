@@ -128,20 +128,25 @@ class Optimum:
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """A named objective with its default search box and known optimum."""
+    """A named objective with its default search box and known optimum;
+    its `name` is the objective's and its `arity` the box's dimension."""
 
-    name: str
-    arity: int
     bounds: Bounds
     objective: Objective
     known_optimum: Optional[Optimum] = None
+
+    @property
+    def name(self) -> str:
+        return self.objective.name
+
+    @property
+    def arity(self) -> int:
+        return self.bounds.dim
 
 
 def _sphere_spec(dim: int = 2) -> BenchmarkSpec:
     obj = Objective(lambda t, p: sphere(p), arity=dim, name="sphere")
     return BenchmarkSpec(
-        name="sphere",
-        arity=dim,
         bounds=Bounds(np.full(dim, -3.0), np.full(dim, 3.0)),
         objective=obj,
         known_optimum=Optimum(tuple([0.0] * dim), 0.0, "min"),
@@ -155,8 +160,6 @@ def _rosenbrock_spec(a: float = 1.0, b: float = 100.0) -> BenchmarkSpec:
         name="rosenbrock",
     )
     return BenchmarkSpec(
-        name="rosenbrock",
-        arity=2,
         bounds=Bounds([-3.0, -3.0], [3.0, 3.0]),
         objective=obj,
         known_optimum=Optimum((a, a * a), 0.0, "min"),
@@ -166,8 +169,6 @@ def _rosenbrock_spec(a: float = 1.0, b: float = 100.0) -> BenchmarkSpec:
 def _schaffer_spec() -> BenchmarkSpec:
     obj = Objective(lambda t, p: schaffer(p[:, 0], p[:, 1]), arity=2, name="schaffer")
     return BenchmarkSpec(
-        name="schaffer",
-        arity=2,
         bounds=Bounds([-3.0, -3.0], [3.0, 3.0]),
         objective=obj,
         known_optimum=Optimum((0.0, 0.0), 0.0, "min"),
@@ -184,8 +185,6 @@ def _two_well_spec(tau: float = 1000.0) -> BenchmarkSpec:
     # the recorded optimum is the t=0 landscape; the (2, 2) well is
     # deeper once t > 2*tau
     return BenchmarkSpec(
-        name="two_well",
-        arity=2,
         bounds=Bounds([-6.0, -6.0], [6.0, 6.0]),
         objective=obj,
         known_optimum=Optimum((-2.5, -2.5), -2.0, "min"),
@@ -199,8 +198,6 @@ def _shekel_spec() -> BenchmarkSpec:
     # there, rounded to 6 decimals (within 1e-11 of the refined value)
     peak = (4.00074, 4.000594, 4.00074, 3.999495)
     return BenchmarkSpec(
-        name="shekel",
-        arity=4,
         bounds=Bounds(np.zeros(4), np.full(4, 10.0)),
         objective=obj,
         known_optimum=Optimum(peak, float(shekel(np.array(peak))), "max"),

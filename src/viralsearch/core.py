@@ -34,11 +34,10 @@ class EvaluationError(ViralSearchError):
     """
 
 
-def check_integers(config, names) -> None:
-    """Reject any of the `names` fields of `config` that is not a Python or
-    numpy integer: numpy's draws and `range` take no float counts."""
-    for name in names:
-        v = getattr(config, name)
+def check_integers(**counts) -> None:
+    """Reject any of the named `counts` that is not a Python or numpy
+    integer: numpy's draws and `range` take no float counts."""
+    for name, v in counts.items():
         if not isinstance(v, (int, np.integer)):
             raise ConfigurationError(f"{name} must be an integer, got {v!r}")
 
@@ -135,19 +134,6 @@ def _checked(p: np.ndarray, b: Bounds) -> np.ndarray:
     if p.shape[-1] != b.dim:
         raise ValueError(f"point has {p.shape[-1]} coordinates, bounds have {b.dim}")
     return p
-
-
-def clamp_to_bounds(p: np.ndarray, b: Bounds) -> np.ndarray:
-    """Project onto the box: each coordinate saturates at the nearer wall.
-
-    Accepts a single point or a stack of points; idempotent. A coordinate
-    with lb <= p <= ub comes back as `p` itself, so a zero on a zero wall
-    of the other sign keeps its sign in every shape and memory layout,
-    where `np.clip` may return either zero. The result keeps the memory
-    layout of `p`.
-    """
-    p = _checked(p, b)
-    return np.where(p < b.lb, b.lb, np.where(p > b.ub, b.ub, p))
 
 
 def reflect_into_bounds(p: np.ndarray, b: Bounds) -> np.ndarray:

@@ -25,7 +25,6 @@ from .core import (
     Population,
     RngStream,
     check_integers,
-    clamp_to_bounds,
     make_rng,
     random_init,
     reflect_into_bounds,
@@ -33,13 +32,8 @@ from .core import (
 )
 from .local_search import DEConfig, check_draw_range, de_optimize
 
-
-def _boundary_policy(cfg: "VSConfig"):
-    return reflect_into_bounds if cfg.walk_boundary == "reflect" else clamp_to_bounds
-
 _MAX_CENTERS = 1_000_000
-# VSConfig fields that count something, so must be integers; so must
-# `stagnation_window` when set
+# VSConfig fields that count something, so must be integers
 _COUNT_FIELDS = ("n_generations", "n_viral_generations", "n_individuals",
                  "n_viral_individuals", "centers_per_axis", "rebalance_every", "seed")
 
@@ -65,14 +59,11 @@ class VSConfig:
     rebalance_every: int = 10
     rebalance_fraction: float = 0.25
     trigger_tolerance: float = 1e-12
-    stagnation_window: Optional[int] = None
     seed: int = 0
     init: str = "stratified"
-    walk_boundary: str = "reflect"
 
     def __post_init__(self):
-        window = () if self.stagnation_window is None else ("stagnation_window",)
-        check_integers(self, _COUNT_FIELDS + window)
+        check_integers(**{name: getattr(self, name) for name in _COUNT_FIELDS})
         if self.n_generations < 0:
             raise ConfigurationError("n_generations must be >= 0")
         for name in ("n_viral_generations", "n_individuals"):
@@ -95,17 +86,11 @@ class VSConfig:
             raise ConfigurationError("rebalance_fraction must be in [0, 1]")
         if self.trigger_tolerance < 0.0:
             raise ConfigurationError("trigger_tolerance must be >= 0")
-        if self.stagnation_window is not None and self.stagnation_window < 1:
-            raise ConfigurationError("stagnation_window must be >= 1 or None")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
         if self.init not in ("stratified", "random"):
             raise ConfigurationError(
                 f"init must be 'stratified' or 'random', got {self.init!r}"
-            )
-        if self.walk_boundary not in ("reflect", "clamp"):
-            raise ConfigurationError(
-                f"walk_boundary must be 'reflect' or 'clamp', got {self.walk_boundary!r}"
             )
 
 
@@ -228,8 +213,8 @@ def move_random(
     state: EngineState, b: Bounds, cfg: VSConfig, rng: RngStream
 ) -> EngineState:
     """Perturb every scout with an independent Gaussian step per axis,
-    folding at the walls per the configured boundary policy, and tally
-    center visits when centers are on.
+    reflecting it back across the walls it crossed, and tally center
+    visits when centers are on.
 
     The walk and the fold are flat passes over the n * dim coordinates
     against `_walk_box`'s per-element limits. The tally finds each scout's
@@ -241,7 +226,7 @@ def move_random(
     steps = np.asfortranarray(rng.standard_normal(shape))
     steps *= cfg.walk_step_fraction * b.span
     steps += state.population
-    folded = _boundary_policy(cfg)(steps.ravel(order="F"), _walk_box(state, b))
+    folded = reflect_into_bounds(steps.ravel(order="F"), _walk_box(state, b))
     state.population = folded.reshape(shape, order="F")
     if state.has_centers():
         idx = _center_indices(state.population, b, cfg.centers_per_axis)
@@ -278,7 +263,7 @@ def rebalance(
     cells = np.stack(np.unravel_index(dest, (cfg.centers_per_axis,) * b.dim), -1)
     spacing = b.span / cfg.centers_per_axis
     scatter = b.lb + (cells + 0.5) * spacing + rng.normal(0.0, spacing / 2, (k, b.dim))
-    state.population[movers] = _boundary_policy(cfg)(scatter, b)
+    state.population[movers] = reflect_into_bounds(scatter, b)
     return state
 
 
@@ -378,10 +363,10 @@ def step(
 
 
 def run(objective: Objective, b: Bounds, cfg: VSConfig) -> RunResult:
-    """Full optimization: initialize, iterate `step` for n_generations (or
-    until the incumbent stagnates for `stagnation_window` generations),
-    and package the result. A burst population too large to draw its
-    partners in `b.dim` axes fails before any evaluation."""
+    """Full optimization: initialize, iterate `step` for exactly
+    `n_generations` generations, and package the result. A burst
+    population too large to draw its partners in `b.dim` axes fails
+    before any evaluation."""
     if objective.arity != b.dim:
         raise ConfigurationError(
             f"objective arity {objective.arity} does not match bounds "
@@ -392,18 +377,8 @@ def run(objective: Objective, b: Bounds, cfg: VSConfig) -> RunResult:
     t0 = time.perf_counter()
     rng = make_rng(cfg.seed)
     state = init_state(b, cfg, rng)
-    last_improvement = 0
-    while state.generation < cfg.n_generations:
-        previous = state.fobj_global
+    for _ in range(cfg.n_generations):
         step(state, objective, b, cfg, rng)
-        t = state.generation - 1
-        if previous - state.fobj_global > cfg.trigger_tolerance:
-            last_improvement = t
-        if (
-            cfg.stagnation_window is not None
-            and t - last_improvement >= cfg.stagnation_window
-        ):
-            break
 
     return RunResult(
         best_point=state.best_individual_global,

@@ -44,7 +44,7 @@ class ExperimentSpec:
     checkpoints: Optional[tuple] = None
 
     def __post_init__(self):
-        check_integers(self, ("repeat", "seed_base"))
+        check_integers(repeat=self.repeat, seed_base=self.seed_base)
         if self.repeat < 1:
             raise ConfigurationError("repeat must be >= 1")
         if self.seed_base < 0:
@@ -295,6 +295,7 @@ def write_rows(rows: list, path: str, bench: BenchmarkSpec) -> None:
 def split_bounds(b: Bounds, m: int) -> list:
     """Partition the box into `m` boxes by repeatedly halving the widest
     box along its longest axis (ties to the lowest index)."""
+    check_integers(m=m)
     if m < 1:
         raise ConfigurationError("m must be >= 1")
     boxes = [b]
@@ -323,6 +324,7 @@ def parallel_run(objective: Objective, b: Bounds, cfg: VSConfig, m: int = 1) -> 
     and fires its own bursts, and the call costs the sum of its workers'
     runs. With m=1 this is exactly `run` with the same seed.
     """
+    check_integers(m=m)
     if m < 1:
         raise ConfigurationError("m must be >= 1")
     if m > cfg.n_individuals:

@@ -19,24 +19,29 @@ from .core import (
     Objective,
     Point,
     RngStream,
+    check_integers,
 )
+
+
+# DE/rand/1/bin's differential weight F and crossover rate CR (Storn &
+# Price 1997), the same for every burst
+_F = 0.8
+_CR = 0.9
 
 
 @dataclass(frozen=True)
 class DEConfig:
-    """Differential evolution parameters.
+    """Differential evolution's sizes: members and generations.
 
-    An engine burst takes `pop_size` and `generations` from its
-    `VSConfig` (`n_viral_individuals`, `n_viral_generations`) and keeps
-    the default weights, F = 0.8 and CR = 0.9.
+    An engine burst takes them from its `VSConfig` (`n_viral_individuals`,
+    `n_viral_generations`); the weights stay at F = 0.8 and CR = 0.9.
     """
 
     pop_size: int = 20
     generations: int = 50
-    differential_weight: float = 0.8
-    crossover_rate: float = 0.9
 
     def __post_init__(self):
+        check_integers(pop_size=self.pop_size, generations=self.generations)
         if self.pop_size < 4:
             raise ConfigurationError(
                 f"pop_size must be >= 4 (three distinct partners plus the "
@@ -44,14 +49,6 @@ class DEConfig:
             )
         if self.generations < 1:
             raise ConfigurationError(f"generations must be >= 1, got {self.generations}")
-        if not 0.0 < self.differential_weight <= 2.0:
-            raise ConfigurationError(
-                f"differential_weight must be in (0, 2], got {self.differential_weight}"
-            )
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ConfigurationError(
-                f"crossover_rate must be in [0, 1], got {self.crossover_rate}"
-            )
 
 
 _BLOCK = 16  # generations whose randomness one draw serves
@@ -147,7 +144,6 @@ def de_optimize(
         raise ValueError("de_optimize requires an explicit rng")
     n, d = cfg.pop_size, region.dim
     check_draw_range(n, d)
-    f, cr = cfg.differential_weight, cfg.crossover_rate
 
     pop = rng.uniform(region.lb, region.ub, size=(n, d))
     if seed_point is not None:
@@ -163,14 +159,14 @@ def de_optimize(
     lb, ub = np.tile(region.lb, n), np.tile(region.ub, n)
 
     for start in range(0, cfg.generations, _BLOCK):
-        block = _draw_block(rng, n, d, cr, min(_BLOCK, cfg.generations - start))
+        block = _draw_block(rng, n, d, _CR, min(_BLOCK, cfg.generations - start))
         for partners, cross in zip(*block):
             # rows r1, r2 and r3 of every member, gathered by one `take`
             r1, r2, r3 = pop.take(partners.T, 0)
-            # pop[r1] + f * (pop[r2] - pop[r3]), bit for bit: IEEE * and +
+            # pop[r1] + F * (pop[r2] - pop[r3]), bit for bit: IEEE * and +
             # commute exactly
             mutant = np.subtract(r2, r3, out=r2)
-            mutant *= f
+            mutant *= _F
             mutant += r1
             trial = np.where(cross, mutant, pop)
             # np.clip's values as two flat passes against the tiled limits

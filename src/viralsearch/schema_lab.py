@@ -3,9 +3,8 @@
 A schema is a template over {0, 1, *} matching every bit-string that
 agrees with it on the fixed (non-*) positions. The lab runs a plain
 generational GA (roulette selection, single-point crossover on
-consecutive pairs, per-bit mutation, optional elitism) and compares the
-observed growth of a schema's instance count against the expected-count
-lower bound
+consecutive pairs, per-bit mutation) and compares the observed growth of
+a schema's instance count against the expected-count lower bound
 
     count * (schema_fitness / mean_fitness)
           * (1 - p_c * defining_length / (m - 1))
@@ -20,7 +19,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import ConfigurationError, RngStream, ViralSearchError, child_seed, make_rng
+from .core import (
+    ConfigurationError, RngStream, ViralSearchError, check_integers, child_seed, make_rng,
+)
 
 WILDCARD = "*"
 
@@ -120,17 +121,14 @@ class BinaryPopulation:
         object.__setattr__(self, "members", members)
 
     @classmethod
-    def _trusted(cls, members: np.ndarray, fitness_fn, fitness=None) -> "BinaryPopulation":
+    def _trusted(cls, members: np.ndarray, fitness_fn) -> "BinaryPopulation":
         """A population over a uint8 0/1 matrix the caller owns and built
-        itself: no copy, no validation. `fitness`, when given, must be
-        `_checked_fitness(fitness_fn, members)`."""
+        itself: no copy, no validation."""
         pop = object.__new__(cls)
         members.flags.writeable = False
-        if fitness is not None:
-            fitness.flags.writeable = False
         object.__setattr__(pop, "members", members)
         object.__setattr__(pop, "fitness_fn", fitness_fn)
-        object.__setattr__(pop, "_fitness", fitness)
+        object.__setattr__(pop, "_fitness", None)
         return pop
 
     @property
@@ -155,10 +153,10 @@ class BinaryPopulation:
 class GAParams:
     p_c: float = 0.7
     p_m: float = 0.01
-    elitism: bool = False
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(seed=self.seed)
         if not 0.0 <= self.p_c <= 1.0:
             raise ConfigurationError(f"p_c must be in [0, 1], got {self.p_c}")
         if not 0.0 <= self.p_m <= 1.0:
@@ -177,7 +175,8 @@ def random_population(
     n: int, length: int, fitness_fn: Callable, rng: RngStream
 ) -> BinaryPopulation:
     """`n` uniformly random strings of `length` bits; `ConfigurationError`
-    unless both are at least 1, before any draw."""
+    unless both are integers of at least 1, before any draw."""
+    check_integers(n=n, length=length)
     if n < 1 or length < 1:
         raise ConfigurationError(
             f"need a population size and string length >= 1, got n={n}, length={length}"
@@ -277,9 +276,8 @@ def _masked_sums(values: np.ndarray, mask: np.ndarray, rows: np.ndarray) -> np.n
 
 
 def _ga_block_step(
-    members: np.ndarray, fitness: np.ndarray, fitness_fn: Callable,
-    params: GAParams, rngs: list,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    members: np.ndarray, fitness: np.ndarray, params: GAParams, rngs: list
+) -> np.ndarray:
     """`classic_ga_step` on B populations at once: the (B, n, m) `members`
     with their (B, n) `fitness`. One pass per population k makes all of
     its draws from `rngs[k]`, in this order: `random(n)` for the roulette
@@ -287,8 +285,7 @@ def _ga_block_step(
     `random(n + n // 2)`; `integers(1, m, size=n // 2)` for the cuts; and
     `random((n, m)) < p_m` for the bits that flip. Strings of one bit draw
     no crossover uniforms and no cuts. The gather, the crossover and the
-    mutation then run once for the block. Returns the children and, under
-    elitism, their fitness (else None)."""
+    mutation then run once for the block. Returns the (B, n, m) children."""
     size, n, m = members.shape
     half = n // 2 if m > 1 else 0
     rows = np.arange(size)
@@ -311,31 +308,19 @@ def _ga_block_step(
     children = members.reshape(size * n, m).take(picks, 0)
     _single_point_crossover(children, uniforms[:, n:] < params.p_c, cuts)
     children ^= flips
-    if not params.elitism:
-        return children, None
-    # the best parent replaces the worst child; fitness is row-wise,
-    # so the child's value is the parent's
-    child_fitness = _stacked_fitness(fitness_fn, children)
-    worst, best = child_fitness.argmin(axis=-1), fitness.argmax(axis=-1)
-    children[rows, worst] = members[rows, best]
-    child_fitness[rows, worst] = fitness[rows, best]
-    return children, child_fitness
+    return children
 
 
 def classic_ga_step(
     pop: BinaryPopulation, params: GAParams, rng: RngStream
 ) -> BinaryPopulation:
     """One generational cycle: roulette selection, single-point crossover on
-    consecutive pairs, independent per-bit mutation, optional elitism.
+    consecutive pairs, independent per-bit mutation.
 
-    Costs O(n · m) for n members of m bits. Only elitism evaluates the
-    children's fitness, and the child population keeps that result."""
-    children, child_fitness = _ga_block_step(
-        pop.members[None], pop.fitness()[None], pop.fitness_fn, params, [rng]
-    )
-    if child_fitness is not None:
-        child_fitness = child_fitness[0]
-    return BinaryPopulation._trusted(children[0], pop.fitness_fn, child_fitness)
+    Costs O(n · m) for n members of m bits. The children's fitness is left
+    to their first `fitness()` call."""
+    children = _ga_block_step(pop.members[None], pop.fitness()[None], params, [rng])
+    return BinaryPopulation._trusted(children[0], pop.fitness_fn)
 
 
 @dataclass
@@ -383,10 +368,12 @@ def schema_growth_experiment(
     populations stacked into one matrix, once per generation. The schema
     is parsed once, each population's fitness is evaluated once and its
     match mask built once, and memory is bounded by one block, not by
-    `trials`, beyond the (trials, generations) result arrays. `trials < 1`
-    or `generations < 0` raises `ConfigurationError`, and with
+    `trials`, beyond the (trials, generations) result arrays. A `trials`
+    or `generations` that is not an integer, `trials < 1` or
+    `generations < 0` raises `ConfigurationError`, and with
     `generations >= 1` a schema or string length the bound is undefined
     for raises `ValueError`, both before any trial starts."""
+    check_integers(trials=trials, generations=generations)
     if trials < 1 or generations < 0:
         raise ConfigurationError(
             f"need trials >= 1 and generations >= 0, got trials={trials}, "
@@ -430,10 +417,8 @@ def schema_growth_experiment(
                 xi[live], schema_sums / xi[live], fitness[live].sum(axis=-1) / n, survival
             )
             t1 = time.perf_counter()
-            members, fitness = _ga_block_step(
-                members, fitness, counted_fitness, params, rngs
-            )
-            if fitness is None and g + 1 < generations:
+            members = _ga_block_step(members, fitness, params, rngs)
+            if g + 1 < generations:
                 fitness = _stacked_fitness(counted_fitness, members)
             t2 = time.perf_counter()
             mask = _match_mask(schema, members)

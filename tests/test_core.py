@@ -13,7 +13,6 @@ from viralsearch.core import (
     EvaluationError,
     Objective,
     child_seed,
-    clamp_to_bounds,
     make_rng,
     random_init,
     reflect_into_bounds,
@@ -107,68 +106,6 @@ class TestBounds:
         boxes = {Bounds([0.0], [1.0]), Bounds([-0.0], [1.0]), Bounds([0.0], [2.0])}
         assert len(boxes) == 2
         assert Bounds([0.0], [2.0]) in boxes
-
-
-class TestClamp:
-    @pytest.mark.parametrize(
-        "p, expected",
-        [
-            ((5.0, 0.0), (3.0, 0.0)),
-            ((1.0, 1.0), (1.0, 1.0)),
-            ((-10.0, 10.0), (-3.0, 3.0)),
-        ],
-    )
-    def test_examples(self, p, expected):
-        assert np.allclose(clamp_to_bounds(np.array(p), BOX), expected)
-
-    def test_idempotent_on_random_points(self):
-        rng = make_rng(0)
-        pts = rng.uniform(-20, 20, size=(500, 2))
-        once = clamp_to_bounds(pts, BOX)
-        assert np.array_equal(clamp_to_bounds(once, BOX), once)
-        assert BOX.contains(once)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            clamp_to_bounds(np.array([1.0, 2.0, 3.0]), BOX)
-
-    @pytest.mark.parametrize("shape", [(1, 2), (4, 2), (4, 3), (30, 2), (1000, 4)])
-    @pytest.mark.parametrize("order", ["C", "F", "flat"])
-    def test_a_zero_on_a_zero_wall_keeps_its_sign(self, shape, order):
-        # np.clip returns either zero here, by the array's shape and layout
-        n, d = shape
-        for wall in (0.0, -0.0):
-            lower = Bounds(np.full(d, wall), np.ones(d))
-            upper = Bounds(-np.ones(d), np.full(d, wall))
-            for b in (lower, upper):
-                p = np.full(shape, -wall, order="F" if order == "F" else "C")
-                if order == "flat":
-                    b = Bounds(np.repeat(b.lb, n), np.repeat(b.ub, n))
-                    p = p.reshape(-1)
-                got = clamp_to_bounds(p, b)
-                assert np.array_equal(np.signbit(got), np.signbit(p))
-                assert got.flags.f_contiguous == p.flags.f_contiguous
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5), n=st.integers(1, 12))
-    def test_returns_p_inside_and_the_wall_outside(self, seed, dim, n):
-        rng = make_rng(seed)
-        lb = np.array([-0.0, 0.0, -1.5, 2.0])[rng.integers(0, 4, dim)]
-        b = Bounds(lb, lb + 10.0 ** rng.uniform(-3.0, 3.0, dim))
-        # each coordinate is, with equal odds, a signed zero, a wall, or
-        # +-10**u for u uniform on [-3, 4], so inside and outside both occur
-        shape = (n, dim)
-        p = np.choose(rng.integers(0, 3, shape), [
-            np.array([-0.0, 0.0])[rng.integers(0, 2, shape)],
-            np.where(rng.random(shape) < 0.5, b.lb, b.ub),
-            rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 4.0, shape),
-        ])
-        got = clamp_to_bounds(p, b)
-        assert np.array_equal(got, np.clip(p, b.lb, b.ub))
-        inside = (p >= b.lb) & (p <= b.ub)
-        nearer_wall = np.where(p < b.lb, b.lb, b.ub)
-        assert np.array_equal(np.signbit(got[inside]), np.signbit(p[inside]))
-        assert np.array_equal(np.signbit(got[~inside]), np.signbit(nearer_wall[~inside]))
 
 
 class TestReflect:
@@ -316,17 +253,16 @@ class TestReflect:
     @settings(max_examples=200, deadline=None)
     @given(walls=WALLS, n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), far=st.booleans())
     def test_memory_order_leaves_values_unchanged(self, walls, n, seed, far):
-        # the engine passes Fortran-ordered scouts; both boundary policies
-        # must give the same bits, and keep that order, on either fold branch
+        # the engine passes Fortran-ordered scouts; the fold must give the
+        # same bits, and keep that order, on either of its branches
         rng = make_rng(seed)
         b = self._box(walls, rng)
         p = self._points(b, n, rng, far)
-        for policy in (reflect_into_bounds, clamp_to_bounds):
-            expected = policy(p, b)
-            got = policy(np.asfortranarray(p), b)
-            assert np.array_equal(got, expected)
-            assert np.array_equal(np.signbit(got), np.signbit(expected))
-            assert got.flags.f_contiguous
+        expected = reflect_into_bounds(p, b)
+        got = reflect_into_bounds(np.asfortranarray(p), b)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert got.flags.f_contiguous
 
     def test_upper_clip_keeps_the_upper_wall_inside(self):
         b = Bounds([-0.1], [0.2])

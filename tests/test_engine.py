@@ -13,7 +13,6 @@ from viralsearch.core import (
     ConfigurationError,
     EvaluationError,
     Objective,
-    clamp_to_bounds,
     make_rng,
     reflect_into_bounds,
 )
@@ -63,7 +62,6 @@ class TestVSConfig:
             ("walk_step_fraction", 0.0),
             ("rebalance_fraction", 1.5),
             ("trigger_tolerance", -1.0),
-            ("stagnation_window", 0),
             ("init", "sobol"),
         ],
     )
@@ -78,7 +76,7 @@ class TestVSConfig:
     @pytest.mark.parametrize(
         "field",
         ["n_generations", "n_viral_generations", "n_individuals", "n_viral_individuals",
-         "centers_per_axis", "rebalance_every", "stagnation_window", "seed"],
+         "centers_per_axis", "rebalance_every", "seed"],
     )
     @pytest.mark.parametrize("value", [3.5, 10.0])
     def test_non_integer_counts_rejected(self, field, value):
@@ -88,7 +86,7 @@ class TestVSConfig:
     def test_numpy_integer_counts_run_like_python_ints(self):
         counts = dict(n_generations=8, n_viral_generations=5, n_individuals=20,
                       n_viral_individuals=10, centers_per_axis=2, rebalance_every=3,
-                      stagnation_window=4, seed=9)
+                      seed=9)
         plain = run(SPHERE, BOX, small_cfg(**counts))
         np_ints = run(SPHERE, BOX, small_cfg(**{k: np.int64(v) for k, v in counts.items()}))
         assert np_ints.best_value == plain.best_value
@@ -163,18 +161,17 @@ class TestCenterIndices:
         # the engine's scouts are Fortran-ordered
         assert _center_indices(np.asfortranarray(points), b, k).tolist() == expected
 
-    @pytest.mark.parametrize("walk_boundary", ["reflect", "clamp"])
-    @pytest.mark.parametrize("k", [1, 2, 7])
-    def test_walls_map_to_the_end_cells(self, walk_boundary, k):
+    # the ids name the fold, reflection, that brings the walk back in
+    @pytest.mark.parametrize("k", [1, 2, 7], ids=lambda k: f"{k}-reflect")
+    def test_walls_map_to_the_end_cells(self, k):
         b = Bounds([-3.0, 0.0, 1.0], [3.0, 10.0, 1.5])
         corners = np.array(list(itertools.product(*zip(b.lb, b.ub))))
         cells = np.where(corners == b.ub, k - 1, 0)
         expected = np.ravel_multi_index(tuple(cells.T), (k,) * 3)
         assert _center_indices(corners, b, k).tolist() == expected.tolist()
         # scouts on the walls stay within a 1e-12-span step of them, folded
-        # back in or pinned by the boundary policy
-        cfg = small_cfg(centers_per_axis=k, walk_boundary=walk_boundary,
-                        walk_step_fraction=1e-12)
+        # back in by the reflection
+        cfg = small_cfg(centers_per_axis=k, walk_step_fraction=1e-12)
         state = init_state(b, cfg, make_rng(0))
         state.population = np.repeat(corners, 20, axis=0)
         move_random(state, b, cfg, make_rng(1))
@@ -261,13 +258,10 @@ class TestMoveRandom:
         n=st.sampled_from([1, 2, 30, 1000]),
         dim=st.sampled_from([1, 2, 4, 8]),
         fraction=st.sampled_from([1e-3, 0.1, 1.0]),
-        walk_boundary=st.sampled_from(["reflect", "clamp"]),
         centers=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_scaled_draw_folded(
-        self, n, dim, fraction, walk_boundary, centers, seed
-    ):
+    def test_matches_the_scaled_draw_folded(self, n, dim, fraction, centers, seed):
         """One walk is fold(pop + z * (walk_step_fraction * span)) for the
         (n, d) draw z of the same stream, bit for bit and sign of zero."""
         gen = make_rng(seed)
@@ -279,11 +273,9 @@ class TestMoveRandom:
         population = np.where(gen.random((n, dim)) < 0.2, b.lb, population)
         population = np.where(gen.random((n, dim)) < 0.2, b.ub, population)
         k = 3 if centers else 0
-        cfg = small_cfg(n_individuals=n, centers_per_axis=k, walk_step_fraction=fraction,
-                        walk_boundary=walk_boundary)
-        fold = reflect_into_bounds if walk_boundary == "reflect" else clamp_to_bounds
+        cfg = small_cfg(n_individuals=n, centers_per_axis=k, walk_step_fraction=fraction)
         z = make_rng(seed).standard_normal((n, dim))
-        expected = fold(population + z * (fraction * b.span), b)
+        expected = reflect_into_bounds(population + z * (fraction * b.span), b)
         state = EngineState(population=population.copy(),
                             visit_counts=np.zeros(k**dim, dtype=np.int64))
         move_random(state, b, cfg, make_rng(seed))
@@ -299,12 +291,11 @@ class TestPopulationLayout:
     """Scouts stay Fortran-ordered (axis-major), so the walk, the fold and
     the center tally run along all n scouts of one axis at a time."""
 
-    @pytest.mark.parametrize("walk_boundary", ["reflect", "clamp"])
-    @pytest.mark.parametrize("init", ["stratified", "random"])
-    def test_population_stays_fortran_ordered(self, walk_boundary, init):
+    @pytest.mark.parametrize("init", ["stratified", "random"], ids=lambda i: f"{i}-reflect")
+    def test_population_stays_fortran_ordered(self, init):
         b = Bounds([0.0] * 3, [1.0] * 3)
         cfg = small_cfg(n_individuals=50, centers_per_axis=3, rebalance_fraction=0.5,
-                        walk_boundary=walk_boundary, init=init)
+                        init=init)
         rng = make_rng(0)
         state = init_state(b, cfg, rng)
         assert state.population.flags.f_contiguous
@@ -315,12 +306,11 @@ class TestPopulationLayout:
             rebalance(state, b, cfg, rng)
             assert state.population.flags.f_contiguous
 
-    @pytest.mark.parametrize("walk_step_fraction", [0.05, 1.0])
-    @pytest.mark.parametrize("walk_boundary", ["reflect", "clamp"])
-    def test_walk_does_not_depend_on_memory_order(self, walk_step_fraction, walk_boundary):
+    @pytest.mark.parametrize("walk_step_fraction", [0.05, 1.0], ids=lambda f: f"reflect-{f}")
+    def test_walk_does_not_depend_on_memory_order(self, walk_step_fraction):
         b = Bounds([-1.0, 0.0, 2.0], [1.0, 5.0, 2.5])
         cfg = small_cfg(n_individuals=50, centers_per_axis=3,
-                        walk_step_fraction=walk_step_fraction, walk_boundary=walk_boundary)
+                        walk_step_fraction=walk_step_fraction)
         population = make_rng(0).uniform(b.lb, b.ub, (50, 3))
         # the small step folds without np.mod, the full-span one with it
         steps = walk_step_fraction * b.span * make_rng(1).standard_normal((50, 3))
@@ -345,14 +335,12 @@ class TestFlatWalk:
     @staticmethod
     def broadcast_walk(population, b, cfg, rng):
         """The walk with (d,) limits broadcast over the (n, d) scouts: a
-        Fortran copy of the draw, scaled and shifted in place, then clipped,
-        or reflected once across the doubled wall it crossed, with the
+        Fortran copy of the draw, scaled and shifted in place, then
+        reflected once across the doubled wall it crossed, with the
         triangle wave wherever that still lands outside."""
         steps = np.asfortranarray(rng.standard_normal(population.shape))
         steps *= cfg.walk_step_fraction * b.span
         steps += population
-        if cfg.walk_boundary == "clamp":
-            return np.clip(steps, b.lb, b.ub)
         once = np.where(steps < b.lb, (b.lb + b.lb) - steps,
                         np.where(steps > b.ub, (b.ub + b.ub) - steps, steps))
         span, period = b.span, 2.0 * b.span
@@ -367,13 +355,10 @@ class TestFlatWalk:
         dim=st.integers(1, 5),
         fraction=st.sampled_from([1e-3, 0.1, 1.0]),
         far=st.booleans(),
-        walk_boundary=st.sampled_from(["reflect", "clamp"]),
         order=st.sampled_from("CF"),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_broadcast_walk(
-        self, data, n, dim, fraction, far, walk_boundary, order, seed
-    ):
+    def test_matches_the_broadcast_walk(self, data, n, dim, fraction, far, order, seed):
         lb = np.array(data.draw(st.lists(st.sampled_from([0.0, -1.5, 2.0, -100.0]),
                                          min_size=dim, max_size=dim)))
         width = data.draw(st.lists(st.floats(1e-3, 100.0), min_size=dim, max_size=dim))
@@ -391,8 +376,7 @@ class TestFlatWalk:
             k = data.draw(st.one_of(st.floats(-8.0, -4.0), st.floats(5.0, 9.0)))
             population[i, j] = b.lb[j] + k * b.span[j]
         population = population.copy(order=order)
-        cfg = small_cfg(n_individuals=n, walk_step_fraction=fraction,
-                        walk_boundary=walk_boundary)
+        cfg = small_cfg(n_individuals=n, walk_step_fraction=fraction)
         expected = self.broadcast_walk(population, b, cfg, make_rng(seed))
         state = EngineState(population=population.copy(order=order))
         move_random(state, b, cfg, make_rng(seed))
@@ -436,11 +420,13 @@ class TestFlatWalk:
         assert built.count(cfg.n_individuals * BOX.dim) == 1
         assert built.count(BOX.dim) == result.epidemic_count
 
-    @pytest.mark.parametrize("walk_boundary", ["reflect", "clamp"])
-    @pytest.mark.parametrize("n, dim", [(2000, 2), (8000, 2), (2000, 8)])
-    def test_walk_memory_is_linear_in_coordinates(self, walk_boundary, n, dim):
+    @pytest.mark.parametrize(
+        "n, dim", [(2000, 2), (8000, 2), (2000, 8)], ids=["2000-2-reflect", "8000-2-reflect",
+                                                          "2000-8-reflect"],
+    )
+    def test_walk_memory_is_linear_in_coordinates(self, n, dim):
         b = Bounds(np.zeros(dim), np.ones(dim))
-        cfg = small_cfg(n_individuals=n, walk_step_fraction=1.0, walk_boundary=walk_boundary)
+        cfg = small_cfg(n_individuals=n, walk_step_fraction=1.0)
         rng = make_rng(0)
         state = init_state(b, cfg, rng)
         tracemalloc.start()
@@ -532,8 +518,7 @@ class TestRebalance:
         dest = pool[np.arange(k) % len(pool)]
         spacing = b.span / cfg.centers_per_axis
         scatter = centers[dest] + rng.normal(0.0, spacing / 2.0, size=(k, b.dim))
-        fold = reflect_into_bounds if cfg.walk_boundary == "reflect" else clamp_to_bounds
-        population[movers] = fold(scatter, b)
+        population[movers] = reflect_into_bounds(scatter, b)
         return population
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -544,12 +529,9 @@ class TestRebalance:
         n=st.integers(1, 40),
         fraction=st.floats(0.0, 1.0),
         levels=st.integers(1, 4),
-        walk_boundary=st.sampled_from(["reflect", "clamp"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_stored_grid_oracle(
-        self, data, dim, k, n, fraction, levels, walk_boundary, seed
-    ):
+    def test_matches_the_stored_grid_oracle(self, data, dim, k, n, fraction, levels, seed):
         axis = st.lists(st.floats(-100.0, 100.0), min_size=dim, max_size=dim)
         width = st.lists(st.floats(1e-3, 100.0), min_size=dim, max_size=dim)
         lb = np.array(data.draw(axis))
@@ -558,8 +540,7 @@ class TestRebalance:
         population = gen.uniform(b.lb, b.ub, (n, dim))
         # few count levels, so both orders see many ties
         counts = gen.integers(0, levels, k**dim).astype(np.int64)
-        cfg = small_cfg(n_individuals=n, centers_per_axis=k,
-                        rebalance_fraction=fraction, walk_boundary=walk_boundary)
+        cfg = small_cfg(n_individuals=n, centers_per_axis=k, rebalance_fraction=fraction)
         expected = self.stored_grid_rebalance(population, counts, b, cfg, make_rng(seed))
         state = EngineState(population=population.copy(), visit_counts=counts.copy())
         rebalance(state, b, cfg, make_rng(seed))
@@ -805,12 +786,6 @@ class TestRun:
             run(Objective(counting, arity=3), cube, small_cfg(centers_per_axis=101))
         assert rows == []
 
-    def test_stagnation_window_stops_early(self):
-        constant = Objective(lambda t, p: np.full(len(p), 5.0), arity=2)
-        cfg = small_cfg(n_generations=50, stagnation_window=3)
-        result = run(constant, BOX, cfg)
-        assert len(result.trace) == 4  # improvement at t=0, three flat, stop
-
     def test_time_varying_reevaluates_incumbent(self):
         drifting = Objective(
             lambda t, p: (p**2).sum(axis=1) + float(t), arity=2, time_varying=True
@@ -866,15 +841,3 @@ class TestRun:
         cfg = small_cfg(init="random", n_generations=5)
         result = run(SPHERE, BOX, cfg)
         assert len(result.trace) == 5
-
-    def test_clamped_walk_boundary_policy(self):
-        cfg = small_cfg(walk_boundary="clamp", walk_step_fraction=0.4,
-                        n_generations=20, centers_per_axis=2)
-        rng = make_rng(6)
-        state = init_state(BOX, cfg, rng)
-        for _ in range(cfg.n_generations):
-            step(state, SPHERE, BOX, cfg, rng)
-            assert BOX.contains(state.population)
-        # clamping accumulates scouts exactly on the walls, reflection
-        # does not
-        assert (np.abs(state.population) == 3.0).any()

@@ -36,12 +36,6 @@ PINNED = {
         "0x1.bcffeb7bb6efdp-6", ["0x1.aba05ea873f80p-1", "0x1.650d5c9498d76p-1"], 4,
         "47ea0b54dc1ed8f3516e89291b64a5a1f578bb4e2f9fca7e3d8b453c7a6c9f5c",
     ),
-    "rosenbrock-clamp": (
-        "rosenbrock", {},
-        dict(n_generations=40, n_individuals=20, seed=4, walk_boundary="clamp"), 1,
-        "0x1.32672feb6a96ap-5", ["0x1.9e0c8d5f0f9ccp-1", "0x1.4d62dfd4707c8p-1"], 5,
-        "e6a50894db189628371ed15272b5c17576ab3acf23d072af4a7417701c6331d9",
-    ),
     "rosenbrock-split": (
         "rosenbrock", {}, dict(n_generations=30, n_individuals=30, seed=7), 2,
         "0x1.9ed896409f786p-8", ["0x1.d767ccdc883fdp-1", "0x1.b25e409fb6792p-1"], 7,
@@ -113,10 +107,6 @@ PINNED_SCHEMA = {
     "odd-n": (
         21, "1*1" + "*" * 5, dict(p_c=0.9, p_m=0.05, seed=8), 8, 12,
         "7506261e56ac26d75992f0411b97ee0e04dd1da593a9803f63d241c696f78f1e",
-    ),
-    "elitism": (
-        24, "1" + "*" * 8 + "1", dict(p_c=0.6, p_m=0.03, elitism=True, seed=2), 6, 70,
-        "171b6d6e9751d23a8b59dfb268cc07a65c1524958e5317a2c02bf4b9b9248957",
     ),
 }
 

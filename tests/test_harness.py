@@ -362,6 +362,11 @@ class TestSplitBounds:
             assert not box.lb.flags.writeable and not box.ub.flags.writeable
             assert np.array_equal(box.span, box.ub - box.lb)
 
+    @pytest.mark.parametrize("m", [2.5, 2.0])
+    def test_non_integer_count_rejected(self, m):
+        with pytest.raises(ConfigurationError, match="m must be an integer"):
+            split_bounds(BOX, m)
+
     def test_bisection_splits_longest_axis_first(self):
         b = Bounds([0.0, 0.0], [4.0, 1.0])
         left, right = split_bounds(b, 2)
@@ -477,6 +482,18 @@ class TestParallelRun:
     def test_too_many_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             parallel_run(SPHERE, BOX, self.cfg(n_individuals=3), m=4)
+
+    @pytest.mark.parametrize("m", [2.0, 1.0, 2.5])
+    def test_non_integer_worker_count_fails_before_evaluating(self, m):
+        rows = []
+
+        def counting(t, p):
+            rows.append(len(p))
+            return (p**2).sum(axis=1)
+
+        with pytest.raises(ConfigurationError, match="m must be an integer"):
+            parallel_run(Objective(counting, arity=2), BOX, self.cfg(), m=m)
+        assert rows == []
 
     def test_equal_budget_decomposition_stays_close(self):
         bench = make_benchmark("schaffer")

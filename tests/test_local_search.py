@@ -37,15 +37,11 @@ class TestDEConfig:
         with pytest.raises(ConfigurationError):
             DEConfig(pop_size=3)
 
-    def test_weight_range(self):
-        with pytest.raises(ConfigurationError):
-            DEConfig(differential_weight=0.0)
-        with pytest.raises(ConfigurationError):
-            DEConfig(differential_weight=2.5)
-
-    def test_crossover_range(self):
-        with pytest.raises(ConfigurationError):
-            DEConfig(crossover_rate=1.2)
+    @pytest.mark.parametrize("field", ["pop_size", "generations"])
+    @pytest.mark.parametrize("value", [20.0, 7.5])
+    def test_non_integer_sizes_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            DEConfig(**{field: value})
 
 
 class TestPartnerIndices:
@@ -154,23 +150,20 @@ class TestDEOptimize:
         assert np.abs(point).max() < 1e-2
 
     def test_single_generation_cr_zero_changes_one_coordinate(self):
-        seen = []
-
-        def recording(t, p):
-            seen.append(p.copy())
-            return (p**2).sum(axis=1)
-
-        obj = Objective(recording, arity=2)
-        cfg = DEConfig(pop_size=12, generations=1, crossover_rate=0.0,
-                       differential_weight=0.7)
-        de_optimize(obj, SQUARE, cfg, rng=make_rng(3))
-        initial, trials = seen
-        changed = (trials != initial).sum(axis=1)
-        assert (changed <= 1).all()
+        # at CR 0 a generation's crossover mask holds only the forced axis,
+        # so each trial differs from its target in at most that coordinate
+        rng = make_rng(3)
+        population = rng.uniform(-1.0, 1.0, (12, 2))
+        partners, cross = _draw_block(rng, 12, 2, 0.0, 1)
+        a, b, c = partners[0].T
+        mutant = population[a] + 0.8 * (population[b] - population[c])
+        trials = np.where(cross[0], mutant, population)
+        assert (cross[0].sum(axis=1) == 1).all()
+        assert ((trials != population).sum(axis=1) <= 1).all()
 
     def test_single_generation_never_regresses(self):
         obj = sphere_objective()
-        cfg = DEConfig(pop_size=12, generations=1, crossover_rate=0.0)
+        cfg = DEConfig(pop_size=12, generations=1)
         history = []
         seed = np.array([0.4, -0.2])
         _, value = de_optimize(obj, SQUARE, cfg, seed_point=seed, rng=make_rng(5),
@@ -278,18 +271,17 @@ class TestDEOptimize:
         n=st.integers(4, 40),
         d=st.integers(1, 5),
         generations=st.sampled_from([1, 15, 16, 17]),
-        f=st.floats(0.1, 2.0),
-        cr=st.floats(0.0, 1.0),
         seeded=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_clip_and_mask_reference(self, n, d, generations, f, cr, seeded, seed):
+    def test_matches_clip_and_mask_reference(self, n, d, generations, seeded, seed):
         region = Bounds(np.linspace(-1.0, 0.0, d), np.linspace(0.5, 2.0, d))
         # coarse levels make ties, which greedy selection accepts; the
         # minimum sits on the upper walls, so trials are clamped there
         obj = Objective(lambda t, p: np.floor(4.0 * np.abs(p - 3.0).sum(axis=1)), arity=d)
-        cfg = DEConfig(pop_size=n, generations=generations, differential_weight=f,
-                       crossover_rate=cr)
+        cfg = DEConfig(pop_size=n, generations=generations)
+        # DE/rand/1/bin's fixed weights
+        f, cr = 0.8, 0.9
         seed_point = np.full(d, 0.25) if seeded else None
 
         def reference(rng, history):

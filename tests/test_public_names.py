@@ -12,13 +12,21 @@ one of its modules, must be used by at least one of:
 A name only the tests call belongs in `tests/reference.py`. Uses are found
 with `ast`, not by matching words, because names such as `order` and `run`
 are common words in code and prose.
+
+Likewise every field of a config class must be set by the system: by a
+call keyword or a string key of a config dict in the package's code
+outside the class's own definition, in `perfbench/`, in the README's
+Python blocks outside the migration notes, or in the acceptance battery.
+A field no caller sets is an option with one value in use: a constant.
 """
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import viralsearch
+from viralsearch import DEConfig, ExperimentSpec, GAParams, VSConfig
 
 SRC = Path(viralsearch.__file__).resolve().parent
 ROOT = SRC.parent.parent
@@ -101,13 +109,22 @@ def _used_in_perfbench() -> set:
     return used
 
 
-def _readme_api() -> set:
+def _readme_without_migration_notes() -> str:
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     start = text.find(MIGRATION_HEADING)
     if start >= 0:
         end = text.find("\n## ", start + 1)
         text = text[:start] + (text[end:] if end >= 0 else "")
-    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    return text
+
+
+def _python_blocks(text: str) -> list:
+    return re.findall(r"```python\n(.*?)```", text, flags=re.S)
+
+
+def _readme_api() -> set:
+    text = _readme_without_migration_notes()
+    blocks = _python_blocks(text)
     text = re.sub(r"```.*?```", "", text, flags=re.S)
     used = set()
     for code in blocks + re.findall(r"`([^`\n]+)`", text):
@@ -132,3 +149,36 @@ def test_every_public_name_is_used_by_the_system():
     used = _used_in_src() | _used_in_perfbench() | _readme_api() | _acceptance_imports()
     unused = sorted(_public_names() - used)
     assert not unused, f"public names only the tests use: {unused}"
+
+
+def _set_keys(tree: ast.AST, skip_class: str = "") -> set:
+    """The call keywords and string dict keys in `tree`, outside the
+    definition of the class named `skip_class`."""
+    keys = set()
+
+    def visit(node):
+        if isinstance(node, ast.ClassDef) and node.name == skip_class:
+            return
+        if isinstance(node, ast.Call):
+            keys.update(kw.arg for kw in node.keywords if kw.arg)
+        elif isinstance(node, ast.Dict):
+            keys.update(k.value for k in node.keys
+                        if isinstance(k, ast.Constant) and isinstance(k.value, str))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return keys
+
+
+def test_every_config_field_is_set_by_the_system():
+    outside = [_parse(path) for path in (ROOT / "perfbench").glob("*.py")]
+    outside += [ast.parse(code) for code in _python_blocks(_readme_without_migration_notes())]
+    outside.append(_parse(ROOT / "tests" / "test_acceptance.py"))
+    src = [_parse(path) for path in SRC.glob("*.py")]
+    unset = []
+    for cls in (VSConfig, DEConfig, GAParams, ExperimentSpec):
+        keys = set().union(*(_set_keys(tree) for tree in outside),
+                           *(_set_keys(tree, cls.__name__) for tree in src))
+        unset += [f"{cls.__name__}.{f.name}" for f in fields(cls) if f.name not in keys]
+    assert not unset, f"config fields no caller sets: {unset}"

@@ -195,6 +195,30 @@ class TestRandomPopulation:
             rng.bit_generator.random_raw(4), untouched.bit_generator.random_raw(4)
         )
 
+    @pytest.mark.parametrize("n, length", [(4.0, 5), (2.5, 5), (4, 5.0)])
+    def test_non_integer_sizes_raise_before_any_draw(self, n, length):
+        rng = make_rng(20)
+        untouched = copy.deepcopy(rng)
+        name = "n" if isinstance(n, float) else "length"
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            random_population(n, length, onemax_fitness, rng)
+        assert np.array_equal(
+            rng.bit_generator.random_raw(4), untouched.bit_generator.random_raw(4)
+        )
+
+
+class TestGAParams:
+    @pytest.mark.parametrize("seed", [1.5, 2.0])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            GAParams(seed=seed)
+
+    def test_numpy_integer_seed_runs_like_a_python_int(self):
+        pop0 = random_population(20, 6, onemax_fitness, make_rng(21))
+        plain = schema_growth_experiment(pop0, "1*****", GAParams(seed=3), 3, 5)
+        numpy_seed = schema_growth_experiment(pop0, "1*****", GAParams(seed=np.int64(3)), 3, 5)
+        assert np.array_equal(plain.mean_counts, numpy_seed.mean_counts)
+
 
 class TestBinaryPopulation:
     @pytest.mark.parametrize(
@@ -344,19 +368,6 @@ class TestClassicGAStep:
         frequencies = counts / (draws * 4)
         assert np.abs(frequencies - fitness / fitness.sum()).max() < 0.01
 
-    def test_elitism_keeps_the_best_string(self):
-        pop = random_population(30, 12, onemax_fitness, make_rng(7))
-        best = pop.fitness().max()
-        rng = make_rng(8)
-        current = pop
-        for _ in range(15):
-            current = classic_ga_step(
-                current, GAParams(p_c=0.0, p_m=0.0, elitism=True), rng
-            )
-            new_best = current.fitness().max()
-            assert new_best >= best
-            best = new_best
-
     def test_positive_fitness_required(self):
         pop = BinaryPopulation(
             np.array([[0, 1]], dtype=np.uint8), lambda m: np.array([0.0])
@@ -413,24 +424,22 @@ class TestClassicGAStep:
         m=st.integers(1, 10),
         p_c=st.sampled_from([0.0, 0.7, 1.0]),
         p_m=st.sampled_from([0.0, 0.05]),
-        elitism=st.booleans(),
         strided=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     def test_block_step_matches_a_fancy_indexing_reference(
-        self, size, n, m, p_c, p_m, elitism, strided, seed
+        self, size, n, m, p_c, p_m, strided, seed
     ):
         gen = make_rng(seed)
         members = gen.integers(0, 2, size=(size, n, m), dtype=np.uint8)
         if strided:  # a view whose rows are not one contiguous block
             members = np.ascontiguousarray(members.transpose(0, 2, 1)).transpose(0, 2, 1)
         fitness = _stacked_fitness(_wavy_fitness, members)
-        params = GAParams(p_c=p_c, p_m=p_m, elitism=elitism)
+        params = GAParams(p_c=p_c, p_m=p_m)
 
         # each population's documented draws, one population after another;
         # rng.choice(n, size=n, p=...) draws random(n)
         rngs = [make_rng(seed + k) for k in range(size)]
-        rows = np.arange(size)
         expected = np.empty((size, n, m), dtype=np.uint8)
         for k, rng in enumerate(rngs):
             child = members[k, rng.choice(n, size=n, p=fitness[k] / fitness[k].sum())]
@@ -444,23 +453,11 @@ class TestClassicGAStep:
                         child[2 * pair, cut:] = child[2 * pair + 1, cut:]
                         child[2 * pair + 1, cut:] = tail
             expected[k] = child ^ (rng.random((n, m)) < p_m)
-        expected_fitness = None
-        if elitism:
-            expected_fitness = _stacked_fitness(_wavy_fitness, expected)
-            worst, best = expected_fitness.argmin(axis=-1), fitness.argmax(axis=-1)
-            expected[rows, worst] = members[rows, best]
-            expected_fitness[rows, worst] = fitness[rows, best]
 
         rngs = [make_rng(seed + k) for k in range(size)]
-        children, child_fitness = _ga_block_step(
-            members, fitness, _wavy_fitness, params, rngs
-        )
+        children = _ga_block_step(members, fitness, params, rngs)
         assert children.shape == (size, n, m) and children.dtype == np.uint8
         assert np.array_equal(children, expected)
-        if elitism:
-            assert np.array_equal(child_fitness, expected_fitness)
-        else:
-            assert child_fitness is None
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(size=st.integers(1, 6), n=st.integers(1, 40), seed=st.integers(0, 2**16))
@@ -472,12 +469,6 @@ class TestClassicGAStep:
         expected = [values[k, mask[k]].sum() for k in rows]
         got = _masked_sums(values, mask, rows)
         assert got.tolist() == expected
-
-    def test_elitism_caches_the_child_fitness(self):
-        pop = random_population(30, 12, onemax_fitness, make_rng(14))
-        child = classic_ga_step(pop, GAParams(p_m=0.2, elitism=True), make_rng(15))
-        assert np.array_equal(child.fitness(), onemax_fitness(child.members))
-        assert pop.fitness().max() in child.fitness()
 
 
 class TestGrowthExperiment:
@@ -532,9 +523,9 @@ class TestGrowthExperiment:
         assert len(seen) == 1 + math.ceil(trials / schema_lab._TRIALS) * (generations - 1)
         assert len({id(members) for members in seen}) == len(seen)
 
-    @pytest.mark.parametrize("elitism", [False, True])
-    @pytest.mark.parametrize("evaluated_before", [False, True])
-    def test_report_counts_the_fitness_rows(self, elitism, evaluated_before):
+    # the trailing False in each id is the GA without elitism, the only one
+    @pytest.mark.parametrize("evaluated_before", [False, True], ids=lambda e: f"{e}-False")
+    def test_report_counts_the_fitness_rows(self, evaluated_before):
         rows = []
 
         def counting(members):
@@ -546,7 +537,7 @@ class TestGrowthExperiment:
             pop0.fitness()
             rows.clear()
         report = schema_growth_experiment(
-            pop0, "1*******", GAParams(p_m=0.05, elitism=elitism, seed=6), 4, 18
+            pop0, "1*******", GAParams(p_m=0.05, seed=6), 4, 18
         )
         assert report.fitness_rows == sum(rows) > 0
         assert set(report.phase_s) == {"ga_step", "bound", "count"}
@@ -587,6 +578,22 @@ class TestGrowthExperiment:
             schema_growth_experiment(pop0, "1*****", GAParams(), generations, trials)
         assert seen == []
 
+    @pytest.mark.parametrize(
+        "generations, trials, name", [(3, 4.0, "trials"), (3, 2.5, "trials"),
+                                      (3.0, 4, "generations"), (0.5, 4, "generations")],
+    )
+    def test_non_integer_counts_raise_before_any_evaluation(self, generations, trials, name):
+        seen = []
+
+        def counting(members):
+            seen.append(members)
+            return onemax_fitness(members)
+
+        pop0 = random_population(20, 6, counting, make_rng(17))
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            schema_growth_experiment(pop0, "1*****", GAParams(), generations, trials)
+        assert seen == []
+
     def test_schema_string_parsed_once(self, monkeypatch):
         parsed = []
         compile_once = schema_lab.compile_schema
@@ -611,12 +618,11 @@ class TestGrowthExperiment:
         generations=st.integers(0, 5),
         p_c=st.sampled_from([0.0, 0.7, 1.0]),
         p_m=st.sampled_from([0.0, 0.05, 1.0]),
-        elitism=st.booleans(),
         fitness_fn=st.sampled_from([onemax_fitness, _wavy_fitness]),
         data=st.data(),
     )
     def test_bit_identical_to_the_per_trial_loop(
-        self, trials, n, m, generations, p_c, p_m, elitism, fitness_fn, data
+        self, trials, n, m, generations, p_c, p_m, fitness_fn, data
     ):
         pop_seed, member, seed = (data.draw(st.integers(0, 999)) for _ in range(3))
         pop0 = random_population(n, m, fitness_fn, make_rng(pop_seed))
@@ -625,7 +631,7 @@ class TestGrowthExperiment:
         bits = pop0.members[member % n]
         fixed = data.draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m))
         schema = "".join(str(bits[i]) if i in fixed else "*" for i in range(m))
-        params = GAParams(p_c=p_c, p_m=p_m, elitism=elitism, seed=seed)
+        params = GAParams(p_c=p_c, p_m=p_m, seed=seed)
 
         report = schema_growth_experiment(pop0, schema, params, generations, trials)
         expected = _per_trial_report(pop0, schema, params, generations, trials)
@@ -672,12 +678,9 @@ class TestGrowthExperiment:
         pop0 = random_population(9, 6, _wavy_fitness, make_rng(22))
         schema = "".join(str(bit) for bit in pop0.members[0, :2]) + "*" * 4
         trials = schema_lab._TRIALS + 1
-        for elitism in (False, True):
-            params = GAParams(p_c=0.8, p_m=0.05, elitism=elitism, seed=23)
-            report = schema_growth_experiment(pop0, schema, params, 3, trials)
-            expected = _per_trial_report(pop0, schema, params, 3, trials)
-            for name in ("mean_counts", "mean_observed_next", "mean_bounds"):
-                assert np.array_equal(
-                    getattr(report, name), expected[name], equal_nan=True
-                ), name
-            assert report.frac_cells_pass == expected["frac_cells_pass"]
+        params = GAParams(p_c=0.8, p_m=0.05, seed=23)
+        report = schema_growth_experiment(pop0, schema, params, 3, trials)
+        expected = _per_trial_report(pop0, schema, params, 3, trials)
+        for name in ("mean_counts", "mean_observed_next", "mean_bounds"):
+            assert np.array_equal(getattr(report, name), expected[name], equal_nan=True), name
+        assert report.frac_cells_pass == expected["frac_cells_pass"]
