@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from .benchmarks import make_benchmark
-from .core import ConfigurationError, ViralSearchError, make_rng
+from .core import ConfigurationError, ViralSearchError, check_counts, make_rng
 from .engine import VSConfig
 from .harness import (
     _result_row,
@@ -155,8 +155,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    if args.ng < 1:
-        raise ConfigurationError(f"trace needs --ng >= 1, got {args.ng}: no generation, no trace")
+    check_counts(1, ng=args.ng)  # no generation, no trace
     bench, result = _run_from_args(args)
     _print_summary(bench, result)
     trace_export(result, args.out)

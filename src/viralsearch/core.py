@@ -7,7 +7,7 @@ generator; no function touches global random state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -34,18 +34,21 @@ class EvaluationError(ViralSearchError):
     """
 
 
-def check_integers(**counts) -> None:
-    """Reject any of the named `counts` that is not a Python or numpy
-    integer: numpy's draws and `range` take no float counts."""
+def check_counts(minimum: int, **counts) -> None:
+    """Reject, by name, any of the `counts` that is not a Python or numpy
+    integer of at least `minimum`: numpy's draws and `range` take no float
+    counts."""
     for name, v in counts.items():
         if not isinstance(v, (int, np.integer)):
             raise ConfigurationError(f"{name} must be an integer, got {v!r}")
+        if v < minimum:
+            least = "non-negative" if minimum == 0 else f">= {minimum}"
+            raise ConfigurationError(f"{name} must be {least}, got {v}")
 
 
 def make_rng(seed: int) -> RngStream:
     """Create a seeded generator; equal seeds yield identical streams."""
-    if seed < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    check_counts(0, seed=seed)
     return np.random.default_rng(seed)
 
 
@@ -55,8 +58,7 @@ def child_seed(parent_seed: int, index: int) -> int:
     Spawn keys keep sibling streams statistically independent, so the
     workers of one decomposition never share a generator.
     """
-    if parent_seed < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {parent_seed}")
+    check_counts(0, parent_seed=parent_seed, index=index)
     seq = np.random.SeedSequence(parent_seed, spawn_key=(index,))
     return int(seq.generate_state(1, np.uint64)[0])
 
@@ -123,10 +125,10 @@ class Bounds:
         # read-only arrays too
         return (Bounds, (self.lb, self.ub))
 
-    def contains(self, points: np.ndarray, atol: float = 0.0) -> bool:
+    def contains(self, points: np.ndarray) -> bool:
         """True when every row of `points` lies inside the box."""
         p = np.asarray(points, dtype=float)
-        return bool(((p >= self.lb - atol) & (p <= self.ub + atol)).all())
+        return bool(((p >= self.lb) & (p <= self.ub)).all())
 
 
 def _checked(p: np.ndarray, b: Bounds) -> np.ndarray:
@@ -170,16 +172,14 @@ def reflect_into_bounds(p: np.ndarray, b: Bounds) -> np.ndarray:
 
 def random_init(b: Bounds, n: int, rng: RngStream) -> Population:
     """A cloud of `n` independent uniform points."""
-    if n < 1:
-        raise ConfigurationError(f"population size must be >= 1, got {n}")
+    check_counts(1, n=n)
     return rng.uniform(b.lb, b.ub, size=(n, b.dim))
 
 
 def stratified_init(b: Bounds, n: int, rng: RngStream) -> Population:
     """Latin-hypercube placement: `n` equal strata per axis, one member per
     stratum on each axis, jittered uniformly within its stratum."""
-    if n < 1:
-        raise ConfigurationError(f"population size must be >= 1, got {n}")
+    check_counts(1, n=n)
     cells = np.empty((n, b.dim))
     for j in range(b.dim):
         cells[:, j] = rng.permutation(n)
@@ -204,8 +204,7 @@ class Objective:
         time_varying: bool = False,
         name: str = "",
     ):
-        if arity < 1:
-            raise ConfigurationError(f"arity must be >= 1, got {arity}")
+        check_counts(1, arity=arity)
         self.fn = fn
         self.arity = arity
         self.time_varying = time_varying

@@ -24,7 +24,7 @@ from .core import (
     Point,
     Population,
     RngStream,
-    check_integers,
+    check_counts,
     make_rng,
     random_init,
     reflect_into_bounds,
@@ -33,9 +33,6 @@ from .core import (
 from .local_search import DEConfig, check_draw_range, de_optimize
 
 _MAX_CENTERS = 1_000_000
-# VSConfig fields that count something, so must be integers
-_COUNT_FIELDS = ("n_generations", "n_viral_generations", "n_individuals",
-                 "n_viral_individuals", "centers_per_axis", "rebalance_every", "seed")
 
 
 @dataclass(frozen=True)
@@ -63,31 +60,24 @@ class VSConfig:
     init: str = "stratified"
 
     def __post_init__(self):
-        check_integers(**{name: getattr(self, name) for name in _COUNT_FIELDS})
-        if self.n_generations < 0:
-            raise ConfigurationError("n_generations must be >= 0")
-        for name in ("n_viral_generations", "n_individuals"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
-        if self.n_viral_individuals < 4:
-            raise ConfigurationError(
-                f"n_viral_individuals must be >= 4 (a burst member needs three "
-                f"distinct partners), got {self.n_viral_individuals}"
-            )
-        if self.centers_per_axis < 0:
-            raise ConfigurationError("centers_per_axis must be >= 0")
+        check_counts(0, n_generations=self.n_generations,
+                     centers_per_axis=self.centers_per_axis, seed=self.seed)
+        check_counts(1, n_viral_generations=self.n_viral_generations,
+                     n_individuals=self.n_individuals, rebalance_every=self.rebalance_every)
+        # a burst member needs three distinct partners
+        check_counts(4, n_viral_individuals=self.n_viral_individuals)
         for name in ("epidemic_radius_fraction", "walk_step_fraction"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ConfigurationError(f"{name} must be in (0, 1], got {v}")
-        if self.rebalance_every < 1:
-            raise ConfigurationError("rebalance_every must be >= 1")
         if not 0.0 <= self.rebalance_fraction <= 1.0:
             raise ConfigurationError("rebalance_fraction must be in [0, 1]")
-        if self.trigger_tolerance < 0.0:
-            raise ConfigurationError("trigger_tolerance must be >= 0")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
+        # the incumbent starts at inf, and inf minus an infinite or NaN
+        # tolerance is NaN, which no scout's value ever reaches
+        if not 0.0 <= self.trigger_tolerance < np.inf:
+            raise ConfigurationError(
+                f"trigger_tolerance must be finite and >= 0, got {self.trigger_tolerance}"
+            )
         if self.init not in ("stratified", "random"):
             raise ConfigurationError(
                 f"init must be 'stratified' or 'random', got {self.init!r}"

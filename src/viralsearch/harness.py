@@ -17,7 +17,7 @@ import numpy as np
 
 from .benchmarks import BenchmarkSpec, make_benchmark
 from .core import (
-    Bounds, ConfigurationError, Objective, ViralSearchError, check_integers, child_seed,
+    Bounds, ConfigurationError, Objective, ViralSearchError, check_counts, child_seed,
 )
 from .engine import RunResult, VSConfig, run
 
@@ -44,11 +44,8 @@ class ExperimentSpec:
     checkpoints: Optional[tuple] = None
 
     def __post_init__(self):
-        check_integers(repeat=self.repeat, seed_base=self.seed_base)
-        if self.repeat < 1:
-            raise ConfigurationError("repeat must be >= 1")
-        if self.seed_base < 0:
-            raise ConfigurationError(f"seed_base must be non-negative, got {self.seed_base}")
+        check_counts(1, repeat=self.repeat)
+        check_counts(0, seed_base=self.seed_base)
         for cell in self.cells:
             if len(cell) != len(self.sweep_fields):
                 raise ConfigurationError(
@@ -295,9 +292,7 @@ def write_rows(rows: list, path: str, bench: BenchmarkSpec) -> None:
 def split_bounds(b: Bounds, m: int) -> list:
     """Partition the box into `m` boxes by repeatedly halving the widest
     box along its longest axis (ties to the lowest index)."""
-    check_integers(m=m)
-    if m < 1:
-        raise ConfigurationError("m must be >= 1")
+    check_counts(1, m=m)
     boxes = [b]
     while len(boxes) < m:
         widths = [box.span.max() for box in boxes]
@@ -324,9 +319,7 @@ def parallel_run(objective: Objective, b: Bounds, cfg: VSConfig, m: int = 1) -> 
     and fires its own bursts, and the call costs the sum of its workers'
     runs. With m=1 this is exactly `run` with the same seed.
     """
-    check_integers(m=m)
-    if m < 1:
-        raise ConfigurationError("m must be >= 1")
+    check_counts(1, m=m)
     if m > cfg.n_individuals:
         raise ConfigurationError(
             f"m={m} workers need at least one scout each, but "

@@ -19,7 +19,7 @@ from .core import (
     Objective,
     Point,
     RngStream,
-    check_integers,
+    check_counts,
 )
 
 
@@ -41,14 +41,9 @@ class DEConfig:
     generations: int = 50
 
     def __post_init__(self):
-        check_integers(pop_size=self.pop_size, generations=self.generations)
-        if self.pop_size < 4:
-            raise ConfigurationError(
-                f"pop_size must be >= 4 (three distinct partners plus the "
-                f"target), got {self.pop_size}"
-            )
-        if self.generations < 1:
-            raise ConfigurationError(f"generations must be >= 1, got {self.generations}")
+        # three distinct partners plus the target
+        check_counts(4, pop_size=self.pop_size)
+        check_counts(1, generations=self.generations)
 
 
 _BLOCK = 16  # generations whose randomness one draw serves
@@ -58,6 +53,7 @@ _INT64_MAX = np.iinfo(np.int64).max
 def check_draw_range(n: int, d: int) -> None:
     """Raise unless a burst of n members in d axes can draw its partners
     and forced axes as int64 integers on [0, (n-1)(n-2)(n-3) * d)."""
+    check_counts(4, n=n)
     if (n - 1) * (n - 2) * (n - 3) * d > _INT64_MAX:
         raise ConfigurationError(
             f"a burst of {n} members in {d} axes has (n-1)(n-2)(n-3)*d = "
@@ -123,7 +119,8 @@ def de_optimize(
     cfg: DEConfig,
     seed_point: Optional[Point] = None,
     t: int = 0,
-    rng: RngStream = None,
+    *,
+    rng: RngStream,
     history: Optional[list] = None,
     evaluations: Optional[dict] = None,
 ) -> tuple[Point, float]:
@@ -140,8 +137,6 @@ def de_optimize(
 
     Returns the best point found and its value.
     """
-    if rng is None:
-        raise ValueError("de_optimize requires an explicit rng")
     n, d = cfg.pop_size, region.dim
     check_draw_range(n, d)
 

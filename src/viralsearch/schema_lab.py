@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import (
-    ConfigurationError, RngStream, ViralSearchError, check_integers, child_seed, make_rng,
+    ConfigurationError, RngStream, ViralSearchError, check_counts, child_seed, make_rng,
 )
 
 WILDCARD = "*"
@@ -156,13 +156,11 @@ class GAParams:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(seed=self.seed)
+        check_counts(0, seed=self.seed)
         if not 0.0 <= self.p_c <= 1.0:
             raise ConfigurationError(f"p_c must be in [0, 1], got {self.p_c}")
         if not 0.0 <= self.p_m <= 1.0:
             raise ConfigurationError(f"p_m must be in [0, 1], got {self.p_m}")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
 
 
 def onemax_fitness(members: np.ndarray) -> np.ndarray:
@@ -176,11 +174,7 @@ def random_population(
 ) -> BinaryPopulation:
     """`n` uniformly random strings of `length` bits; `ConfigurationError`
     unless both are integers of at least 1, before any draw."""
-    check_integers(n=n, length=length)
-    if n < 1 or length < 1:
-        raise ConfigurationError(
-            f"need a population size and string length >= 1, got n={n}, length={length}"
-        )
+    check_counts(1, n=n, length=length)
     members = rng.integers(0, 2, size=(n, length), dtype=np.uint8)
     return BinaryPopulation._trusted(members, fitness_fn)
 
@@ -373,12 +367,8 @@ def schema_growth_experiment(
     `generations < 0` raises `ConfigurationError`, and with
     `generations >= 1` a schema or string length the bound is undefined
     for raises `ValueError`, both before any trial starts."""
-    check_integers(trials=trials, generations=generations)
-    if trials < 1 or generations < 0:
-        raise ConfigurationError(
-            f"need trials >= 1 and generations >= 0, got trials={trials}, "
-            f"generations={generations}"
-        )
+    check_counts(1, trials=trials)
+    check_counts(0, generations=generations)
     schema = compile_schema(schema)
     mask0 = match_mask(schema, pop0)
     if not mask0.any():

@@ -260,7 +260,9 @@ class TestSchemaCommand:
         )
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "trials >= 1" in captured.err
+        expected = ("trials must be >= 1" if int(trials) < 1
+                    else "generations must be non-negative")
+        assert captured.err.startswith("error: ") and expected in captured.err
         assert "Traceback" not in captured.err
         assert "generations meeting the bound" not in captured.out
 
@@ -272,7 +274,7 @@ class TestSchemaCommand:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"n={pop}" in err
+        assert err.startswith("error: ") and f"n must be >= 1, got {pop}" in err
         assert "Traceback" not in err
 
     def test_bad_pattern_is_config_error(self):

@@ -272,7 +272,7 @@ class TestReflect:
         for k in (0, 1, 2):
             p = b.ub + k * b.span
             got = reflect_into_bounds(p, b)
-            assert b.contains(got, atol=0.0)
+            assert b.contains(got)
             if k:
                 self._check_exterior(p[0], got[0], b.lb[0], b.ub[0])
             else:

@@ -69,6 +69,13 @@ class TestVSConfig:
         with pytest.raises(ConfigurationError):
             small_cfg(**{field: value})
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_non_finite_trigger_tolerance_rejected(self, tolerance):
+        # the incumbent starts at inf, and inf minus such a tolerance is NaN:
+        # no scout would ever trigger a burst
+        with pytest.raises(ConfigurationError, match="trigger_tolerance must be finite"):
+            small_cfg(trigger_tolerance=tolerance)
+
     def test_burst_population_below_four_names_its_field(self):
         with pytest.raises(ConfigurationError, match="n_viral_individuals must be >= 4"):
             small_cfg(n_viral_individuals=3)

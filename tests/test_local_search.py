@@ -335,5 +335,5 @@ class TestDEOptimize:
         assert rows == []
 
     def test_requires_rng(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="rng"):
             de_optimize(sphere_objective(), SQUARE, DEConfig())

@@ -18,6 +18,11 @@ call keyword or a string key of a config dict in the package's code
 outside the class's own definition, in `perfbench/`, in the README's
 Python blocks outside the migration notes, or in the acceptance battery.
 A field no caller sets is an option with one value in use: a constant.
+
+Every count and seed the package takes is checked by `core.check_counts`:
+a public function, a public class's constructor or a config class that
+takes one must pass it to `check_counts`, or forward it to a function or
+class that does.
 """
 
 import ast
@@ -27,6 +32,8 @@ from pathlib import Path
 
 import viralsearch
 from viralsearch import DEConfig, ExperimentSpec, GAParams, VSConfig
+
+CONFIGS = (VSConfig, DEConfig, GAParams, ExperimentSpec)
 
 SRC = Path(viralsearch.__file__).resolve().parent
 ROOT = SRC.parent.parent
@@ -177,8 +184,77 @@ def test_every_config_field_is_set_by_the_system():
     outside.append(_parse(ROOT / "tests" / "test_acceptance.py"))
     src = [_parse(path) for path in SRC.glob("*.py")]
     unset = []
-    for cls in (VSConfig, DEConfig, GAParams, ExperimentSpec):
+    for cls in CONFIGS:
         keys = set().union(*(_set_keys(tree) for tree in outside),
                            *(_set_keys(tree, cls.__name__) for tree in src))
         unset += [f"{cls.__name__}.{f.name}" for f in fields(cls) if f.name not in keys]
     assert not unset, f"config fields no caller sets: {unset}"
+
+
+# parameter and field names that hold a count or a seed
+COUNT_NAMES = {"seed", "parent_seed", "index", "n", "m", "arity", "length", "trials",
+               "generations", "pop_size", "repeat", "seed_base"}
+
+
+def _callables() -> dict:
+    """Each top-level function and class of the package, mapped to its
+    parameters in order, the body that checks them, and whether the body
+    reads them as `self.<name>`: a function's own, a class's `__init__`
+    after `self`, a config class's fields in its `__post_init__`."""
+    configs = {cls.__name__: [f.name for f in fields(cls)] for cls in CONFIGS}
+    found = {}
+    for path in SRC.glob("*.py"):
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                found[node.name] = ([p.arg for p in a.posonlyargs + a.args + a.kwonlyargs],
+                                    node, False)
+            elif isinstance(node, ast.ClassDef):
+                methods = {m.name: m for m in node.body if isinstance(m, ast.FunctionDef)}
+                if node.name in configs and "__post_init__" in methods:
+                    found[node.name] = (configs[node.name], methods["__post_init__"], True)
+                elif "__init__" in methods:
+                    a = methods["__init__"].args
+                    found[node.name] = ([p.arg for p in a.args[1:] + a.kwonlyargs],
+                                        methods["__init__"], False)
+    return found
+
+
+def _is_ref(expr: ast.AST, name: str, on_self: bool) -> bool:
+    if on_self:
+        return (isinstance(expr, ast.Attribute) and expr.attr == name
+                and isinstance(expr.value, ast.Name) and expr.value.id == "self")
+    return isinstance(expr, ast.Name) and expr.id == name
+
+
+def _checked_counts(found: dict) -> set:
+    """The (callable, parameter) pairs whose value reaches `check_counts`,
+    directly or forwarded through calls, found by iterating to a fixpoint."""
+    checked = set()
+    while True:
+        before = len(checked)
+        for owner, (params, body, on_self) in found.items():
+            for call in (n for n in ast.walk(body) if isinstance(n, ast.Call)):
+                f = call.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                passed = [(kw.arg, kw.value) for kw in call.keywords]
+                if callee in found:
+                    passed += list(zip(found[callee][0], call.args))
+                for target, value in passed:
+                    if callee == "check_counts" or (callee, target) in checked:
+                        checked |= {(owner, p) for p in params if _is_ref(value, p, on_self)}
+        if len(checked) == before:
+            return checked
+
+
+def test_every_count_and_seed_goes_through_check_counts():
+    found = _callables()
+    checked = _checked_counts(found)
+    unchecked = [
+        f"{owner}({p})"
+        for owner, (params, _, _) in found.items()
+        if not owner.startswith("_")
+        for p in params
+        if p in COUNT_NAMES and (owner, p) not in checked
+    ]
+    assert not unchecked, f"counts and seeds not checked by check_counts: {sorted(unchecked)}"

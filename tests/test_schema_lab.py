@@ -188,7 +188,8 @@ class TestRandomPopulation:
     def test_sizes_below_one_raise_before_any_draw(self, n, length):
         rng = make_rng(20)
         untouched = copy.deepcopy(rng)
-        with pytest.raises(ConfigurationError, match=f"n={n}, length={length}"):
+        name, value = ("n", n) if n < 1 else ("length", length)
+        with pytest.raises(ConfigurationError, match=f"{name} must be >= 1, got {value}"):
             random_population(n, length, onemax_fitness, rng)
         # the same next raw words, whatever the bit generator
         assert np.array_equal(
@@ -574,7 +575,9 @@ class TestGrowthExperiment:
             return onemax_fitness(members)
 
         pop0 = random_population(20, 6, counting, make_rng(17))
-        with pytest.raises(ConfigurationError, match="trials >= 1 and generations >= 0"):
+        # trials is checked first
+        match = "trials must be >= 1" if trials < 1 else "generations must be non-negative"
+        with pytest.raises(ConfigurationError, match=match):
             schema_growth_experiment(pop0, "1*****", GAParams(), generations, trials)
         assert seen == []
 
