@@ -8,6 +8,7 @@ back.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -217,11 +218,19 @@ BENCHMARK_NAMES = tuple(sorted(_BUILDERS))
 
 def make_benchmark(name: str, **params) -> BenchmarkSpec:
     """Build a benchmark spec, optionally overriding its constants
-    (e.g. ``make_benchmark("two_well", tau=500.0)``)."""
+    (e.g. ``make_benchmark("two_well", tau=500.0)``). An unknown name or
+    parameter raises `ConfigurationError` before anything is built."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown benchmark {name!r}; valid names: {', '.join(BENCHMARK_NAMES)}"
         ) from None
+    valid = inspect.signature(builder).parameters
+    unknown = [key for key in params if key not in valid]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown parameters for benchmark {name!r}: {', '.join(unknown)}; "
+            f"valid parameters: {', '.join(valid) or 'none'}"
+        )
     return builder(**params)

@@ -143,13 +143,9 @@ def cmd_bench(args) -> int:
         raise ConfigurationError(
             f"unknown spec {args.spec!r}; valid: {', '.join(sorted(specs))}"
         )
-    spec = replace(
-        specs[args.spec],
-        repeat=args.repeat,
-        seed_base=args.seed,
-        out_path=args.out,
-    )
+    spec = replace(specs[args.spec], repeat=args.repeat, seed_base=args.seed)
     rows = run_experiment(spec)
+    write_rows(rows, args.out, make_benchmark(spec.benchmark, **spec.benchmark_params))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

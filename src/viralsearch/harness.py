@@ -28,9 +28,8 @@ _TAIL_COLUMNS = ("time_s", "seed", "kind", "status")
 class ExperimentSpec:
     """A benchmark sweep: which config fields vary, over which cells.
 
-    When `checkpoints` is set the spec is a single long run sampled at
-    those trace generations instead of a grid sweep. A set `out_path`
-    gets a JSON report when it ends in ".json", else a CSV one.
+    When `checkpoints` is set each run is sampled at those trace
+    generations instead of reported by its end result.
     """
 
     benchmark: str
@@ -40,12 +39,16 @@ class ExperimentSpec:
     benchmark_params: dict = field(default_factory=dict)
     repeat: int = 1
     seed_base: int = 0
-    out_path: Optional[str] = None
     checkpoints: Optional[tuple] = None
 
     def __post_init__(self):
         check_counts(1, repeat=self.repeat)
         check_counts(0, seed_base=self.seed_base)
+        if self.checkpoints is not None:
+            if not self.checkpoints:
+                raise ConfigurationError("checkpoints must name at least one generation")
+            for t in self.checkpoints:
+                check_counts(0, checkpoints=t)
         for cell in self.cells:
             if len(cell) != len(self.sweep_fields):
                 raise ConfigurationError(
@@ -185,80 +188,50 @@ def _median_row(rows: list) -> ReportRow:
 
 def run_experiment(spec: ExperimentSpec) -> list:
     """Execute every (cell, repeat) run; one row per run plus a median row
-    per cell. A run that raises a `ViralSearchError` (a bad cell value, a
-    NaN from the objective) becomes an error row instead of aborting the
-    sweep; any other exception is a bug and propagates. Writes
-    `spec.out_path` when set.
-
-    An unknown config key in `base` or `sweep_fields` raises
+    per cell, or one row per checkpoint of each run. An unknown config key
+    in `base` or `sweep_fields`, or an unknown benchmark parameter, raises
     `ConfigurationError` before any run."""
     _check_keys(spec.base, "base")
     _check_keys(spec.sweep_fields, "sweep_fields")
     bench = make_benchmark(spec.benchmark, **spec.benchmark_params)
     rows = []
-    flat = 0
-    for cell in spec.cells:
+    for c, cell in enumerate(spec.cells):
         cell_rows = []
-        for _ in range(spec.repeat):
-            seed = child_seed(spec.seed_base, flat)
-            flat += 1
-            overrides = dict(spec.base)
-            overrides.update(zip(spec.sweep_fields, cell))
-            overrides["seed"] = seed
-            sweep = dict(zip(spec.sweep_fields, cell))
-            try:
-                cfg = VSConfig(**overrides)
-                result = run(bench.objective, bench.bounds, cfg)
-                if spec.checkpoints is not None:
-                    cell_rows.extend(
-                        _checkpoint_rows(bench, result, spec.checkpoints, seed)
-                    )
-                else:
-                    cell_rows.append(
-                        _result_row(bench, sweep, result.best_point, result.best_value,
-                                    result.wall_time_ms, seed)
-                    )
-            except ViralSearchError as exc:
-                cell_rows.append(
-                    ReportRow(
-                        sweep=sweep,
-                        point=None,
-                        value=float("nan"),
-                        time_s=0.0,
-                        seed=seed,
-                        status=f"error: {type(exc).__name__}: {exc}",
-                    )
-                )
+        for r in range(spec.repeat):
+            seed = child_seed(spec.seed_base, c * spec.repeat + r)
+            cell_rows.extend(_run_rows(spec, bench, dict(zip(spec.sweep_fields, cell)), seed))
         rows.extend(cell_rows)
         if spec.checkpoints is None:
             rows.append(_median_row(cell_rows))
-    if spec.out_path is not None:
-        write_rows(rows, spec.out_path, bench)
     return rows
 
 
-def _checkpoint_rows(bench, result: RunResult, checkpoints, seed: int) -> list:
-    rows = []
-    by_generation = {row.generation: row for row in result.trace}
-    for t in checkpoints:
-        trace_row = by_generation.get(t)
-        if trace_row is None:
-            rows.append(
-                ReportRow(
-                    sweep={"t": t},
-                    point=None,
-                    value=float("nan"),
-                    time_s=result.wall_time_ms / 1e3,
-                    seed=seed,
-                    status=f"error: no trace row for generation {t}",
-                )
+def _run_rows(spec: ExperimentSpec, bench: BenchmarkSpec, sweep: dict, seed: int) -> list:
+    """The rows of one run of the cell `sweep`: its result, or its trace
+    row at each checkpoint with `t` added to the sweep. A run that raises
+    a `ViralSearchError` (a bad cell value, a checkpoint at or past its
+    `n_generations`, a NaN from the objective) gives as many error rows;
+    any other exception is a bug and propagates."""
+    ts = spec.checkpoints
+    sweeps = [sweep] if ts is None else [{**sweep, "t": t} for t in ts]
+    try:
+        cfg = VSConfig(**{**spec.base, **sweep, "seed": seed})
+        late = [t for t in ts or () if t >= cfg.n_generations]
+        if late:
+            raise ConfigurationError(
+                f"checkpoints must be below n_generations={cfg.n_generations}, got {late}"
             )
-            continue
-        rows.append(
-            _result_row(bench, {"t": t}, trace_row.best_point, trace_row.fobj_global,
-                        trace_row.elapsed_ms, seed)
-        )
-    return rows
+        result = run(bench.objective, bench.bounds, cfg)
+    except ViralSearchError as exc:
+        status = f"error: {type(exc).__name__}: {exc}"
+        return [ReportRow(sweep=s, point=None, value=float("nan"), time_s=0.0, seed=seed,
+                          status=status) for s in sweeps]
+    if ts is None:
+        return [_result_row(bench, sweep, result.best_point, result.best_value,
+                            result.wall_time_ms, seed)]
+    trace_rows = [result.trace[t] for t in ts]
+    return [_result_row(bench, s, row.best_point, row.fobj_global, row.elapsed_ms, seed)
+            for s, row in zip(sweeps, trace_rows)]
 
 
 def _fmt(v) -> str:

@@ -120,17 +120,6 @@ class BinaryPopulation:
         members.flags.writeable = False
         object.__setattr__(self, "members", members)
 
-    @classmethod
-    def _trusted(cls, members: np.ndarray, fitness_fn) -> "BinaryPopulation":
-        """A population over a uint8 0/1 matrix the caller owns and built
-        itself: no copy, no validation."""
-        pop = object.__new__(cls)
-        members.flags.writeable = False
-        object.__setattr__(pop, "members", members)
-        object.__setattr__(pop, "fitness_fn", fitness_fn)
-        object.__setattr__(pop, "_fitness", None)
-        return pop
-
     @property
     def size(self) -> int:
         return self.members.shape[0]
@@ -176,7 +165,7 @@ def random_population(
     unless both are integers of at least 1, before any draw."""
     check_counts(1, n=n, length=length)
     members = rng.integers(0, 2, size=(n, length), dtype=np.uint8)
-    return BinaryPopulation._trusted(members, fitness_fn)
+    return BinaryPopulation(members, fitness_fn)
 
 
 def _match_mask(s: CompiledSchema, members: np.ndarray) -> np.ndarray:
@@ -314,7 +303,7 @@ def classic_ga_step(
     Costs O(n · m) for n members of m bits. The children's fitness is left
     to their first `fitness()` call."""
     children = _ga_block_step(pop.members[None], pop.fitness()[None], params, [rng])
-    return BinaryPopulation._trusted(children[0], pop.fitness_fn)
+    return BinaryPopulation(children[0], pop.fitness_fn)
 
 
 @dataclass

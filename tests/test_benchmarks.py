@@ -294,6 +294,20 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="rosenbrock"):
             make_benchmark("nosuch")
 
+    @pytest.mark.parametrize(
+        "name, params, unknown, valid",
+        [("rosenbrock", {"bogus": 1}, "bogus", "a, b"),
+         ("schaffer", {"tau": 5.0}, "tau", "none"),
+         ("two_well", {"tau": 5.0, "dim": 3}, "dim", "tau")],
+    )
+    def test_unknown_parameter_names_the_valid_ones(self, name, params, unknown, valid):
+        with pytest.raises(ConfigurationError) as excinfo:
+            make_benchmark(name, **params)
+        assert str(excinfo.value) == (
+            f"unknown parameters for benchmark {name!r}: {unknown}; "
+            f"valid parameters: {valid}"
+        )
+
     def test_optima_within_bounds_and_values_check_out(self):
         for name in BENCHMARK_NAMES:
             spec = make_benchmark(name)

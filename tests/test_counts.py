@@ -77,6 +77,8 @@ ENTRY_POINTS = [
      lambda v, rng, obj, fit: ExperimentSpec("sphere", repeat=v)),
     ("ExperimentSpec-seed_base", "seed_base", 0,
      lambda v, rng, obj, fit: ExperimentSpec("sphere", seed_base=v)),
+    ("ExperimentSpec-checkpoints", "checkpoints", 0,
+     lambda v, rng, obj, fit: ExperimentSpec("sphere", checkpoints=(v,))),
     ("split_bounds", "m", 1, lambda v, rng, obj, fit: split_bounds(BOX, v)),
     ("parallel_run", "m", 1, lambda v, rng, obj, fit: parallel_run(obj, BOX, _vs(), m=v)),
     ("random_population-n", "n", 1,

@@ -6,19 +6,21 @@ trace row, so a change that moves any bit of them fails here. The
 objectives use only + - * and /, and the walk, the fold and DE only
 those and comparisons, so the pins hold on any IEEE-754 numpy build.
 The schema lab's cases pin a digest of seeded growth reports on one-max,
-whose fitness values are exact integers plus one. A change that alters
+whose fitness values are exact integers plus one. The report cases pin
+every field but the wall time of each built-in spec's rows. A change that alters
 the random stream or the arithmetic on purpose updates the pins and says
 so in CHANGES.md.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from viralsearch.benchmarks import make_benchmark
 from viralsearch.core import make_rng
 from viralsearch.engine import VSConfig
-from viralsearch.harness import parallel_run
+from viralsearch.harness import builtin_specs, parallel_run, run_experiment
 from viralsearch.schema_lab import (
     GAParams,
     classic_ga_step,
@@ -147,3 +149,49 @@ def test_seeded_one_bit_ga_matches_its_pinned_fingerprint():
     assert h.hexdigest() == (
         "d805b6d6f501f19a3238c9a7ebee44924d37a6f04edc4d7dd907ac956be8e116"
     )
+
+
+# spec name: (rows, report digest) at repeat=2; a grid spec runs its first
+# three cells, a checkpoint spec all of its checkpoints
+PINNED_REPORTS = {
+    "rosenbrock-table2": (
+        9, "6f64dfec248d51cfb412dc71b99f3ea1bcba8e7c5b785a54ab04ac9b55c07a41",
+    ),
+    "rosenbrock-table3": (
+        9, "8bf6796c0c3e992ec09a1cb936e9f24d2c6c9a3da6b4d9249b0e3f8043469189",
+    ),
+    "schaffer-table3": (
+        9, "0f5875def85735b89fb12ddb85933e3c21f7a543e5364c7cd49f3beedad36d9d",
+    ),
+    "shekel-table5": (
+        9, "81af8153383c84da79ca9882380bbf7e858e465881fb3caaf7ee43b6a289f673",
+    ),
+    "twowell-table4": (
+        20, "d7caef78fc3480309ea046c8f2e5230368063ceeccaf08b026896ce6d5a0636a",
+    ),
+}
+
+
+def rows_digest(rows) -> str:
+    """SHA-256 over every report row's sweep (in column order), point,
+    value, seed, kind and status, floats written as float.hex; the wall
+    time is left out."""
+    h = hashlib.sha256()
+    for r in rows:
+        point = None if r.point is None else tuple(float(v).hex() for v in r.point)
+        h.update(repr((list(r.sweep.items()), point, float(r.value).hex(), r.seed, r.kind,
+                       r.status)).encode())
+    return h.hexdigest()
+
+
+def test_every_builtin_spec_is_pinned():
+    assert set(PINNED_REPORTS) == set(builtin_specs())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_builtin_spec_rows_match_their_pinned_fingerprint(name):
+    n_rows, digest = PINNED_REPORTS[name]
+    spec = builtin_specs()[name]
+    rows = run_experiment(replace(spec, repeat=2, cells=spec.cells[:3]))
+    assert len(rows) == n_rows
+    assert rows_digest(rows) == digest

@@ -46,6 +46,17 @@ def tiny_spec(**overrides):
     return ExperimentSpec(**base)
 
 
+def checkpoint_spec(checkpoints, **overrides):
+    """One 6-generation sphere run sampled at `checkpoints`."""
+    return ExperimentSpec(
+        benchmark="sphere",
+        base={"n_individuals": 5, "n_generations": 6, "n_viral_individuals": 5,
+              "n_viral_generations": 3},
+        checkpoints=checkpoints,
+        **overrides,
+    )
+
+
 class TestExperimentSpec:
     def test_cell_shape_checked(self):
         with pytest.raises(ConfigurationError):
@@ -64,6 +75,19 @@ class TestExperimentSpec:
     def test_non_integer_counts_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
             tiny_spec(**{field: value})
+
+    @pytest.mark.parametrize("checkpoints", [(1.5,), (-1,), (2, 1.5), ()],
+                             ids=["float", "negative", "float-after-int", "empty"])
+    def test_bad_checkpoints_rejected_when_built(self, checkpoints):
+        with pytest.raises(ConfigurationError, match="checkpoints"):
+            tiny_spec(checkpoints=checkpoints)
+
+    def test_unknown_benchmark_parameter_fails_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *args, **kwargs: calls.append(1))
+        with pytest.raises(ConfigurationError, match="valid parameters: dim"):
+            run_experiment(tiny_spec(benchmark_params={"tau": 5.0}))
+        assert calls == []
 
     def test_numpy_integer_counts_run_like_python_ints(self):
         plain = run_experiment(tiny_spec(repeat=2, seed_base=3))
@@ -214,41 +238,77 @@ class TestRunExperiment:
             run_experiment(tiny_spec())
 
     def test_checkpoint_rows(self):
-        spec = ExperimentSpec(
-            benchmark="sphere",
-            base={
-                "n_individuals": 5,
-                "n_generations": 6,
-                "n_viral_individuals": 5,
-                "n_viral_generations": 3,
-            },
-            checkpoints=(1, 3, 5),
-        )
-        rows = run_experiment(spec)
+        rows = run_experiment(checkpoint_spec((1, 3, 5)))
         assert [r.sweep["t"] for r in rows] == [1, 3, 5]
         values = [r.value for r in rows]
         assert values == sorted(values, reverse=True)  # incumbent improves
 
-    def test_checkpoint_past_the_run_is_an_error_row(self):
-        spec = ExperimentSpec(
-            benchmark="sphere",
-            base={
-                "n_individuals": 5,
-                "n_generations": 6,
-                "n_viral_individuals": 5,
-                "n_viral_generations": 3,
-            },
-            checkpoints=(5, 6, 9),
-        )
-        last, *missing = run_experiment(spec)
-        assert last.status == "ok" and last.sweep == {"t": 5}
-        assert [r.status for r in missing] == [
-            "error: no trace row for generation 6",
-            "error: no trace row for generation 9",
-        ]
-        for r in missing:
+    def test_checkpoint_past_the_run_is_an_error_row(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *args, **kwargs: calls.append(1))
+        rows = run_experiment(checkpoint_spec((5, 6, 9)))
+        assert calls == []
+        assert [r.sweep for r in rows] == [{"t": 5}, {"t": 6}, {"t": 9}]
+        for r in rows:
+            assert r.status == (
+                "error: ConfigurationError: checkpoints must be below "
+                "n_generations=6, got [6, 9]"
+            )
             assert r.point is None and np.isnan(r.value)
-            assert r.kind == "run" and r.seed == last.seed
+            assert r.kind == "run" and r.seed == rows[0].seed
+
+    def test_checkpoint_past_one_cell_skips_only_that_cells_runs(self, monkeypatch):
+        calls = []
+
+        def counted_run(*args, **kwargs):
+            calls.append(1)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", counted_run)
+        rows = run_experiment(tiny_spec(cells=((4, 6), (4, 5)), checkpoints=(5,)))
+        assert len(calls) == 2  # the two runs of the first cell alone
+        assert [r.status == "ok" for r in rows] == [True, True, False, False]
+        assert all(r.sweep["n_generations"] == 5 for r in rows[2:])
+
+    def test_checkpoint_rows_keep_their_cell(self):
+        rows = run_experiment(tiny_spec(cells=((4, 6), (6, 5)), checkpoints=(1, 4),
+                                        repeat=1))
+        assert [r.sweep for r in rows] == [
+            {"n_individuals": 4, "n_generations": 6, "t": 1},
+            {"n_individuals": 4, "n_generations": 6, "t": 4},
+            {"n_individuals": 6, "n_generations": 5, "t": 1},
+            {"n_individuals": 6, "n_generations": 5, "t": 4},
+        ]
+        assert all(r.status == "ok" and r.kind == "run" for r in rows)
+        assert rows[0].seed != rows[2].seed
+
+    def test_checkpoint_rows_read_the_trace_of_their_run(self):
+        spec = checkpoint_spec((0, 2, 5), seed_base=4)
+        rows = run_experiment(spec)
+        cfg = VSConfig(**spec.base, seed=child_seed(4, 0))
+        trace = run(SPHERE, BOX, cfg).trace
+        for r, t in zip(rows, spec.checkpoints):
+            assert r.seed == cfg.seed
+            assert r.value == trace[t].fobj_global
+            assert r.point == tuple(float(v) for v in trace[t].best_point)
+
+    def test_failed_checkpoint_run_keeps_the_csv_rectangular(self, monkeypatch, tmp_path):
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise EvaluationError("bad run")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", first_fails)
+        rows = run_experiment(checkpoint_spec((1, 4), repeat=2))
+        path = tmp_path / "report.csv"
+        write_rows(rows, str(path), make_benchmark("sphere"))
+        lines = path.read_text().splitlines()
+        assert {len(line.split(",")) for line in lines} == {8}
+        assert lines[0] == "t,x,y,z,time_s,seed,kind,status"
+        assert [r.status for r in rows] == ["error: EvaluationError: bad run"] * 2 + ["ok"] * 2
 
     def test_maximization_benchmark_reports_positive_values(self):
         spec = ExperimentSpec(
@@ -272,7 +332,8 @@ class TestRunExperiment:
 class TestSerialization:
     def test_csv_layout_and_endings(self, tmp_path):
         path = tmp_path / "report.csv"
-        rows = run_experiment(tiny_spec(out_path=str(path)))
+        rows = run_experiment(tiny_spec())
+        write_rows(rows, str(path), make_benchmark("sphere"))
         raw = path.read_bytes()
         assert b"\r" not in raw
         text = raw.decode("utf-8")
@@ -285,7 +346,7 @@ class TestSerialization:
 
     def test_csv_parse_write_stability(self, tmp_path):
         path = tmp_path / "report.csv"
-        run_experiment(tiny_spec(out_path=str(path)))
+        write_rows(run_experiment(tiny_spec()), str(path), make_benchmark("sphere"))
         rows1 = read_rows_csv(str(path))
         path2 = tmp_path / "again.csv"
         write_rows(rows1, str(path2), make_benchmark("sphere"))
@@ -294,7 +355,8 @@ class TestSerialization:
 
     def test_json_round_trip_exact(self, tmp_path):
         path = tmp_path / "report.json"
-        rows = run_experiment(tiny_spec(out_path=str(path)))
+        rows = run_experiment(tiny_spec())
+        write_rows(rows, str(path), make_benchmark("sphere"))
         parsed = read_rows_json(str(path))
         assert parsed == rows
         payload = json.loads(path.read_text())
