@@ -18,7 +18,8 @@ import numpy as np
 from .core import Bounds, ConfigurationError, Objective
 
 # Peak locations (one column per peak; rows are coordinates) and peak
-# sharpness constants for the four-dimensional multi-peak landscape.
+# sharpness constants for the four-dimensional multi-peak landscape,
+# read-only so that `_peak_planes`' cached copies stay equal to them.
 SHEKEL_A = np.array(
     [
         [4, 1, 8, 6, 3, 2, 5, 8, 6, 7],
@@ -29,6 +30,7 @@ SHEKEL_A = np.array(
     dtype=float,
 )
 SHEKEL_C = np.array([1, 2, 2, 4, 4, 6, 3, 7, 5, 5], dtype=float) / 10.0
+SHEKEL_A.flags.writeable = SHEKEL_C.flags.writeable = False
 
 
 def sphere(x) -> np.ndarray:
@@ -37,12 +39,12 @@ def sphere(x) -> np.ndarray:
     return (x**2).sum(axis=-1)
 
 
-def rosenbrock(x, y, a: float = 1.0, b: float = 100.0) -> np.ndarray:
-    """(a - x)^2 + b (y - x^2)^2: a curved valley of near-minima with the
-    single global minimum 0 at (a, a^2)."""
+def rosenbrock(x, y) -> np.ndarray:
+    """(1 - x)^2 + 100 (y - x^2)^2: a curved valley of near-minima with the
+    single global minimum 0 at (1, 1)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return (a - x) ** 2 + b * (y - x**2) ** 2
+    return (1.0 - x) ** 2 + 100.0 * (y - x**2) ** 2
 
 
 def schaffer(x, y) -> np.ndarray:
@@ -72,32 +74,28 @@ def two_well(t, x, y, tau: float = 1000.0) -> np.ndarray:
     return first + second
 
 
-def shekel(x, a_matrix: np.ndarray = SHEKEL_A, c: np.ndarray = SHEKEL_C) -> np.ndarray:
+def shekel(x) -> np.ndarray:
     """Multi-peak landscape S(x) = sum_i 1 / (c_i + sum_j (x_j - a_ji)^2).
 
-    This is the quantity to MAXIMIZE: each column of `a_matrix` is a peak
-    of height 1/c_i, finite everywhere because c_i > 0. The m positive
-    peak terms are added with `sum` over the peak axis, in another order
-    than a sum over the last axis of an (..., m, d) tensor takes, so the
-    two agree to (d + m)·eps relative, not bit for bit.
+    This is the quantity to MAXIMIZE: each column of `SHEKEL_A` is a peak
+    of height 1/c_i, with c = `SHEKEL_C`, finite everywhere because c_i > 0.
+    The m positive peak terms are added with `sum` over the peak axis, in
+    another order than a sum over the last axis of an (..., m, d) tensor
+    takes, so the two agree to (d + m)·eps relative, not bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    a_matrix = np.asarray(a_matrix, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if x.shape[-1] != a_matrix.shape[0]:
+    if x.shape[-1] != SHEKEL_A.shape[0]:
         raise ValueError(
             f"point has {x.shape[-1]} coordinates, peak matrix has "
-            f"{a_matrix.shape[0]} rows"
+            f"{SHEKEL_A.shape[0]} rows"
         )
-    if a_matrix.shape[1] != c.size:
-        raise ValueError("peak matrix columns and c lengths differ")
     lead = x.shape[:-1]
     x = x.reshape(-1, x.shape[-1])
     # peak-major: one subtract against the (d, m, n) peak plane gives each
     # axis's differences, and row i of the (m, n) block adds up every
     # point's squared distance to peak i one axis at a time, so each
     # operation runs along n points whatever the layout of x
-    a_plane, c_plane = _peak_planes(len(x), a_matrix.shape, a_matrix.tobytes(), c.tobytes())
+    a_plane, c_plane = _peak_planes(len(x))
     terms = np.subtract(x.T[:, None, :], a_plane)
     terms *= terms
     sq = terms[0]
@@ -109,13 +107,14 @@ def shekel(x, a_matrix: np.ndarray = SHEKEL_A, c: np.ndarray = SHEKEL_C) -> np.n
 
 
 @lru_cache(maxsize=4)
-def _peak_planes(n: int, shape: tuple, a_bytes: bytes, c_bytes: bytes) -> tuple:
-    """Read-only planes of the peak coordinates, (d, m, n), and of c, (m, n), in one
-    block keyed by value: a contiguous plane subtracts faster than a stride-0 column."""
-    d, m = shape
+def _peak_planes(n: int) -> tuple:
+    """Read-only planes of the peak coordinates, (d, m, n), and of c, (m, n), for
+    n points, in one block: a contiguous plane subtracts faster than a stride-0
+    column."""
+    d, m = SHEKEL_A.shape
     planes = np.empty((d + 1, m, n))
-    planes[:d] = np.frombuffer(a_bytes).reshape(shape)[:, :, None]
-    planes[d] = np.frombuffer(c_bytes)[:, None]
+    planes[:d] = SHEKEL_A[:, :, None]
+    planes[d] = SHEKEL_C[:, None]
     planes.flags.writeable = False
     return planes[:d], planes[d]
 
@@ -154,16 +153,12 @@ def _sphere_spec(dim: int = 2) -> BenchmarkSpec:
     )
 
 
-def _rosenbrock_spec(a: float = 1.0, b: float = 100.0) -> BenchmarkSpec:
-    obj = Objective(
-        lambda t, p: rosenbrock(p[:, 0], p[:, 1], a=a, b=b),
-        arity=2,
-        name="rosenbrock",
-    )
+def _rosenbrock_spec() -> BenchmarkSpec:
+    obj = Objective(lambda t, p: rosenbrock(p[:, 0], p[:, 1]), arity=2, name="rosenbrock")
     return BenchmarkSpec(
         bounds=Bounds([-3.0, -3.0], [3.0, 3.0]),
         objective=obj,
-        known_optimum=Optimum((a, a * a), 0.0, "min"),
+        known_optimum=Optimum((1.0, 1.0), 0.0, "min"),
     )
 
 

@@ -264,7 +264,6 @@ def trigger_epidemic(
     objective: Objective,
     t: int,
     rng: RngStream,
-    evaluations: Optional[dict] = None,
 ) -> tuple[Point, float]:
     """Run a localized DE burst in a cube around the triggering scout.
 
@@ -273,7 +272,6 @@ def trigger_epidemic(
     the burst population so the result can never be worse than the
     trigger's own value. The burst runs `n_viral_individuals` members for
     `n_viral_generations` generations with `DEConfig`'s default weights.
-    Its rows are added to `evaluations["burst"]` when given.
     """
     trigger = np.asarray(trigger, dtype=float)
     half = cfg.epidemic_radius_fraction * b.span
@@ -285,10 +283,7 @@ def trigger_epidemic(
             f"trigger inside the bounds?"
         )
     burst = DEConfig(pop_size=cfg.n_viral_individuals, generations=cfg.n_viral_generations)
-    return de_optimize(
-        objective, Bounds(lo, hi), burst, seed_point=trigger, t=t, rng=rng,
-        evaluations=evaluations,
-    )
+    return de_optimize(objective, Bounds(lo, hi), burst, seed_point=trigger, t=t, rng=rng)
 
 
 def step(
@@ -300,7 +295,9 @@ def step(
 ) -> EngineState:
     """One generation: evaluate scouts, fire a `trigger_epidemic` burst
     from each scout that improves on the incumbent, update the incumbent,
-    move everyone, rebalance on cadence, append a trace row."""
+    move everyone, rebalance on cadence, append a trace row. The rows
+    each phase evaluated (scouts, bursts, the incumbent's refresh) are
+    added to `state.evaluations` here."""
     t = state.generation
     if objective.time_varying and state.best_individual_global is not None:
         # the landscape moved under the incumbent; refresh its value so
@@ -319,9 +316,11 @@ def step(
         if values[i] > state.fobj_global - cfg.trigger_tolerance:
             continue
         best_point, best_value = trigger_epidemic(
-            state.population[i].copy(), b, cfg, objective, t, rng, state.evaluations
+            state.population[i].copy(), b, cfg, objective, t, rng
         )
         state.epidemic_count += 1
+        # a burst evaluates its pop members once, then once per generation
+        state.evaluations["burst"] += cfg.n_viral_individuals * (cfg.n_viral_generations + 1)
         if best_value <= state.fobj_global:
             # a fresh array from the burst, shared read-only by every later
             # trace row and the run's result

@@ -29,7 +29,8 @@ class ExperimentSpec:
     """A benchmark sweep: which config fields vary, over which cells.
 
     When `checkpoints` is set each run is sampled at those trace
-    generations instead of reported by its end result.
+    generations instead of reported by its end result. `sweep_fields`,
+    `cells`, each cell and `checkpoints` are tuples.
     """
 
     benchmark: str
@@ -44,15 +45,21 @@ class ExperimentSpec:
     def __post_init__(self):
         check_counts(1, repeat=self.repeat)
         check_counts(0, seed_base=self.seed_base)
+        checkpoints = () if self.checkpoints is None else self.checkpoints
+        for name, value in (("sweep_fields", self.sweep_fields), ("cells", self.cells),
+                            ("checkpoints", checkpoints)):
+            if not isinstance(value, tuple):
+                raise ConfigurationError(f"{name} must be a tuple, got {value!r}")
         if self.checkpoints is not None:
             if not self.checkpoints:
                 raise ConfigurationError("checkpoints must name at least one generation")
             for t in self.checkpoints:
                 check_counts(0, checkpoints=t)
         for cell in self.cells:
-            if len(cell) != len(self.sweep_fields):
+            if not isinstance(cell, tuple) or len(cell) != len(self.sweep_fields):
                 raise ConfigurationError(
-                    f"cell {cell!r} does not match sweep fields {self.sweep_fields!r}"
+                    f"cells must hold tuples matching sweep fields {self.sweep_fields!r}, "
+                    f"got {cell!r}"
                 )
 
 

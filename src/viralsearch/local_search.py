@@ -20,6 +20,7 @@ from .core import (
     Point,
     RngStream,
     check_counts,
+    random_init,
 )
 
 
@@ -122,7 +123,6 @@ def de_optimize(
     *,
     rng: RngStream,
     history: Optional[list] = None,
-    evaluations: Optional[dict] = None,
 ) -> tuple[Point, float]:
     """Minimize `objective` over `region` at frozen generation `t`.
 
@@ -130,9 +130,9 @@ def de_optimize(
     given it replaces member 0, and greedy selection guarantees the
     returned value never exceeds the seed's value. Trials are clamped to
     the region, tiled once per call to one limit per coordinate. When
-    `history` is a list, the per-generation best value is appended to it;
-    when `evaluations` is a dict, the rows of every batch are added to
-    its "burst" count. Partners and crossover masks are drawn once per
+    `history` is a list, the per-generation best value is appended to it.
+    A call evaluates pop · (G + 1) rows: the starting population, then one
+    batch per generation. Partners and crossover masks are drawn once per
     block of `_BLOCK` generations, so a generation makes no RNG call.
 
     Returns the best point found and its value.
@@ -140,7 +140,7 @@ def de_optimize(
     n, d = cfg.pop_size, region.dim
     check_draw_range(n, d)
 
-    pop = rng.uniform(region.lb, region.ub, size=(n, d))
+    pop = random_init(region, n, rng)
     if seed_point is not None:
         seed_point = np.asarray(seed_point, dtype=float)
         if seed_point.shape != (d,):
@@ -149,8 +149,6 @@ def de_optimize(
             )
         pop[0] = seed_point
     values = objective.evaluate_many(t, pop)
-    if evaluations is not None:
-        evaluations["burst"] += n
     lb, ub = np.tile(region.lb, n), np.tile(region.ub, n)
 
     for start in range(0, cfg.generations, _BLOCK):
@@ -170,8 +168,6 @@ def de_optimize(
             np.minimum(flat, ub, out=flat)
 
             trial_values = objective.evaluate_many(t, trial)
-            if evaluations is not None:
-                evaluations["burst"] += n
             accept = trial_values <= values
             np.copyto(pop, trial, where=accept[:, None])
             np.copyto(values, trial_values, where=accept)

@@ -47,25 +47,28 @@ class CompiledSchema:
     defining_length: Optional[int] = field(compare=False)
 
 
-SchemaLike = Union[str, tuple, list, CompiledSchema]
+SchemaLike = Union[str, CompiledSchema]
 
 
 def compile_schema(schema: SchemaLike) -> CompiledSchema:
-    """Parse a schema given as a string or a sequence of symbols; a
-    compiled schema is returned as it is."""
+    """Parse a schema given as a string; a compiled schema is returned as
+    it is, and anything else raises `ValueError`."""
     if isinstance(schema, CompiledSchema):
         return schema
-    pattern = schema if isinstance(schema, str) else "".join(str(s) for s in schema)
-    if len(pattern) < 1:
+    if not isinstance(schema, str):
+        raise ValueError(
+            f"schema must be a string or a CompiledSchema, got {type(schema).__name__}"
+        )
+    if len(schema) < 1:
         raise ValueError("schema must have at least one position")
-    bad = set(pattern) - {"0", "1", WILDCARD}
+    bad = set(schema) - {"0", "1", WILDCARD}
     if bad:
         raise ValueError(f"schema may only contain 0, 1, {WILDCARD}; got {sorted(bad)}")
-    idx = np.array([i for i, ch in enumerate(pattern) if ch != WILDCARD], dtype=np.intp)
-    vals = np.array([int(pattern[i]) for i in idx], dtype=np.uint8)
+    idx = np.array([i for i, ch in enumerate(schema) if ch != WILDCARD], dtype=np.intp)
+    vals = np.array([int(schema[i]) for i in idx], dtype=np.uint8)
     idx.flags.writeable = vals.flags.writeable = False
     return CompiledSchema(
-        pattern=pattern,
+        pattern=schema,
         idx=idx,
         vals=vals,
         order=int(idx.size),
@@ -169,9 +172,8 @@ def random_population(
 
 
 def _match_mask(s: CompiledSchema, members: np.ndarray) -> np.ndarray:
-    """Which rows of the (..., m) bit array `members` match `s`."""
-    if s.order == 0:
-        return np.ones(members.shape[:-1], dtype=bool)
+    """Which rows of the (..., m) bit array `members` match `s`; every row
+    matches an all-wildcard schema, as `all` over no positions is True."""
     return (members[..., s.idx] == s.vals).all(axis=-1)
 
 
@@ -370,12 +372,6 @@ def schema_growth_experiment(
     bounds_ = np.full((trials, generations), np.nan)
     phase_s = dict.fromkeys(("ga_step", "bound", "count"), 0.0)
     fitness_rows = 0
-
-    def counted_fitness(members):
-        nonlocal fitness_rows
-        fitness_rows += len(members)
-        return pop0.fitness_fn(members)
-
     if generations:
         survival = _survival(schema, m, params)
         if pop0._fitness is None:
@@ -398,7 +394,8 @@ def schema_growth_experiment(
             t1 = time.perf_counter()
             members = _ga_block_step(members, fitness, params, rngs)
             if g + 1 < generations:
-                fitness = _stacked_fitness(counted_fitness, members)
+                fitness = _stacked_fitness(pop0.fitness_fn, members)
+                fitness_rows += fitness.size
             t2 = time.perf_counter()
             mask = _match_mask(schema, members)
             counts[start:stop, g + 1] = mask.sum(axis=-1)

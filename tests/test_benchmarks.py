@@ -29,9 +29,6 @@ class TestRosenbrock:
     def test_values(self, x, y, expected):
         assert rosenbrock(x, y) == pytest.approx(expected, abs=1e-12)
 
-    def test_custom_constants_shift_minimum(self):
-        assert rosenbrock(2.0, 4.0, a=2.0, b=50.0) == 0.0
-
 
 class TestSchaffer:
     def test_origin_is_zero(self):
@@ -117,49 +114,39 @@ class TestShekel:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        d=st.integers(1, 6),
-        m=st.integers(1, 12),
         shape=st.sampled_from([(), (5,), (3, 4)]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_tensor_formula_to_rounding(self, d, m, shape, seed):
+    def test_matches_the_tensor_formula_to_rounding(self, shape, seed):
         rng = make_rng(seed)
-
-        def with_edges(values, edges):
-            # about a fifth of the entries on the ends of their range
-            hit = rng.random(values.shape) < 0.2
-            values[hit] = rng.choice(edges, hit.sum())
-            return values
-
-        a = with_edges(rng.uniform(0.0, 10.0, (d, m)), [0.0, 10.0])
-        c = with_edges(rng.uniform(1e-3, 10.0, m), [1e-3, 10.0])
-        # points in [0, 10]^d, or up to 10^3 outside it on either side
-        x = np.where(rng.random(shape + (d,)) < 0.5,
-                     rng.uniform(0.0, 10.0, shape + (d,)),
-                     rng.uniform(-1e3, 1e3 + 10.0, shape + (d,)))
-        x = with_edges(x, [0.0, 10.0, -1e3, 1e3, 1e3 + 10.0])
-        got = shekel(x, a, c)
-        assert got.shape == shape
-        assert_near_the_tensor_formula(got, x, a, c)
+        shape += (SHEKEL_A.shape[0],)
+        # points in [0, 10]^d, or up to 10^3 outside it on either side, with
+        # about a fifth of the coordinates on the ends of their range
+        x = np.where(rng.random(shape) < 0.5,
+                     rng.uniform(0.0, 10.0, shape),
+                     rng.uniform(-1e3, 1e3 + 10.0, shape))
+        hit = rng.random(shape) < 0.2
+        x[hit] = rng.choice([0.0, 10.0, -1e3, 1e3, 1e3 + 10.0], hit.sum())
+        got = shekel(x)
+        assert got.shape == shape[:-1]
+        assert_near_the_tensor_formula(got, x, SHEKEL_A, SHEKEL_C)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        d=st.integers(1, 9),
-        m=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 128, 129, 300]),
         shape=st.sampled_from([(), (5,), (3, 4)]),
         order=st.sampled_from("CF"),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_tensor_formula_for_up_to_300_peaks(self, d, m, shape, order, seed):
-        # numpy's pairwise sum over the tensor's last axis changes method at
-        # 8 and at 128 terms; m and d cross those edges here
+    def test_matches_the_tensor_formula_for_up_to_300_peaks(self, shape, order, seed):
+        # shekel takes only the shipped 10 peaks now, which is within the 1
+        # to 300 this once swept; its sum over them still crosses numpy's
+        # pairwise-sum edge at 8 terms, in either memory order of x
         rng = make_rng(seed)
-        a = rng.uniform(0.0, 10.0, (d, m))
-        c = rng.uniform(1e-3, 10.0, m)
-        x = rng.uniform(-5.0, 15.0, shape + (d,)) * 10.0 ** rng.integers(0, 3, shape + (d,))
-        got = shekel(np.asarray(x, order=order), a, c)
-        assert got.shape == shape
-        assert_near_the_tensor_formula(got, x, a, c)
+        shape += (SHEKEL_A.shape[0],)
+        x = rng.uniform(-5.0, 15.0, shape) * 10.0 ** rng.integers(0, 3, shape)
+        got = shekel(np.asarray(x, order=order))
+        assert got.shape == shape[:-1]
+        assert_near_the_tensor_formula(got, x, SHEKEL_A, SHEKEL_C)
 
     def test_inputs_left_unchanged(self):
         box = Bounds(np.zeros(4), np.full(4, 10.0))
@@ -189,33 +176,19 @@ def assert_near_the_tensor_formula(got, x, a, c):
 
 class TestShekelPlanes:
     """`shekel` subtracts from peak and constant planes cached per batch
-    size; the cache is keyed by value and bounded."""
+    size; the cache is bounded, and the constants it copies are read-only."""
 
-    def test_matrices_of_one_shape_keep_their_own_values(self):
-        rng = make_rng(5)
-        x = rng.uniform(0.0, 10.0, (300, 4))
-        mats = [(rng.uniform(0.0, 10.0, (4, 10)), rng.uniform(0.1, 1.0, 10)) for _ in range(3)]
-        for _ in range(2):
-            for a, c in mats:
-                assert_near_the_tensor_formula(shekel(x, a, c), x, a, c)
-
-    def test_inputs_edited_in_place_give_the_new_values(self):
-        rng = make_rng(6)
-        x = rng.uniform(0.0, 10.0, (50, 4))
-        a, c = SHEKEL_A.copy(), SHEKEL_C.copy()
-        assert np.array_equal(shekel(x, a, c), shekel(x))
-        a[1, 3] += 0.5
-        assert_near_the_tensor_formula(shekel(x, a, c), x, a, c)
-        c[7] *= 2.0
-        assert_near_the_tensor_formula(shekel(x, a, c), x, a, c)
-        assert not np.array_equal(shekel(x, a, c), shekel(x))
+    def test_constants_are_read_only(self):
+        for constant in (SHEKEL_A, SHEKEL_C):
+            assert not constant.flags.writeable
+            with pytest.raises(ValueError):
+                constant[0] = 1.0
 
     def test_planes_are_read_only(self):
-        shekel(np.zeros((7, 4)))
-        a_plane, c_plane = benchmarks._peak_planes(
-            7, SHEKEL_A.shape, SHEKEL_A.tobytes(), SHEKEL_C.tobytes()
-        )
+        a_plane, c_plane = benchmarks._peak_planes(7)
         assert a_plane.shape == (4, 10, 7) and c_plane.shape == (10, 7)
+        assert (a_plane == SHEKEL_A[:, :, None]).all()
+        assert (c_plane == SHEKEL_C[:, None]).all()
         for plane in (a_plane, c_plane):
             assert not plane.flags.writeable
             with pytest.raises(ValueError):
@@ -296,7 +269,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize(
         "name, params, unknown, valid",
-        [("rosenbrock", {"bogus": 1}, "bogus", "a, b"),
+        [("rosenbrock", {"bogus": 1}, "bogus", "none"),
          ("schaffer", {"tau": 5.0}, "tau", "none"),
          ("two_well", {"tau": 5.0, "dim": 3}, "dim", "tau")],
     )

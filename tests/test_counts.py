@@ -3,6 +3,9 @@
 Each entry point gets a float and a value one below its minimum. Both must
 raise `ConfigurationError` naming the parameter, before the entry point
 draws from its generator or evaluates anything.
+
+Likewise an `ExperimentSpec` field that must be a tuple raises
+`ConfigurationError` naming the field when it is not one.
 """
 
 import copy
@@ -128,3 +131,19 @@ def test_bad_count_fails_before_any_draw_or_evaluation(name, minimum, call, kind
 @pytest.mark.parametrize("value", [0, np.int64(3), np.uint8(7)])
 def test_python_and_numpy_integers_at_the_minimum_pass(value):
     check_counts(int(value), count=value)
+
+
+@pytest.mark.parametrize(
+    "field, spec_fields",
+    [("sweep_fields", dict(sweep_fields=["n_individuals"], cells=((4,),))),
+     ("cells", dict(cells=5)),
+     ("cells", dict(cells=(5,))),
+     ("cells", dict(cells=[()])),
+     ("checkpoints", dict(checkpoints=5)),
+     ("checkpoints", dict(checkpoints=[3]))],
+    ids=["sweep_fields-list", "cells-int", "cell-int", "cells-list", "checkpoints-int",
+         "checkpoints-list"],
+)
+def test_spec_fields_that_are_not_tuples_fail_naming_the_field(field, spec_fields):
+    with pytest.raises(ConfigurationError, match=f"^{field} must"):
+        ExperimentSpec("sphere", **spec_fields)

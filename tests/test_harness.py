@@ -576,8 +576,8 @@ class TestParallelRun:
 
 
 class TestEvaluationCounts:
-    """`RunResult.evaluations` counts the rows of each phase at the engine's
-    own call sites; a counting objective checks it from outside."""
+    """`RunResult.evaluations` counts the rows of each phase in `step`; a
+    counting objective checks it from outside."""
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("time_varying", [False, True])

@@ -241,15 +241,6 @@ class TestDEOptimize:
         assert value == np.inf
         assert SQUARE.contains(point[None, :])
 
-    @pytest.mark.parametrize("generations", [1, 17])
-    def test_adds_its_rows_to_the_burst_count(self, generations):
-        obj, rows = counting_sphere()
-        evaluations = {"scout": 3, "burst": 5}
-        de_optimize(obj, SQUARE, DEConfig(pop_size=9, generations=generations),
-                    rng=make_rng(6), evaluations=evaluations)
-        assert evaluations == {"scout": 3, "burst": 5 + sum(rows)}
-        assert sum(rows) == 9 * (generations + 1)
-
     @pytest.mark.parametrize("generations", [1, 15, 16, 17, 75])
     def test_block_boundaries(self, generations):
         cfg = DEConfig(pop_size=9, generations=generations)

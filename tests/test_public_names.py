@@ -19,6 +19,14 @@ outside the class's own definition, in `perfbench/`, in the README's
 Python blocks outside the migration notes, or in the acceptance battery.
 A field no caller sets is an option with one value in use: a constant.
 
+Likewise every defaulted parameter of a public function, public method or
+explicit `__init__`, and every parameter of a benchmark builder, must be
+passed by keyword or by position: in the package's code, where passing on
+a parameter of the calling function counts only if that parameter is
+itself passed; in `perfbench/`; in the README outside the migration
+notes, where `make_benchmark("x", k=...)` and the keys of a spec's
+`benchmark_params` set builder `x`'s `k`; or in the acceptance battery.
+
 Every count and seed the package takes is checked by `core.check_counts`:
 a public function, a public class's constructor or a config class that
 takes one must pass it to `check_counts`, or forward it to a function or
@@ -32,6 +40,7 @@ from pathlib import Path
 
 import viralsearch
 from viralsearch import DEConfig, ExperimentSpec, GAParams, VSConfig
+from viralsearch.benchmarks import _BUILDERS
 
 CONFIGS = (VSConfig, DEConfig, GAParams, ExperimentSpec)
 
@@ -129,16 +138,24 @@ def _python_blocks(text: str) -> list:
     return re.findall(r"```python\n(.*?)```", text, flags=re.S)
 
 
-def _readme_api() -> set:
+def _readme_trees() -> list:
+    """The README's Python blocks and backticked spans that parse as Python,
+    outside the migration notes."""
     text = _readme_without_migration_notes()
     blocks = _python_blocks(text)
-    text = re.sub(r"```.*?```", "", text, flags=re.S)
-    used = set()
-    for code in blocks + re.findall(r"`([^`\n]+)`", text):
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    trees = []
+    for code in blocks + spans:
         try:
-            tree = ast.parse(code)
+            trees.append(ast.parse(code))
         except SyntaxError:
-            continue  # prose in backticks: a CLI flag, a formula
+            pass  # prose in backticks: a CLI flag, a formula
+    return trees
+
+
+def _readme_api() -> set:
+    used = set()
+    for tree in _readme_trees():
         used |= set(_uses(tree, {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}))
     return used
 
@@ -189,6 +206,111 @@ def test_every_config_field_is_set_by_the_system():
                            *(_set_keys(tree, cls.__name__) for tree in src))
         unset += [f"{cls.__name__}.{f.name}" for f in fields(cls) if f.name not in keys]
     assert not unset, f"config fields no caller sets: {unset}"
+
+
+def _signatures() -> tuple:
+    """The parameters in order of each function of the package, keyed as a
+    call names it: a function or method by its name, an `__init__` by its
+    class's. Also the defaulted parameters of all of them, and the subset
+    the guard checks: those of public functions, of public methods and
+    `__init__`s of public classes, and every parameter of a benchmark
+    builder."""
+    params, defaulted, checked = {}, set(), set()
+
+    def add(key, node, public, skip_self):
+        a = node.args
+        names = [p.arg for p in a.posonlyargs + a.args][skip_self:]
+        params[key] = names + [p.arg for p in a.kwonlyargs]
+        with_default = names[len(names) - len(a.defaults):] if a.defaults else []
+        with_default += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        defaulted.update((key, name) for name in with_default)
+        if public:
+            checked.update((key, name) for name in with_default)
+
+    for path in SRC.glob("*.py"):
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef):
+                add(node.name, node, not node.name.startswith("_"), 0)
+            elif isinstance(node, ast.ClassDef):
+                for method in (m for m in node.body if isinstance(m, ast.FunctionDef)):
+                    if method.name == "__init__":
+                        add(node.name, method, not node.name.startswith("_"), 1)
+                    elif not method.name.startswith("_"):
+                        add(method.name, method, not node.name.startswith("_"), 1)
+    for builder in _BUILDERS.values():
+        checked.update((builder.__name__, name) for name in params[builder.__name__])
+    return params, defaulted, checked
+
+
+def _constant(node):
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def _passes(tree: ast.AST, params: dict) -> list:
+    """Each (function, parameter) an argument in `tree` is passed to, with
+    the (function, parameter) of the caller it passes on unchanged, or None.
+
+    A call to `make_benchmark` with a benchmark name passes its keywords to
+    that benchmark's builder, and a `benchmark_params` dict, in a call
+    whose `benchmark` is a name, passes its keys to that builder."""
+    builders = {name: builder.__name__ for name, builder in _BUILDERS.items()}
+    found = []
+
+    def visit(node, scope, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            # a lambda's own parameters are given by its caller, so they are
+            # passed whatever they hold; closures keep their definer
+            owner = None
+            if isinstance(node, ast.FunctionDef):
+                owner = cls if node.name == "__init__" else node.name
+            a = node.args
+            scope = {**scope, **{p.arg: owner for p in a.posonlyargs + a.args + a.kwonlyargs}}
+            cls = None
+        elif isinstance(node, ast.Call):
+            f = node.func
+            callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            keywords = {kw.arg: kw.value for kw in node.keywords if kw.arg}
+            first = _constant(node.args[0]) if node.args else None
+            passed = []
+            if callee in params:
+                passed += [(callee, key, value) for key, value in keywords.items()]
+                passed += [(callee, key, value) for key, value in zip(params[callee], node.args)]
+            if callee == "make_benchmark" and first in builders:
+                passed += [(builders[first], key, value) for key, value in keywords.items()]
+            name = _constant(keywords["benchmark"]) if "benchmark" in keywords else first
+            table = keywords.get("benchmark_params")
+            if name in builders and isinstance(table, ast.Dict):
+                passed += [(builders[name], _constant(key), value)
+                           for key, value in zip(table.keys, table.values)]
+            for owner, key, value in passed:
+                source = scope.get(value.id) if isinstance(value, ast.Name) else None
+                found.append(((owner, key), (source, value.id) if source else None))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, cls)
+
+    visit(tree, {}, None)
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_the_system():
+    params, defaulted, checked = _signatures()
+    outside = [_parse(path) for path in (ROOT / "perfbench").glob("*.py")]
+    outside += _readme_trees()
+    outside.append(_parse(ROOT / "tests" / "test_acceptance.py"))
+    passed = {target for tree in outside for target, _ in _passes(tree, params)}
+    forwarded = [hop for path in SRC.glob("*.py") for hop in _passes(_parse(path), params)]
+    while True:
+        before = len(passed)
+        passed |= {target for target, source in forwarded
+                   if source is None or source not in defaulted or source in passed}
+        if len(passed) == before:
+            break
+    # `main(argv)` lets the tests drive the CLI in-process; the console
+    # script calls `main()`, which parses `sys.argv`
+    unset = checked - passed - {("main", "argv")}
+    assert not unset, f"parameters no caller sets: {sorted(f'{f}({p})' for f, p in unset)}"
 
 
 # parameter and field names that hold a count or a seed

@@ -121,8 +121,16 @@ class TestCompiledSchema:
             defining_length(s)
 
     def test_sequence_input_and_equality(self):
-        assert compile_schema(["1", "*", 0]) == compile_schema("1*0")
+        for sequence in (["1", "*", "0"], ("1", "*", "0")):
+            with pytest.raises(ValueError, match=f"got {type(sequence).__name__}"):
+                compile_schema(sequence)
+        assert compile_schema("1*0") == compile_schema("1*0")
         assert compile_schema("1*0") != compile_schema("1*1")
+
+    def test_all_wildcard_matches_every_row_of_a_block(self):
+        members = make_rng(9).integers(0, 2, size=(3, 5, 4), dtype=np.uint8)
+        mask = schema_lab._match_mask(compile_schema("****"), members)
+        assert mask.dtype == bool and mask.shape == (3, 5) and mask.all()
 
     def test_compiled_input_is_returned_as_is(self):
         s = compile_schema("10*")
