@@ -84,9 +84,11 @@ def shekel(x) -> np.ndarray:
     takes, so the two agree to (d + m)·eps relative, not bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != SHEKEL_A.shape[0]:
+    # a 0-d input is one coordinate, as `np.atleast_1d` reads it
+    coords = x.shape[-1] if x.ndim else 1
+    if coords != SHEKEL_A.shape[0]:
         raise ValueError(
-            f"point has {x.shape[-1]} coordinates, peak matrix has "
+            f"point has {coords} coordinates, peak matrix has "
             f"{SHEKEL_A.shape[0]} rows"
         )
     lead = x.shape[:-1]

@@ -7,10 +7,35 @@ a small cube around its position; the burst's best result updates the
 incumbent. An optional fixed grid of centers tracks how evenly the box
 is being visited and periodically teleports scouts from over-visited to
 under-visited regions.
+
+The walk's normal draw depends only on where the run's random stream
+stands, not on the scouts' values. So `step` can hand the draw to a helper
+thread before it evaluates the scouts, and `move_random` takes the filled
+buffer: numpy releases the interpreter lock both in the draw's fill and in
+the evaluation's array loops, so on two cores the two overlap. The
+hand-off costs two thread wake-ups, and a draw on the helper runs slower
+than in line, so it pays only when the draw is long and the evaluation
+hides it: `step` hands off only with at least `_PREFETCH_MIN` coordinates,
+a finite incumbent, and a previous scout evaluation that took at least
+`_PREFETCH_EVAL_S` seconds per coordinate. At generation 0 the incumbent
+is infinite and a burst always fires, so no draw is handed off. A run that
+needs the draw before the helper has started it takes the draw back and
+makes it in line, so it never waits for the helper to wake.
+
+`step` snapshots the generator's state before the hand-off. A scout that
+triggers a burst, or an exception, first settles the draw and restores
+that state, so every draw keeps its serial order (bursts, then the walk,
+then the rebalance) and a run is bit-identical to one that draws in line.
+One helper thread, started on first use, serves every run of the process
+in turn; each request carries its run's generator and a buffer the run
+owns. A forked child forgets the helper and starts its own on first use.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,6 +58,14 @@ from .core import (
 from .local_search import DEConfig, check_draw_range, de_optimize
 
 _MAX_CENTERS = 1_000_000
+# The walk's draw goes to the helper thread only from this many coordinates
+# on, and only when the previous scout evaluation took at least this many
+# seconds per coordinate, about half the draw's own cost. Per generation on
+# 2 cores, handing off Shekel's draw gained nothing at 2560 and 3072
+# coordinates and 23 and 51 us at 3584 and 4000; a sphere, whose evaluation
+# costs about 2 ns per coordinate, lost 35 us at 4096 and 123 us at 16384.
+_PREFETCH_MIN = 3072
+_PREFETCH_EVAL_S = 6e-9
 
 
 @dataclass(frozen=True)
@@ -106,8 +139,11 @@ class EngineState:
     `population` is Fortran-ordered (axis-major): each axis is one
     contiguous column, so per-axis arithmetic runs along all n scouts.
     `walk_box` caches `_walk_box`'s per-element box with the box and scout
-    count it was built for. `evaluations` counts the objective rows each
-    phase evaluated (scouts, bursts, refreshes)."""
+    count it was built for. `walk_draw` is the run's `_WalkDraw`, pending
+    from `step`'s hand-off until `move_random` takes it, and
+    `scout_eval_s` the seconds the last scout evaluation took. `evaluations`
+    counts the objective rows each phase evaluated (scouts, bursts,
+    refreshes)."""
 
     population: Population
     generation: int = 0
@@ -118,6 +154,8 @@ class EngineState:
     trace: list = field(default_factory=list)
     started_at: float = field(default_factory=time.perf_counter)
     walk_box: Optional[tuple] = None
+    walk_draw: Optional[_WalkDraw] = None
+    scout_eval_s: float = 0.0
     evaluations: dict = field(default_factory=lambda: {"scout": 0, "burst": 0, "refresh": 0})
 
     def has_centers(self) -> bool:
@@ -199,6 +237,127 @@ def _walk_box(state: EngineState, b: Bounds) -> Bounds:
     return cached[2]
 
 
+class _WalkDraw:
+    """One run's walk draw: the buffer the run owns; the generator it is
+    drawn from; that generator's state from before the draw, or None when
+    no draw is pending; `claim`, a fresh lock per hand-off that whichever
+    of the helper and the run takes first owns the draw with, so the
+    helper never starts a draw the run took back; and `done`, held from
+    the hand-off until the draw is settled."""
+
+    __slots__ = ("out", "rng", "before", "claim", "done", "error")
+
+    def __init__(self, shape: tuple):
+        self.out = np.empty(shape)
+        self.rng = None
+        self.before = None
+        self.claim = None
+        self.done = threading.Lock()
+        self.error = None
+
+    def fill(self, claim) -> None:
+        """Runs on the helper thread: draw, unless the run took the draw
+        back first. A failure is raised in the run."""
+        if not claim.acquire(blocking=False):
+            return
+        try:
+            self.rng.standard_normal(out=self.out)
+        except BaseException as exc:
+            self.error = exc
+        finally:
+            self.done.release()
+
+    def take_back(self) -> bool:
+        """True when the helper had not started the draw, which it now
+        never will, so the generator is where the hand-off left it;
+        otherwise wait until the helper has filled the buffer."""
+        if self.claim.acquire(blocking=False):
+            self.done.release()
+            return True
+        self.done.acquire()
+        self.done.release()
+        error, self.error = self.error, None
+        if error is not None:
+            raise error
+        return False
+
+
+class _DrawHelper:
+    """The process's one helper thread, started on first use, which fills
+    the runs' walk draws in the order they arrive."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._requests = None
+
+    def submit(self, draw: _WalkDraw, claim) -> None:
+        requests = self._requests
+        if requests is None:
+            with self._lock:
+                if self._requests is None:
+                    self._requests = queue.SimpleQueue()
+                    threading.Thread(target=_serve, args=(self._requests,),
+                                     name="viralsearch-walk-draw", daemon=True).start()
+                requests = self._requests
+        requests.put((draw, claim))
+
+    def forget(self) -> None:
+        """In a forked child: the thread did not come along, and the lock
+        may have been held by another parent thread."""
+        self.__init__()
+
+
+def _serve(requests: queue.SimpleQueue) -> None:
+    while True:
+        draw, claim = requests.get()
+        draw.fill(claim)
+
+
+_HELPER = _DrawHelper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_HELPER.forget)
+
+
+def _hand_off_walk_draw(state: EngineState, rng: RngStream) -> None:
+    """Snapshot `rng`'s state and have the helper draw the next walk's
+    normal steps from it into the run's buffer. Until the draw is taken or
+    cancelled, nothing else may draw from `rng`."""
+    shape = state.population.shape
+    draw = state.walk_draw
+    if draw is None or draw.out.shape != shape:
+        state.walk_draw = draw = _WalkDraw(shape)
+    draw.rng = rng
+    draw.before = rng.bit_generator.state
+    draw.claim = claim = threading.Lock()
+    draw.done.acquire()
+    _HELPER.submit(draw, claim)
+
+
+def _take_walk_draw(state: EngineState) -> Optional[np.ndarray]:
+    """The pending walk draw's filled buffer; None when no draw is pending
+    or the helper had not started it, and the caller draws in line."""
+    draw = state.walk_draw
+    if draw is None or draw.before is None:
+        return None
+    taken_back = draw.take_back()
+    draw.before = None
+    return None if taken_back else draw.out
+
+
+def _cancel_walk_draw(state: EngineState) -> None:
+    """Settle a pending walk draw and put its generator back where the
+    hand-off found it, so the next draw from it is the one a serial run
+    makes."""
+    draw = state.walk_draw
+    if draw is None or draw.before is None:
+        return
+    before, draw.before = draw.before, None
+    try:
+        draw.take_back()
+    finally:
+        draw.rng.bit_generator.state = before
+
+
 def move_random(
     state: EngineState, b: Bounds, cfg: VSConfig, rng: RngStream
 ) -> EngineState:
@@ -206,14 +365,19 @@ def move_random(
     reflecting it back across the walls it crossed, and tally center
     visits when centers are on.
 
-    The walk and the fold are flat passes over the n * dim coordinates
-    against `_walk_box`'s per-element limits. The tally finds each scout's
-    center by grid arithmetic, so it costs O(n * dim + C) per call for C
+    The normal steps are the draw `step` handed to the helper thread, when
+    one is pending, and are drawn from `rng` here otherwise. The walk and
+    the fold are flat passes over the n * dim coordinates against
+    `_walk_box`'s per-element limits. The tally finds each scout's center
+    by grid arithmetic, so it costs O(n * dim + C) per call for C
     centers."""
     shape = state.population.shape
+    draw = _take_walk_draw(state)
+    if draw is None:
+        draw = rng.standard_normal(shape)
     # one transposing copy makes the C-ordered draw axis-major, so the scale
     # (one scalar per column) and the step run along contiguous columns
-    steps = np.asfortranarray(rng.standard_normal(shape))
+    steps = np.asfortranarray(draw)
     steps *= cfg.walk_step_fraction * b.span
     steps += state.population
     folded = reflect_into_bounds(steps.ravel(order="F"), _walk_box(state, b))
@@ -297,7 +461,13 @@ def step(
     from each scout that improves on the incumbent, update the incumbent,
     move everyone, rebalance on cadence, append a trace row. The rows
     each phase evaluated (scouts, bursts, the incumbent's refresh) are
-    added to `state.evaluations` here."""
+    added to `state.evaluations` here.
+
+    When the module docstring's conditions hold, the walk's draw is
+    handed to the helper thread before the scouts are evaluated; a burst
+    or an exception cancels it first, so `rng` is drawn from in the
+    serial order and a step that raises leaves it where a serial step
+    would."""
     t = state.generation
     if objective.time_varying and state.best_individual_global is not None:
         # the landscape moved under the incumbent; refresh its value so
@@ -305,30 +475,42 @@ def step(
         state.fobj_global = objective(t, state.best_individual_global)
         state.evaluations["refresh"] += 1
 
-    values = objective.evaluate_many(t, state.population)
-    state.evaluations["scout"] += len(values)
+    size = state.population.size
+    if (size >= _PREFETCH_MIN and state.fobj_global < np.inf
+            and state.scout_eval_s >= size * _PREFETCH_EVAL_S):
+        _hand_off_walk_draw(state, rng)
+    try:
+        started = time.perf_counter()
+        values = objective.evaluate_many(t, state.population)
+        state.scout_eval_s = time.perf_counter() - started
+        state.evaluations["scout"] += len(values)
 
-    # the incumbent only decreases during the sweep, so scouts that fail
-    # against the sweep-start value can be skipped outright; +inf is a legal
-    # penalty but never triggers, since inf <= inf - tolerance holds while
-    # the incumbent is still +inf
-    for i in _trigger_candidates(values, state.fobj_global - cfg.trigger_tolerance):
-        if values[i] > state.fobj_global - cfg.trigger_tolerance:
-            continue
-        best_point, best_value = trigger_epidemic(
-            state.population[i].copy(), b, cfg, objective, t, rng
-        )
-        state.epidemic_count += 1
-        # a burst evaluates its pop members once, then once per generation
-        state.evaluations["burst"] += cfg.n_viral_individuals * (cfg.n_viral_generations + 1)
-        if best_value <= state.fobj_global:
-            # a fresh array from the burst, shared read-only by every later
-            # trace row and the run's result
-            best_point.flags.writeable = False
-            state.fobj_global = best_value
-            state.best_individual_global = best_point
+        # the incumbent only decreases during the sweep, so scouts that fail
+        # against the sweep-start value can be skipped outright; +inf is a
+        # legal penalty but never triggers, since inf <= inf - tolerance
+        # holds while the incumbent is still +inf
+        for i in _trigger_candidates(values, state.fobj_global - cfg.trigger_tolerance):
+            if values[i] > state.fobj_global - cfg.trigger_tolerance:
+                continue
+            # the burst draws before the walk does
+            _cancel_walk_draw(state)
+            best_point, best_value = trigger_epidemic(
+                state.population[i].copy(), b, cfg, objective, t, rng
+            )
+            state.epidemic_count += 1
+            # a burst evaluates its pop members once, then once per generation
+            state.evaluations["burst"] += cfg.n_viral_individuals * (cfg.n_viral_generations + 1)
+            if best_value <= state.fobj_global:
+                # a fresh array from the burst, shared read-only by every
+                # later trace row and the run's result
+                best_point.flags.writeable = False
+                state.fobj_global = best_value
+                state.best_individual_global = best_point
 
-    move_random(state, b, cfg, rng)
+        move_random(state, b, cfg, rng)
+    except BaseException:
+        _cancel_walk_draw(state)
+        raise
     if (
         state.has_centers()
         and cfg.rebalance_fraction > 0

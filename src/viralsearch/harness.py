@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
@@ -30,7 +31,8 @@ class ExperimentSpec:
 
     When `checkpoints` is set each run is sampled at those trace
     generations instead of reported by its end result. `sweep_fields`,
-    `cells`, each cell and `checkpoints` are tuples.
+    `cells`, each cell and `checkpoints` are tuples; `base` and
+    `benchmark_params` are mappings.
     """
 
     benchmark: str
@@ -50,6 +52,9 @@ class ExperimentSpec:
                             ("checkpoints", checkpoints)):
             if not isinstance(value, tuple):
                 raise ConfigurationError(f"{name} must be a tuple, got {value!r}")
+        for name, value in (("base", self.base), ("benchmark_params", self.benchmark_params)):
+            if not isinstance(value, Mapping):
+                raise ConfigurationError(f"{name} must be a mapping, got {value!r}")
         if self.checkpoints is not None:
             if not self.checkpoints:
                 raise ConfigurationError("checkpoints must name at least one generation")

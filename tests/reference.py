@@ -2,8 +2,8 @@
 
 Each is the plain, brute-force form of something the package does a
 faster way: a stored center grid with a nearest-center scan, per-string
-schema matching, and readers that parse `harness.write_rows` reports back
-into `ReportRow`s.
+schema matching, an engine generation that makes every draw in line, and
+readers that parse `harness.write_rows` reports back into `ReportRow`s.
 """
 
 import csv
@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 
+from viralsearch import engine
+from viralsearch.core import make_rng
 from viralsearch.harness import ReportRow
 
 
@@ -34,6 +36,42 @@ def nearest_center(p, centers: np.ndarray) -> int:
         raise ValueError("centers list is empty")
     d2 = ((centers - np.asarray(p, dtype=float)) ** 2).sum(axis=1)
     return int(np.argmin(d2))
+
+
+def serial_step(state, objective, b, cfg, rng):
+    """One engine generation with every draw from `rng` made in line, in
+    the serial order: the generation's bursts, then the walk, then the
+    rebalance. Appends the incumbent's value to `state.trace`."""
+    t = state.generation
+    if objective.time_varying and state.best_individual_global is not None:
+        state.fobj_global = objective(t, state.best_individual_global)
+    values = objective.evaluate_many(t, state.population)
+    for i, value in enumerate(values):
+        if value < np.inf and value <= state.fobj_global - cfg.trigger_tolerance:
+            point, best = engine.trigger_epidemic(
+                state.population[i].copy(), b, cfg, objective, t, rng
+            )
+            state.epidemic_count += 1
+            if best <= state.fobj_global:
+                state.fobj_global, state.best_individual_global = best, point
+    assert state.walk_draw is None, "a serial state never hands a draw off"
+    engine.move_random(state, b, cfg, rng)
+    if (state.has_centers() and cfg.rebalance_fraction > 0 and t > 0
+            and t % cfg.rebalance_every == 0):
+        engine.rebalance(state, b, cfg, rng)
+    state.trace.append(state.fobj_global)
+    state.generation = t + 1
+    return state
+
+
+def serial_run(objective, b, cfg):
+    """The final state of `engine.run`'s generations made by `serial_step`;
+    its `trace` holds the incumbent's value after each generation."""
+    rng = make_rng(cfg.seed)
+    state = engine.init_state(b, cfg, rng)
+    for _ in range(cfg.n_generations):
+        serial_step(state, objective, b, cfg, rng)
+    return state
 
 
 def matches(pattern: str, candidate) -> bool:

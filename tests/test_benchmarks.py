@@ -112,6 +112,10 @@ class TestShekel:
         with pytest.raises(ValueError):
             shekel(np.zeros(3))
 
+    def test_a_scalar_is_a_point_with_one_coordinate(self):
+        with pytest.raises(ValueError, match="^point has 1 coordinates, peak matrix has 4 rows$"):
+            shekel(5.0)
+
     @settings(max_examples=200, deadline=None)
     @given(
         shape=st.sampled_from([(), (5,), (3, 4)]),

@@ -4,8 +4,8 @@ Each entry point gets a float and a value one below its minimum. Both must
 raise `ConfigurationError` naming the parameter, before the entry point
 draws from its generator or evaluates anything.
 
-Likewise an `ExperimentSpec` field that must be a tuple raises
-`ConfigurationError` naming the field when it is not one.
+Likewise an `ExperimentSpec` field that must be a tuple or a mapping
+raises `ConfigurationError` naming the field when it is not one.
 """
 
 import copy
@@ -146,4 +146,16 @@ def test_python_and_numpy_integers_at_the_minimum_pass(value):
 )
 def test_spec_fields_that_are_not_tuples_fail_naming_the_field(field, spec_fields):
     with pytest.raises(ConfigurationError, match=f"^{field} must"):
+        ExperimentSpec("sphere", **spec_fields)
+
+
+@pytest.mark.parametrize(
+    "field, spec_fields",
+    [("base", dict(base=5)),
+     ("benchmark_params", dict(benchmark_params=5)),
+     ("base", dict(base=["n_individuals"]))],
+    ids=["base-int", "benchmark_params-int", "base-list"],
+)
+def test_spec_fields_that_are_not_mappings_fail_naming_the_field(field, spec_fields):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be a mapping"):
         ExperimentSpec("sphere", **spec_fields)
