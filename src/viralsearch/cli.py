@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 configuration error, 2 runtime or I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 
@@ -91,6 +93,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail, before any compute, with the error that writing `path` would
+    meet at the end when its directory is missing or is not a directory."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+
+
 def _run_from_args(args):
     bench = make_benchmark(args.function)
     if args.ni < 20 * bench.arity:
@@ -109,6 +120,8 @@ def _run_from_args(args):
         walk_step_fraction=args.step,
         seed=args.seed,
     )
+    if args.out:
+        _check_out_dir(args.out)
     result = parallel_run(bench.objective, bench.bounds, cfg, m=args.parallel)
     return bench, result
 
@@ -144,6 +157,7 @@ def cmd_bench(args) -> int:
             f"unknown spec {args.spec!r}; valid: {', '.join(sorted(specs))}"
         )
     spec = replace(specs[args.spec], repeat=args.repeat, seed_base=args.seed)
+    _check_out_dir(args.out)
     rows = run_experiment(spec)
     write_rows(rows, args.out, make_benchmark(spec.benchmark, **spec.benchmark_params))
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -150,12 +150,23 @@ def reflect_into_bounds(p: np.ndarray, b: Bounds) -> np.ndarray:
     those inputs alone: `lb + np.mod(p - lb, period)` folded at `span`,
     whose roundings of `p - lb` and of the period can leave it up to
     8·eps times the largest of |p|, |lb| and |ub| from the exact
-    reflection. The result keeps the memory layout of `p`.
+    reflection. The result keeps the memory layout of `p` and never
+    writes to `p`.
+
+    The first reflection is two unmasked passes, `max((lb + lb) - p, p)`
+    and then its `min` with `(ub + ub) - p`: rounding is monotone, so each
+    picks the reflection past its own wall and `p` elsewhere. On a wall
+    the two operands are equal, and numpy's vector loop and scalar tail
+    pick opposite ones, which differ in sign on a zero wall. So when some
+    result is zero, `p` is copied back wherever the result equals it,
+    which is exactly the coordinates inside the box.
     """
     p = _checked(p, b)
-    out = p.copy(order="K")
-    np.subtract(b._lb2, p, out=out, where=p < b.lb)
-    np.subtract(b._ub2, p, out=out, where=p > b.ub)
+    out = np.subtract(b._lb2, p)
+    np.maximum(out, p, out=out)
+    np.minimum(out, np.subtract(b._ub2, p), out=out)
+    if not out.all():
+        np.copyto(out, p, where=out == p)
     far = (out < b.lb) | (out > b.ub)
     if far.any():
         lb, ub, span, period = (

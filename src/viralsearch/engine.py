@@ -138,12 +138,12 @@ class EngineState:
 
     `population` is Fortran-ordered (axis-major): each axis is one
     contiguous column, so per-axis arithmetic runs along all n scouts.
-    `walk_box` caches `_walk_box`'s per-element box with the box and scout
-    count it was built for. `walk_draw` is the run's `_WalkDraw`, pending
-    from `step`'s hand-off until `move_random` takes it, and
-    `scout_eval_s` the seconds the last scout evaluation took. `evaluations`
-    counts the objective rows each phase evaluated (scouts, bursts,
-    refreshes)."""
+    `walk_box` and `walk_scale` cache `_walk_box`'s and `_walk_scale`'s
+    arrays with the arguments they were built for. `walk_draw` is the
+    run's `_WalkDraw`, pending from `step`'s hand-off until `move_random`
+    takes it, and `scout_eval_s` the seconds the last scout evaluation
+    took. `evaluations` counts the objective rows each phase evaluated
+    (scouts, bursts, refreshes)."""
 
     population: Population
     generation: int = 0
@@ -154,6 +154,7 @@ class EngineState:
     trace: list = field(default_factory=list)
     started_at: float = field(default_factory=time.perf_counter)
     walk_box: Optional[tuple] = None
+    walk_scale: Optional[tuple] = None
     walk_draw: Optional[_WalkDraw] = None
     scout_eval_s: float = 0.0
     evaluations: dict = field(default_factory=lambda: {"scout": 0, "burst": 0, "refresh": 0})
@@ -227,13 +228,23 @@ def init_state(b: Bounds, cfg: VSConfig, rng: RngStream) -> EngineState:
 def _walk_box(state: EngineState, b: Bounds) -> Bounds:
     """`b`'s limits repeated per scout in the axis-major order of the
     flattened population, so each fold call is one pass along n * dim
-    coordinates with no broadcasting. Built on a state's first move and
-    again only when the box or the scout count changes, in O(n * dim)
-    memory."""
+    coordinates with no broadcasting; `_walk_scale` keys the step scale
+    on it. Built on a state's first move and again only when the box or
+    the scout count changes, in O(n * dim) memory."""
     n = len(state.population)
     cached = state.walk_box
     if cached is None or cached[0] is not b or cached[1] != n:
         state.walk_box = cached = (b, n, Bounds(np.repeat(b.lb, n), np.repeat(b.ub, n)))
+    return cached[2]
+
+
+def _walk_scale(state: EngineState, box: Bounds, step_fraction: float) -> np.ndarray:
+    """`step_fraction * box.span` for `_walk_box`'s `box`: the walk's step
+    scale per coordinate, the products `step_fraction * b.span` broadcast
+    would give. Built again when the walk box or the step fraction does."""
+    cached = state.walk_scale
+    if cached is None or cached[0] is not box or cached[1] != step_fraction:
+        state.walk_scale = cached = (box, step_fraction, step_fraction * box.span)
     return cached[2]
 
 
@@ -366,22 +377,24 @@ def move_random(
     visits when centers are on.
 
     The normal steps are the draw `step` handed to the helper thread, when
-    one is pending, and are drawn from `rng` here otherwise. The walk and
-    the fold are flat passes over the n * dim coordinates against
-    `_walk_box`'s per-element limits. The tally finds each scout's center
-    by grid arithmetic, so it costs O(n * dim + C) per call for C
+    one is pending, and are drawn from `rng` here otherwise. The scale, the
+    step and the fold are flat passes over the n * dim coordinates against
+    `_walk_scale`'s and `_walk_box`'s per-coordinate scale and limits; the
+    fold is one call of `reflect_into_bounds`, looked up as it runs, so a
+    wrapper patched over it sees every walk. The tally finds each scout's
+    center by grid arithmetic, so it costs O(n * dim + C) per call for C
     centers."""
     shape = state.population.shape
     draw = _take_walk_draw(state)
     if draw is None:
         draw = rng.standard_normal(shape)
-    # one transposing copy makes the C-ordered draw axis-major, so the scale
-    # (one scalar per column) and the step run along contiguous columns
-    steps = np.asfortranarray(draw)
-    steps *= cfg.walk_step_fraction * b.span
-    steps += state.population
-    folded = reflect_into_bounds(steps.ravel(order="F"), _walk_box(state, b))
-    state.population = folded.reshape(shape, order="F")
+    box = _walk_box(state, b)
+    # one transposing copy makes the C-ordered draw axis-major, the
+    # population's order, so its flat view lines up with the box's
+    steps = np.asfortranarray(draw).ravel(order="F")
+    steps *= _walk_scale(state, box, cfg.walk_step_fraction)
+    steps += state.population.ravel(order="F")
+    state.population = reflect_into_bounds(steps, box).reshape(shape, order="F")
     if state.has_centers():
         idx = _center_indices(state.population, b, cfg.centers_per_axis)
         state.visit_counts += np.bincount(idx, minlength=len(state.visit_counts))

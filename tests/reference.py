@@ -2,8 +2,9 @@
 
 Each is the plain, brute-force form of something the package does a
 faster way: a stored center grid with a nearest-center scan, per-string
-schema matching, an engine generation that makes every draw in line, and
-readers that parse `harness.write_rows` reports back into `ReportRow`s.
+schema matching, the reflecting fold with masked passes, an engine
+generation that makes every draw in line, and readers that parse
+`harness.write_rows` reports back into `ReportRow`s.
 """
 
 import csv
@@ -36,6 +37,29 @@ def nearest_center(p, centers: np.ndarray) -> int:
         raise ValueError("centers list is empty")
     d2 = ((centers - np.asarray(p, dtype=float)) ** 2).sum(axis=1)
     return int(np.argmin(d2))
+
+
+def masked_fold(p, b):
+    """`core.reflect_into_bounds` as masked passes: a copy of `p`, the
+    reflection `(lb + lb) - p` written only where p < lb and `(ub + ub) - p`
+    only where p > ub, then the same `np.mod` triangle wave for the
+    coordinates still outside. Every coordinate is computed one way, so
+    the result's bits, signed zeros included, do not depend on numpy's
+    choice between equal operands."""
+    p = np.asarray(p, dtype=float)
+    out = p.copy(order="K")
+    np.subtract(b.lb + b.lb, p, out=out, where=p < b.lb)
+    np.subtract(b.ub + b.ub, p, out=out, where=p > b.ub)
+    far = (out < b.lb) | (out > b.ub)
+    if far.any():
+        lb, ub, span, period = (
+            np.broadcast_to(a, p.shape)[far] for a in (b.lb, b.ub, b.span, b.period)
+        )
+        y = np.mod(p[far] - lb, period)
+        np.subtract(period, y, out=y, where=y > span)
+        y += lb
+        out[far] = np.minimum(y, ub, out=y)
+    return out
 
 
 def serial_step(state, objective, b, cfg, rng):

@@ -1,13 +1,16 @@
 """`tools/ab.py` against a throwaway git repository whose
-`perfbench/run.py` is a stub: the alternation of sides, the equal paths of
-the two checkouts, and the reading of perfbench's last JSON line. The
-stub's metrics are constants, so no test reads a clock."""
+`perfbench/run.py` and `viralsearch` package are stubs: the alternation of
+sides, the equal paths of the two checkouts, the fresh process of each
+direct run, and the reading of the last JSON line. The stub's perfbench
+metrics are constants, and no test asserts a time."""
 
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,6 +51,26 @@ print()
 '''
 
 
+# logs where and in which process the timed call ran, then prints a line
+# that looks like JSON but is not the report
+PACKAGE = '''
+import json, os
+from pathlib import Path
+
+def work():
+    root = Path(__file__).resolve().parent.parent.parent
+    with open(os.environ["AB_TEST_LOG"], "a") as log:
+        log.write(json.dumps({
+            "root": str(root),
+            "cwd": os.getcwd(),
+            "pid": os.getpid(),
+            "pycache": [str(p) for p in root.rglob("__pycache__")],
+            "no_bytecode": os.environ.get("PYTHONDONTWRITEBYTECODE") == "1",
+        }) + "\\n")
+    print("{not the report")
+'''
+
+
 def _git(repo: Path, *args: str) -> str:
     return subprocess.run(
         ["git", "-c", "user.name=ab", "-c", "user.email=ab@example.invalid", "-C", str(repo),
@@ -69,6 +92,8 @@ def stub_repo(tmp_path):
     (repo / "perfbench").mkdir(parents=True)
     (repo / "perfbench" / "run.py").write_text(STUB)
     (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    (repo / "src" / "viralsearch").mkdir(parents=True)
+    (repo / "src" / "viralsearch" / "__init__.py").write_text(PACKAGE)
     _git(repo, "init", "-q")
     base = _commit(repo, wall_s=2.0, evals_per_s=100.0)
     head = _commit(repo, wall_s=1.5, evals_per_s=100.0)
@@ -128,3 +153,59 @@ def test_summary_counts_wins_by_each_metric_direction():
     assert summary["wall_s"]["base_median"] == 5.5
     assert summary["wall_s"]["base_iqr"] == pytest.approx(6.5 - 4.75)
     assert ab.order(4) == [("base", "head"), ("head", "base")] * 2
+
+
+def test_direct_runs_alternate_each_in_a_fresh_process(stub_repo, tmp_path, monkeypatch,
+                                                       capsys):
+    repo, base, head = stub_repo
+    log = tmp_path / "runs.jsonl"
+    monkeypatch.setenv("AB_TEST_LOG", str(log))
+    # the caller's own package on its path must not be the one timed
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    assert ab.main(["--base", base, "--head", head, "--direct", "--call", "vs.work()",
+                    "--pairs", "3", "--repo", str(repo)]) == 0
+
+    runs = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [Path(r["root"]).name for r in runs] == ["base", "head", "head", "base", "base",
+                                                    "head"]
+    pids = {r["pid"] for r in runs}
+    assert len(pids) == 6 and os.getpid() not in pids
+    assert all(r["cwd"] == r["root"] for r in runs)
+    assert all(r["pycache"] == [] and r["no_bytecode"] for r in runs)
+
+    out = capsys.readouterr().out.splitlines()
+    assert "direct: 3 pairs" in out
+    summary = json.loads(out[-1])
+    assert summary.keys() == {"direct"} and summary["direct"].keys() == {"wall_s"}
+    wall_s = summary["direct"]["wall_s"]
+    assert wall_s["unit"] == "s" and wall_s["pairs"] == 3
+    assert wall_s["base_median"] > 0 and wall_s["head_median"] > 0
+
+
+def test_direct_run_refuses_a_package_from_outside_the_checkout(tmp_path):
+    package = tmp_path / "side" / "src" / "viralsearch"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(f"__file__ = {str(tmp_path / 'elsewhere.py')!r}\n")
+    with pytest.raises(RuntimeError, match="elsewhere"):
+        ab.run_direct(tmp_path / "side", "pass")
+
+
+def test_default_direct_call_is_criterion_5_over_seeds_0_to_2():
+    calls = []
+    vs = SimpleNamespace(
+        make_benchmark=lambda name: SimpleNamespace(objective=name, bounds="box"),
+        VSConfig=lambda **fields: fields,
+        run=lambda objective, bounds, cfg: calls.append((objective, bounds, cfg)),
+    )
+    exec(ab.DIRECT_CALL, {"vs": vs})
+    criterion_5 = dict(n_generations=2000, n_viral_generations=75, n_individuals=1000,
+                       n_viral_individuals=300)
+    assert calls == [("shekel", "box", dict(criterion_5, seed=seed)) for seed in range(3)]
+
+
+@pytest.mark.parametrize("argv", [["--workload", "shekel", "--direct"], []])
+def test_exactly_one_of_workload_and_direct(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        ab.main(["--base", "a", "--head", "b", *argv])
+    assert exc.value.code == 2
+    assert "exactly one of --workload and --direct" in capsys.readouterr().err

@@ -10,6 +10,7 @@ import pytest
 
 import viralsearch
 import viralsearch.cli as cli
+from viralsearch.core import Objective
 from viralsearch.harness import ExperimentSpec
 from reference import read_rows_csv, read_rows_json
 
@@ -283,6 +284,49 @@ class TestSchemaCommand:
             "--generations", "3", "--trials", "2",
         )
         assert code == 1
+
+
+RUN_ARGS = ("--function", "sphere", "--ni", "40", "--ng", "5", "--niv", "15", "--ngv", "5")
+
+
+class TestOutDirectory:
+    """An --out in a directory that is missing, or is a file, fails with
+    exit code 2 and the error writing it would raise, before any objective
+    is evaluated."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        evaluate_many = Objective.evaluate_many
+
+        def counting(objective, t, points):
+            calls.append(len(points))
+            return evaluate_many(objective, t, points)
+
+        monkeypatch.setattr(Objective, "evaluate_many", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv", [("run", *RUN_ARGS), ("trace", *RUN_ARGS),
+                                      ("bench", "--spec", "rosenbrock-table2")],
+                             ids=["run", "trace", "bench"])
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_fails_before_any_evaluation(self, tmp_path, capsys, evaluations, argv, parent):
+        if parent == "file":
+            (tmp_path / "file").write_text("")
+        path = str(tmp_path / parent / "out.csv")
+        assert run_cli(*argv, "--out", path) == 2
+        out, err = capsys.readouterr()
+        with pytest.raises(OSError) as writing:
+            open(path, "w")
+        assert err == f"error: {writing.value}\n"
+        assert out == ""
+        assert evaluations == []
+
+    def test_a_bare_file_name_writes_to_the_working_directory(self, tmp_path, monkeypatch,
+                                                              evaluations):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", *RUN_ARGS, "--out", "out.csv") == 0
+        assert evaluations and (tmp_path / "out.csv").exists()
 
 
 class TestRemovedOptions:

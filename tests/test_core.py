@@ -19,6 +19,7 @@ from viralsearch.core import (
     stratified_init,
 )
 from viralsearch.harness import split_bounds
+from reference import masked_fold
 
 BOX = Bounds([-3.0, -3.0], [3.0, 3.0])
 UNIT = Bounds([0.0, 0.0], [1.0, 1.0])
@@ -263,6 +264,20 @@ class TestReflect:
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
         assert got.flags.f_contiguous
+
+    @settings(max_examples=300, deadline=None)
+    @given(walls=WALLS, n=st.integers(1, 33), seed=st.integers(0, 2**32 - 1), far=st.booleans())
+    def test_matches_the_masked_fold_bit_for_bit(self, walls, n, seed, far):
+        # points on a zero wall tie the min/max passes; from 1 to 33 scouts
+        # (and up to 165 flat coordinates), ties fall both in numpy's vector
+        # loop and in its scalar tail, which pick between +0 and -0
+        # differently
+        rng = make_rng(seed)
+        b = self._box(walls, rng)
+        for x, got in self._folds(self._points(b, n, rng, far), b):
+            want = masked_fold(x, b)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_upper_clip_keeps_the_upper_wall_inside(self):
         b = Bounds([-0.1], [0.2])

@@ -127,6 +127,38 @@ def test_centers_and_rebalance_match_the_serial_reference():
     assert_same_run(result, serial_run(spec.objective, spec.bounds, SHEKEL_GRID))
 
 
+def test_each_walk_and_rebalance_folds_once_through_the_module_attribute():
+    # perfbench's traced mode times the fold by patching
+    # engine.reflect_into_bounds, so both callers must look it up per call
+    spec = make_benchmark("shekel")
+    fold, move_random, rebalance = (engine.reflect_into_bounds, engine.move_random,
+                                    engine.rebalance)
+    folds, calls = [], []
+
+    def counted(fn, name):
+        def wrapper(state, *args):
+            pending = state.walk_draw is not None and state.walk_draw.before is not None
+            before = len(folds)
+            out = fn(state, *args)
+            calls.append((name, pending, len(folds) - before))
+            return out
+        return wrapper
+
+    with hand_offs(), \
+            mock.patch.object(engine, "reflect_into_bounds",
+                              lambda p, b: folds.append(1) or fold(p, b)), \
+            mock.patch.object(engine, "move_random", counted(move_random, "walk")), \
+            mock.patch.object(engine, "rebalance", counted(rebalance, "rebalance")):
+        result = run(spec.objective, spec.bounds, SHEKEL_GRID)
+    walks = [pending for name, pending, _ in calls if name == "walk"]
+    assert len(walks) == SHEKEL_GRID.n_generations
+    assert any(walks) and not all(walks)  # with and without a pending hand-off
+    assert [name for name, _, _ in calls].count("rebalance") == 2  # generations 10 and 20
+    assert all(n == 1 for _, _, n in calls)
+    assert len(folds) == len(calls)
+    assert_same_run(result, serial_run(spec.objective, spec.bounds, SHEKEL_GRID))
+
+
 def test_time_varying_objective_matches_the_serial_reference():
     spec = make_benchmark("two_well", tau=20.0)
     cfg = VSConfig(n_generations=60, n_viral_generations=5, n_individuals=1600,

@@ -1,7 +1,10 @@
-"""Paired perfbench runs of two revisions of this repository.
+"""Paired perfbench runs, or paired timings of one library call, of two
+revisions of this repository.
 
     python tools/ab.py --base REV --head REV --workload shekel --pairs 10
     python tools/ab.py --base HEAD~1 --head HEAD --workload all --pairs 5 --seconds 20
+    python tools/ab.py --base REV --head REV --direct --pairs 10
+    python tools/ab.py --base REV --head REV --direct --call "vs.run(...)"
 
 Each revision is unpacked with `git archive` into a fresh temporary
 directory as the siblings `base/` and `head/`, whose paths have equal
@@ -14,6 +17,17 @@ line is read as perfbench's JSON report. For every end-to-end metric the
 head's BENCHMARK.json names, the tool prints both sides' medians, the
 base's interquartile range and the number of pairs the head won (ties
 count for neither side). The last line printed is the summary as JSON.
+
+With `--direct`, no perfbench runs: each run is a fresh Python process
+that imports `viralsearch` from that side's `src/`, as `vs`, and times one
+execution of the `--call` statement with `time.perf_counter`, which
+excludes the interpreter's start-up and the import. The default call is
+acceptance criterion 5's `run` (Shekel, 1000 scouts, 2000 generations,
+bursts of 300 for 75 generations) over seeds 0-2. Its one metric,
+`wall_s`, is summarized as above under the name `direct`. perfbench's
+scaled readings have moved 5-10 % between commits with code the workload
+never runs; a direct timing has neither its calibration kernel nor its
+harness, so it is the second reading for a change to the engine.
 """
 
 from __future__ import annotations
@@ -30,6 +44,27 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("base", "head")
+
+DIRECT_CALL = (
+    "b = vs.make_benchmark('shekel')\n"
+    "for seed in range(3):\n"
+    "    vs.run(b.objective, b.bounds, vs.VSConfig(n_generations=2000, n_viral_generations=75,"
+    " n_individuals=1000, n_viral_individuals=300, seed=seed))"
+)
+DIRECT_METRICS = [{"name": "wall_s", "unit": "s", "better": "lower"}]
+
+# run as `python -c DIRECT_CHILD CALL` in a side's root; its last line is
+# the report, with the file the package was imported from
+DIRECT_CHILD = """
+import json, sys, time
+import viralsearch as vs
+scope = {"vs": vs}
+call = compile(sys.argv[1], "<call>", "exec")
+started = time.perf_counter()
+exec(call, scope)
+wall_s = time.perf_counter() - started
+print(json.dumps({"package": vs.__file__, "metrics": {"wall_s": {"value": wall_s}}}))
+"""
 
 
 def checkout(repo: Path, rev: str, dest: Path) -> None:
@@ -65,6 +100,19 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return last_json(proc.stdout)
 
 
+def run_direct(root: Path, call: str) -> dict:
+    """One timing of `call` in a fresh process that imports the package
+    from `root`'s `src/` and writes no bytecode."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", DIRECT_CHILD, call], cwd=root, env=env,
+                          stdout=subprocess.PIPE, text=True, check=True)
+    report = last_json(proc.stdout)
+    package = Path(report["package"]).resolve()
+    if not package.is_relative_to((root / "src").resolve()):
+        raise RuntimeError(f"the run under {root} imported viralsearch from {package}")
+    return report
+
+
 def _iqr(values: list) -> float:
     if len(values) < 2:
         return 0.0
@@ -93,13 +141,16 @@ def summarize(reports: list, end_to_end: list) -> dict:
     return summary
 
 
-def _print_summary(workload: str, summary: dict, reports: list) -> None:
-    failed = {side: sum(r[side]["failed"] for r in reports) for side in SIDES}
-    attempted = {side: sum(r[side]["attempted"] for r in reports) for side in SIDES}
-    incorrect = {side: sum(not r[side]["correct"] for r in reports) for side in SIDES}
-    print(f"workload {workload}: {len(reports)} pairs; failed base {failed['base']}/"
-          f"{attempted['base']}, head {failed['head']}/{attempted['head']}; runs not "
-          f"correct base {incorrect['base']}, head {incorrect['head']}")
+def _print_summary(label: str, summary: dict, reports: list) -> None:
+    header = f"{label}: {len(reports)} pairs"
+    if "failed" in reports[0]["base"]:  # perfbench's operation counts
+        failed = {side: sum(r[side]["failed"] for r in reports) for side in SIDES}
+        attempted = {side: sum(r[side]["attempted"] for r in reports) for side in SIDES}
+        incorrect = {side: sum(not r[side]["correct"] for r in reports) for side in SIDES}
+        header += (f"; failed base {failed['base']}/{attempted['base']}, head "
+                   f"{failed['head']}/{attempted['head']}; runs not correct base "
+                   f"{incorrect['base']}, head {incorrect['head']}")
+    print(header)
     for name, s in summary.items():
         change = (s["head_median"] / s["base_median"] - 1.0) * 100 if s["base_median"] else 0.0
         print(f"  {name:12s} base {s['base_median']:.6g} | head {s['head_median']:.6g} "
@@ -107,12 +158,30 @@ def _print_summary(workload: str, summary: dict, reports: list) -> None:
               f"head better in {s['head_wins']} of {s['pairs']} ({s['better']} is better)")
 
 
+def paired(pairs: int, run) -> list:
+    """`pairs` pairs of reports, `run(side)` making each, in `order`."""
+    reports = []
+    for k, sides in enumerate(order(pairs)):
+        pair = {}
+        for side in sides:
+            pair[side] = run(side)
+            values = {n: m["value"] for n, m in pair[side]["metrics"].items()}
+            print(f"pair {k} {side}: {json.dumps(values)}", flush=True)
+        reports.append(pair)
+    return reports
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the revision to compare against")
     parser.add_argument("--head", required=True, help="the revision under test")
-    parser.add_argument("--workload", required=True,
+    parser.add_argument("--workload",
                         help="a workload, or all that the head's BENCHMARK.json lists")
+    parser.add_argument("--direct", action="store_true",
+                        help="time --call in a fresh process per run instead of perfbench")
+    parser.add_argument("--call", default=DIRECT_CALL,
+                        help="with --direct, the Python statement timed, with the package "
+                             "bound to vs (default: criterion 5's run over seeds 0-2)")
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs of runs")
     parser.add_argument("--seed", type=int, default=0, help="perfbench's --seed")
     parser.add_argument("--seconds", type=float, default=20.0, help="perfbench's --seconds")
@@ -121,26 +190,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.direct == (args.workload is not None):
+        parser.error("give exactly one of --workload and --direct")
 
     results = {}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         roots = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             checkout(args.repo, getattr(args, side), roots[side])
-        benchmark = json.loads((roots["head"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-        workloads = ([w["name"] for w in benchmark["workloads"]] if args.workload == "all"
-                     else [args.workload])
-        for workload in workloads:
-            reports = []
-            for k, sides in enumerate(order(args.pairs)):
-                pair = {}
-                for side in sides:
-                    pair[side] = run_side(roots[side], workload, args.seed, args.seconds)
-                    values = {n: m["value"] for n, m in pair[side]["metrics"].items()}
-                    print(f"pair {k} {side}: {json.dumps(values)}", flush=True)
-                reports.append(pair)
-            results[workload] = summarize(reports, benchmark["end_to_end"])
-            _print_summary(workload, results[workload], reports)
+        if args.direct:
+            reports = paired(args.pairs, lambda side: run_direct(roots[side], args.call))
+            results["direct"] = summarize(reports, DIRECT_METRICS)
+            _print_summary("direct", results["direct"], reports)
+        else:
+            benchmark = json.loads((roots["head"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+            workloads = ([w["name"] for w in benchmark["workloads"]] if args.workload == "all"
+                         else [args.workload])
+            for workload in workloads:
+                reports = paired(args.pairs, lambda side: run_side(
+                    roots[side], workload, args.seed, args.seconds))
+                results[workload] = summarize(reports, benchmark["end_to_end"])
+                _print_summary(f"workload {workload}", results[workload], reports)
     print(json.dumps(results))
     return 0
 
