@@ -37,9 +37,9 @@ class EvaluationError(ViralSearchError):
 def check_counts(minimum: int, **counts) -> None:
     """Reject, by name, any of the `counts` that is not a Python or numpy
     integer of at least `minimum`: numpy's draws and `range` take no float
-    counts."""
+    counts, and a `bool` is a flag, not a count."""
     for name, v in counts.items():
-        if not isinstance(v, (int, np.integer)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ConfigurationError(f"{name} must be an integer, got {v!r}")
         if v < minimum:
             least = "non-negative" if minimum == 0 else f">= {minimum}"
@@ -71,7 +71,8 @@ class Bounds:
     are read-only arrays the box owns, as are the doubled walls `lb + lb`
     and `ub + ub` the fold reflects across: it copies the limits it is
     given, so a caller changing its own arrays later leaves the box as it
-    was checked."""
+    was checked. Limits whose span, period or doubled walls overflow are
+    rejected: the fold would return NaN past them."""
 
     lb: np.ndarray
     ub: np.ndarray
@@ -91,9 +92,16 @@ class Bounds:
                 f"lb must be strictly below ub on every axis; axis {bad} "
                 f"has lb={lb[bad]}, ub={ub[bad]}"
             )
-        span = ub - lb
-        for name, value in (("lb", lb), ("ub", ub), ("_span", span), ("_period", 2.0 * span),
-                            ("_lb2", lb + lb), ("_ub2", ub + ub)):
+        with np.errstate(over="ignore"):
+            span = ub - lb
+            period, lb2, ub2 = 2.0 * span, lb + lb, ub + ub
+        if not all(np.isfinite(a).all() for a in (span, period, lb2, ub2)):
+            raise ConfigurationError(
+                "bounds too wide: the span, twice the span, lb + lb and ub + ub "
+                "must all be finite"
+            )
+        for name, value in (("lb", lb), ("ub", ub), ("_span", span), ("_period", period),
+                            ("_lb2", lb2), ("_ub2", ub2)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 

@@ -8,27 +8,29 @@ incumbent. An optional fixed grid of centers tracks how evenly the box
 is being visited and periodically teleports scouts from over-visited to
 under-visited regions.
 
-The walk's normal draw depends only on where the run's random stream
-stands, not on the scouts' values. So `step` can hand the draw to a helper
-thread before it evaluates the scouts, and `move_random` takes the filled
-buffer: numpy releases the interpreter lock both in the draw's fill and in
-the evaluation's array loops, so on two cores the two overlap. The
-hand-off costs two thread wake-ups, and a draw on the helper runs slower
-than in line, so it pays only when the draw is long and the evaluation
-hides it: `step` hands off only with at least `_PREFETCH_MIN` coordinates,
-a finite incumbent, and a previous scout evaluation that took at least
-`_PREFETCH_EVAL_S` seconds per coordinate. At generation 0 the incumbent
-is infinite and a burst always fires, so no draw is handed off. A run that
-needs the draw before the helper has started it takes the draw back and
-makes it in line, so it never waits for the helper to wake.
+Each run draws its walk's normal steps from its own generator,
+`walk_rng`, spawned from the run's generator by `init_state`; the
+initialization, the bursts and the rebalance draw from the run's
+generator. So with centers off the scouts' path does not depend on the
+bursts, and the walk's draw depends on nothing a generation evaluates:
+`step` can hand it to a helper thread before it evaluates the scouts, and
+`move_random` takes the filled buffer. numpy releases the interpreter
+lock both in the draw's fill and in the evaluation's array loops, so on
+two cores the two overlap. The hand-off costs two thread wake-ups, and a draw on the helper runs
+slower than in line, so it pays only when the draw is long and the
+evaluation hides it: `step` hands off only with at least `_PREFETCH_MIN`
+coordinates and a previous scout evaluation that took at least
+`_PREFETCH_EVAL_S` seconds per coordinate. A run that needs the draw
+before the helper has started it takes the draw back and makes it in
+line, so it never waits for the helper to wake. A step that raises leaves
+its draw pending, and that draw is exactly the next walk draw, so `step`
+hands off no new one while it is pending and the next `move_random` takes
+it. Every run is bit-identical to one that draws in line.
 
-`step` snapshots the generator's state before the hand-off. A scout that
-triggers a burst, or an exception, first settles the draw and restores
-that state, so every draw keeps its serial order (bursts, then the walk,
-then the rebalance) and a run is bit-identical to one that draws in line.
 One helper thread, started on first use, serves every run of the process
-in turn; each request carries its run's generator and a buffer the run
-owns. A forked child forgets the helper and starts its own on first use.
+in turn; each request carries its run's walk generator and a buffer the
+run owns. A forked child forgets the helper and starts its own on first
+use.
 """
 
 from __future__ import annotations
@@ -138,14 +140,15 @@ class EngineState:
 
     `population` is Fortran-ordered (axis-major): each axis is one
     contiguous column, so per-axis arithmetic runs along all n scouts.
-    `walk_box` and `walk_scale` cache `_walk_box`'s and `_walk_scale`'s
-    arrays with the arguments they were built for. `walk_draw` is the
-    run's `_WalkDraw`, pending from `step`'s hand-off until `move_random`
-    takes it, and `scout_eval_s` the seconds the last scout evaluation
-    took. `evaluations` counts the objective rows each phase evaluated
-    (scouts, bursts, refreshes)."""
+    `walk_rng` is the generator the walk alone draws its normal steps
+    from. `walk_box` caches `_walk_box`'s arrays with the arguments they
+    were built for. `walk_draw` is the run's `_WalkDraw`, pending from
+    `step`'s hand-off until `move_random` takes it, and `scout_eval_s`
+    the seconds the last scout evaluation took. `evaluations` counts the
+    objective rows each phase evaluated (scouts, bursts, refreshes)."""
 
     population: Population
+    walk_rng: RngStream
     generation: int = 0
     fobj_global: float = float("inf")
     best_individual_global: Optional[Point] = None
@@ -154,7 +157,6 @@ class EngineState:
     trace: list = field(default_factory=list)
     started_at: float = field(default_factory=time.perf_counter)
     walk_box: Optional[tuple] = None
-    walk_scale: Optional[tuple] = None
     walk_draw: Optional[_WalkDraw] = None
     scout_eval_s: float = 0.0
     evaluations: dict = field(default_factory=lambda: {"scout": 0, "burst": 0, "refresh": 0})
@@ -217,51 +219,45 @@ def _trigger_candidates(values: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def init_state(b: Bounds, cfg: VSConfig, rng: RngStream) -> EngineState:
-    """Fresh engine state: initialized population, zero visit counts per
-    center (none when centers are off), empty trace."""
+    """Fresh engine state: initialized population, the walk's generator
+    spawned from `rng` (which leaves `rng`'s stream where it was), zero
+    visit counts per center (none when centers are off), empty trace."""
     n_centers = _center_count(b, cfg.centers_per_axis) if cfg.centers_per_axis else 0
     init = stratified_init if cfg.init == "stratified" else random_init
     pop = np.asfortranarray(init(b, cfg.n_individuals, rng))
-    return EngineState(population=pop, visit_counts=np.zeros(n_centers, dtype=np.int64))
+    return EngineState(population=pop, walk_rng=rng.spawn(1)[0],
+                       visit_counts=np.zeros(n_centers, dtype=np.int64))
 
 
-def _walk_box(state: EngineState, b: Bounds) -> Bounds:
+def _walk_box(state: EngineState, b: Bounds, step_fraction: float) -> tuple:
     """`b`'s limits repeated per scout in the axis-major order of the
     flattened population, so each fold call is one pass along n * dim
-    coordinates with no broadcasting; `_walk_scale` keys the step scale
-    on it. Built on a state's first move and again only when the box or
-    the scout count changes, in O(n * dim) memory."""
+    coordinates with no broadcasting, and the walk's step scale per
+    coordinate, `step_fraction * box.span`: the products `step_fraction *
+    b.span` broadcast would give. Built on a state's first move and again
+    only when the box, the scout count or the step fraction changes, in
+    O(n * dim) memory."""
     n = len(state.population)
     cached = state.walk_box
-    if cached is None or cached[0] is not b or cached[1] != n:
-        state.walk_box = cached = (b, n, Bounds(np.repeat(b.lb, n), np.repeat(b.ub, n)))
-    return cached[2]
-
-
-def _walk_scale(state: EngineState, box: Bounds, step_fraction: float) -> np.ndarray:
-    """`step_fraction * box.span` for `_walk_box`'s `box`: the walk's step
-    scale per coordinate, the products `step_fraction * b.span` broadcast
-    would give. Built again when the walk box or the step fraction does."""
-    cached = state.walk_scale
-    if cached is None or cached[0] is not box or cached[1] != step_fraction:
-        state.walk_scale = cached = (box, step_fraction, step_fraction * box.span)
-    return cached[2]
+    if cached is None or cached[0] is not b or cached[1] != n or cached[2] != step_fraction:
+        box = Bounds(np.repeat(b.lb, n), np.repeat(b.ub, n))
+        state.walk_box = cached = (b, n, step_fraction, box, step_fraction * box.span)
+    return cached[3], cached[4]
 
 
 class _WalkDraw:
-    """One run's walk draw: the buffer the run owns; the generator it is
-    drawn from; that generator's state from before the draw, or None when
-    no draw is pending; `claim`, a fresh lock per hand-off that whichever
-    of the helper and the run takes first owns the draw with, so the
-    helper never starts a draw the run took back; and `done`, held from
-    the hand-off until the draw is settled."""
+    """One run's walk draw: the buffer the run owns; the walk generator it
+    is drawn from; `claim`, a fresh lock per hand-off that whichever of
+    the helper and the run takes first owns the draw with, so the helper
+    never starts a draw the run took back, or None when no draw is
+    pending; and `done`, held from the hand-off until the draw is
+    settled."""
 
-    __slots__ = ("out", "rng", "before", "claim", "done", "error")
+    __slots__ = ("out", "rng", "claim", "done", "error")
 
     def __init__(self, shape: tuple):
         self.out = np.empty(shape)
         self.rng = None
-        self.before = None
         self.claim = None
         self.done = threading.Lock()
         self.error = None
@@ -278,11 +274,11 @@ class _WalkDraw:
         finally:
             self.done.release()
 
-    def take_back(self) -> bool:
+    def take_back(self, claim) -> bool:
         """True when the helper had not started the draw, which it now
         never will, so the generator is where the hand-off left it;
         otherwise wait until the helper has filled the buffer."""
-        if self.claim.acquire(blocking=False):
+        if claim.acquire(blocking=False):
             self.done.release()
             return True
         self.done.acquire()
@@ -329,16 +325,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_HELPER.forget)
 
 
-def _hand_off_walk_draw(state: EngineState, rng: RngStream) -> None:
-    """Snapshot `rng`'s state and have the helper draw the next walk's
-    normal steps from it into the run's buffer. Until the draw is taken or
-    cancelled, nothing else may draw from `rng`."""
+def _pending(state: EngineState) -> bool:
+    """True from a hand-off until `move_random` takes the draw."""
+    return state.walk_draw is not None and state.walk_draw.claim is not None
+
+
+def _hand_off_walk_draw(state: EngineState) -> None:
+    """Have the helper draw the next walk's normal steps from
+    `state.walk_rng` into the run's buffer. Until `move_random` takes the
+    draw, nothing else may draw from `state.walk_rng`."""
     shape = state.population.shape
     draw = state.walk_draw
     if draw is None or draw.out.shape != shape:
         state.walk_draw = draw = _WalkDraw(shape)
-    draw.rng = rng
-    draw.before = rng.bit_generator.state
+    draw.rng = state.walk_rng
     draw.claim = claim = threading.Lock()
     draw.done.acquire()
     _HELPER.submit(draw, claim)
@@ -347,39 +347,22 @@ def _hand_off_walk_draw(state: EngineState, rng: RngStream) -> None:
 def _take_walk_draw(state: EngineState) -> Optional[np.ndarray]:
     """The pending walk draw's filled buffer; None when no draw is pending
     or the helper had not started it, and the caller draws in line."""
-    draw = state.walk_draw
-    if draw is None or draw.before is None:
+    if not _pending(state):
         return None
-    taken_back = draw.take_back()
-    draw.before = None
-    return None if taken_back else draw.out
-
-
-def _cancel_walk_draw(state: EngineState) -> None:
-    """Settle a pending walk draw and put its generator back where the
-    hand-off found it, so the next draw from it is the one a serial run
-    makes."""
     draw = state.walk_draw
-    if draw is None or draw.before is None:
-        return
-    before, draw.before = draw.before, None
-    try:
-        draw.take_back()
-    finally:
-        draw.rng.bit_generator.state = before
+    claim, draw.claim = draw.claim, None
+    return None if draw.take_back(claim) else draw.out
 
 
-def move_random(
-    state: EngineState, b: Bounds, cfg: VSConfig, rng: RngStream
-) -> EngineState:
+def move_random(state: EngineState, b: Bounds, cfg: VSConfig) -> EngineState:
     """Perturb every scout with an independent Gaussian step per axis,
     reflecting it back across the walls it crossed, and tally center
     visits when centers are on.
 
     The normal steps are the draw `step` handed to the helper thread, when
-    one is pending, and are drawn from `rng` here otherwise. The scale, the
-    step and the fold are flat passes over the n * dim coordinates against
-    `_walk_scale`'s and `_walk_box`'s per-coordinate scale and limits; the
+    one is pending, and are drawn from `state.walk_rng` here otherwise. The
+    scale, the step and the fold are flat passes over the n * dim
+    coordinates against `_walk_box`'s per-coordinate limits and scale; the
     fold is one call of `reflect_into_bounds`, looked up as it runs, so a
     wrapper patched over it sees every walk. The tally finds each scout's
     center by grid arithmetic, so it costs O(n * dim + C) per call for C
@@ -387,12 +370,12 @@ def move_random(
     shape = state.population.shape
     draw = _take_walk_draw(state)
     if draw is None:
-        draw = rng.standard_normal(shape)
-    box = _walk_box(state, b)
+        draw = state.walk_rng.standard_normal(shape)
+    box, scale = _walk_box(state, b, cfg.walk_step_fraction)
     # one transposing copy makes the C-ordered draw axis-major, the
     # population's order, so its flat view lines up with the box's
     steps = np.asfortranarray(draw).ravel(order="F")
-    steps *= _walk_scale(state, box, cfg.walk_step_fraction)
+    steps *= scale
     steps += state.population.ravel(order="F")
     state.population = reflect_into_bounds(steps, box).reshape(shape, order="F")
     if state.has_centers():
@@ -476,11 +459,10 @@ def step(
     each phase evaluated (scouts, bursts, the incumbent's refresh) are
     added to `state.evaluations` here.
 
-    When the module docstring's conditions hold, the walk's draw is
-    handed to the helper thread before the scouts are evaluated; a burst
-    or an exception cancels it first, so `rng` is drawn from in the
-    serial order and a step that raises leaves it where a serial step
-    would."""
+    When the module docstring's conditions hold and no draw is pending,
+    the walk's draw from `state.walk_rng` is handed to the helper thread
+    before the scouts are evaluated; the bursts and the rebalance draw
+    from `rng`."""
     t = state.generation
     if objective.time_varying and state.best_individual_global is not None:
         # the landscape moved under the incumbent; refresh its value so
@@ -489,41 +471,35 @@ def step(
         state.evaluations["refresh"] += 1
 
     size = state.population.size
-    if (size >= _PREFETCH_MIN and state.fobj_global < np.inf
-            and state.scout_eval_s >= size * _PREFETCH_EVAL_S):
-        _hand_off_walk_draw(state, rng)
-    try:
-        started = time.perf_counter()
-        values = objective.evaluate_many(t, state.population)
-        state.scout_eval_s = time.perf_counter() - started
-        state.evaluations["scout"] += len(values)
+    if (size >= _PREFETCH_MIN and state.scout_eval_s >= size * _PREFETCH_EVAL_S
+            and not _pending(state)):
+        _hand_off_walk_draw(state)
+    started = time.perf_counter()
+    values = objective.evaluate_many(t, state.population)
+    state.scout_eval_s = time.perf_counter() - started
+    state.evaluations["scout"] += len(values)
 
-        # the incumbent only decreases during the sweep, so scouts that fail
-        # against the sweep-start value can be skipped outright; +inf is a
-        # legal penalty but never triggers, since inf <= inf - tolerance
-        # holds while the incumbent is still +inf
-        for i in _trigger_candidates(values, state.fobj_global - cfg.trigger_tolerance):
-            if values[i] > state.fobj_global - cfg.trigger_tolerance:
-                continue
-            # the burst draws before the walk does
-            _cancel_walk_draw(state)
-            best_point, best_value = trigger_epidemic(
-                state.population[i].copy(), b, cfg, objective, t, rng
-            )
-            state.epidemic_count += 1
-            # a burst evaluates its pop members once, then once per generation
-            state.evaluations["burst"] += cfg.n_viral_individuals * (cfg.n_viral_generations + 1)
-            if best_value <= state.fobj_global:
-                # a fresh array from the burst, shared read-only by every
-                # later trace row and the run's result
-                best_point.flags.writeable = False
-                state.fobj_global = best_value
-                state.best_individual_global = best_point
+    # the incumbent only decreases during the sweep, so scouts that fail
+    # against the sweep-start value can be skipped outright; +inf is a
+    # legal penalty but never triggers, since inf <= inf - tolerance
+    # holds while the incumbent is still +inf
+    for i in _trigger_candidates(values, state.fobj_global - cfg.trigger_tolerance):
+        if values[i] > state.fobj_global - cfg.trigger_tolerance:
+            continue
+        best_point, best_value = trigger_epidemic(
+            state.population[i].copy(), b, cfg, objective, t, rng
+        )
+        state.epidemic_count += 1
+        # a burst evaluates its pop members once, then once per generation
+        state.evaluations["burst"] += cfg.n_viral_individuals * (cfg.n_viral_generations + 1)
+        if best_value <= state.fobj_global:
+            # a fresh array from the burst, shared read-only by every
+            # later trace row and the run's result
+            best_point.flags.writeable = False
+            state.fobj_global = best_value
+            state.best_individual_global = best_point
 
-        move_random(state, b, cfg, rng)
-    except BaseException:
-        _cancel_walk_draw(state)
-        raise
+    move_random(state, b, cfg)
     if (
         state.has_centers()
         and cfg.rebalance_fraction > 0

@@ -63,9 +63,10 @@ def masked_fold(p, b):
 
 
 def serial_step(state, objective, b, cfg, rng):
-    """One engine generation with every draw from `rng` made in line, in
-    the serial order: the generation's bursts, then the walk, then the
-    rebalance. Appends the incumbent's value to `state.trace`."""
+    """One engine generation with every draw made in line: the
+    generation's bursts from `rng`, then the walk from `state.walk_rng`,
+    then the rebalance from `rng`. Appends the incumbent's value to
+    `state.trace`."""
     t = state.generation
     if objective.time_varying and state.best_individual_global is not None:
         state.fobj_global = objective(t, state.best_individual_global)
@@ -79,7 +80,7 @@ def serial_step(state, objective, b, cfg, rng):
             if best <= state.fobj_global:
                 state.fobj_global, state.best_individual_global = best, point
     assert state.walk_draw is None, "a serial state never hands a draw off"
-    engine.move_random(state, b, cfg, rng)
+    engine.move_random(state, b, cfg)
     if (state.has_centers() and cfg.rebalance_fraction > 0 and t > 0
             and t % cfg.rebalance_every == 0):
         engine.rebalance(state, b, cfg, rng)

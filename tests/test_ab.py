@@ -27,7 +27,8 @@ END_TO_END = [
 ]
 
 # logs where and how it ran, then prints a line that looks like JSON but is
-# not the report, then the report built from the committed value.json
+# not the report, perfbench's text lines (the unscaled figure beside wall_s
+# only), then the report built from the committed value.json
 STUB = '''
 import json, os, sys
 from pathlib import Path
@@ -43,6 +44,8 @@ with open(os.environ["AB_TEST_LOG"], "a") as log:
     }) + "\\n")
 print("workload", sys.argv[2])
 print("{not the report")
+print(f"  wall_s                       {value['wall_s']:.6g} s   (unscaled {value['raw_wall_s']:.6g})")
+print(f"  evals_per_s                  {value['evals_per_s']:.6g} evals/s")
 print(json.dumps({"correct": True, "attempted": 6, "failed": 0, "metrics": {
     "wall_s": {"value": value["wall_s"], "unit": "s"},
     "evals_per_s": {"value": value["evals_per_s"], "unit": "evals/s"},
@@ -80,7 +83,7 @@ def _git(repo: Path, *args: str) -> str:
 
 def _commit(repo: Path, wall_s: float, evals_per_s: float) -> str:
     (repo / "perfbench" / "value.json").write_text(
-        json.dumps({"wall_s": wall_s, "evals_per_s": evals_per_s}))
+        json.dumps({"wall_s": wall_s, "raw_wall_s": wall_s / 4, "evals_per_s": evals_per_s}))
     _git(repo, "add", "-A")
     _git(repo, "commit", "-q", "-m", f"wall_s {wall_s}")
     return _git(repo, "rev-parse", "HEAD")
@@ -124,11 +127,24 @@ def test_pairs_alternate_on_equal_paths_without_bytecode(stub_repo, tmp_path, mo
                for r in runs)
     assert not base_root.exists()
 
-    summary = json.loads(capsys.readouterr().out.splitlines()[-1])["shekel"]
+    out = capsys.readouterr().out.splitlines()
+    summary = json.loads(out[-1])["shekel"]
     assert summary["wall_s"] == {"unit": "s", "better": "lower", "base_median": 2.0,
                                  "head_median": 1.5, "base_iqr": 0.0, "head_wins": 3,
-                                 "pairs": 3}
+                                 "pairs": 3, "base_unscaled_median": 0.5,
+                                 "head_unscaled_median": 0.375}
     assert summary["evals_per_s"]["head_wins"] == 0  # ties count for neither side
+    assert "base_unscaled_median" not in summary["evals_per_s"]  # none printed
+    assert "unscaled base 0.5 | head 0.375" in out[-3]
+
+
+def test_unscaled_reads_the_figure_beside_each_metric():
+    out = ("workload shekel, seed 0: 6 operations in 2 untraced rounds, 0 failed\n"
+           "  setup_s                      0.258 s   (unscaled 0.117)\n"
+           "  wall_s                       4.50123 s   (unscaled 1.92638)\n"
+           "  peak_rss_mb                  47.6 MB\n"
+           '{"correct": true, "metrics": {}}\n')
+    assert ab.unscaled(out) == {"setup_s": 0.117, "wall_s": 1.92638}
 
 
 def test_last_json_reads_the_last_nonempty_line():

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,26 @@ class TestBounds:
         b = Bounds([-0.1, 1e-8, -3.0], [0.2, 7.0, 3.0])
         assert np.array_equal(b.period, 2.0 * (b.ub - b.lb))
         assert b.period is b.period
+
+    @pytest.mark.parametrize(
+        "lb, ub",
+        [([-1.7e308], [0.0]), ([-1e308], [1e308]), ([0.0, 1e308], [1.0, 1.5e308])],
+        ids=["period", "span", "doubled-walls"],
+    )
+    def test_limits_whose_span_or_doubled_walls_overflow_are_rejected(self, lb, ub):
+        # the fold would return NaN for a point just outside such a box
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="bounds too wide"):
+                Bounds(lb, ub)
+
+    def test_a_box_whose_doubled_walls_are_finite_is_kept(self):
+        b = Bounds([-4e307], [4e307])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = reflect_into_bounds(np.array([[4.5e307], [-9e307]]), b)
+        assert b.contains(p)
+        assert p.tolist() == [[(b.ub[0] + b.ub[0]) - 4.5e307], [(b.lb[0] + b.lb[0]) + 9e307]]
 
     def test_eq_and_repr_show_only_the_limits(self):
         b = Bounds([0.0], [1.0])

@@ -1,8 +1,8 @@
 """Every count and seed an entry point takes goes through `check_counts`.
 
-Each entry point gets a float and a value one below its minimum. Both must
-raise `ConfigurationError` naming the parameter, before the entry point
-draws from its generator or evaluates anything.
+Each entry point gets a float, `True` and a value one below its minimum.
+Each must raise `ConfigurationError` naming the parameter, before the
+entry point draws from its generator or evaluates anything.
 
 Likewise an `ExperimentSpec` field that must be a tuple or a mapping
 raises `ConfigurationError` naming the field when it is not one.
@@ -97,12 +97,14 @@ ENTRY_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("kind", ["float", "below_minimum"])
+@pytest.mark.parametrize("kind", ["float", "bool", "below_minimum"])
 @pytest.mark.parametrize("name, minimum, call", [e[1:] for e in ENTRY_POINTS],
                          ids=[e[0] for e in ENTRY_POINTS])
 def test_bad_count_fails_before_any_draw_or_evaluation(name, minimum, call, kind):
     if kind == "float":
         value, message = 2.5, f"{name} must be an integer, got 2.5"
+    elif kind == "bool":
+        value, message = True, f"{name} must be an integer, got True"
     else:
         value = minimum - 1
         least = "non-negative" if minimum == 0 else f">= {minimum}"

@@ -181,7 +181,7 @@ class TestCenterIndices:
         cfg = small_cfg(centers_per_axis=k, walk_step_fraction=1e-12)
         state = init_state(b, cfg, make_rng(0))
         state.population = np.repeat(corners, 20, axis=0)
-        move_random(state, b, cfg, make_rng(1))
+        move_random(state, b, cfg)
         assert np.array_equal(
             state.visit_counts, np.bincount(np.repeat(expected, 20), minlength=k**3)
         )
@@ -203,7 +203,7 @@ class TestCenterIndices:
         state = init_state(b, cfg, rng)
         tracemalloc.start()
         try:
-            move_random(state, b, cfg, rng)
+            move_random(state, b, cfg)
             rebalance(state, b, cfg, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -228,23 +228,23 @@ class TestCenterIndices:
 class TestMoveRandom:
     def test_vanishing_step_scale(self):
         cfg = small_cfg(walk_step_fraction=1e-12)
-        state = EngineState(population=np.zeros((10_000, 2)))
+        state = EngineState(population=np.zeros((10_000, 2)), walk_rng=make_rng(0))
         before = state.population.copy()
-        move_random(state, BOX, cfg, make_rng(0))
+        move_random(state, BOX, cfg)
         assert np.abs(state.population - before).max() < 1e-9 * 6.0
 
     def test_contained_over_many_moves(self):
         cfg = small_cfg(walk_step_fraction=0.3)
         rng = make_rng(1)
-        state = EngineState(population=rng.uniform(-3, 3, size=(1000, 2)))
+        state = EngineState(population=rng.uniform(-3, 3, size=(1000, 2)), walk_rng=rng)
         for _ in range(100):
-            move_random(state, BOX, cfg, rng)
+            move_random(state, BOX, cfg)
             assert BOX.contains(state.population)
 
     def test_step_scale_matches_gaussian_law(self):
         cfg = small_cfg(walk_step_fraction=0.1)
-        state = EngineState(population=np.zeros((100_000, 2)))
-        move_random(state, BOX, cfg, make_rng(2))
+        state = EngineState(population=np.zeros((100_000, 2)), walk_rng=make_rng(2))
+        move_random(state, BOX, cfg)
         stdev = state.population.std(axis=0)
         # expected 0.1 * range = 0.6 per axis; reflection is negligible 5
         # sigmas from the walls
@@ -255,7 +255,7 @@ class TestMoveRandom:
         rng = make_rng(3)
         state = init_state(BOX, cfg, rng)
         assert state.visit_counts.sum() == 0
-        move_random(state, BOX, cfg, rng)
+        move_random(state, BOX, cfg)
         assert state.visit_counts.sum() == cfg.n_individuals
         nearest = [nearest_center(p, make_centers(BOX, 2)) for p in state.population]
         assert np.array_equal(state.visit_counts, np.bincount(nearest, minlength=4))
@@ -283,9 +283,9 @@ class TestMoveRandom:
         cfg = small_cfg(n_individuals=n, centers_per_axis=k, walk_step_fraction=fraction)
         z = make_rng(seed).standard_normal((n, dim))
         expected = reflect_into_bounds(population + z * (fraction * b.span), b)
-        state = EngineState(population=population.copy(),
+        state = EngineState(population=population.copy(), walk_rng=make_rng(seed),
                             visit_counts=np.zeros(k**dim, dtype=np.int64))
-        move_random(state, b, cfg, make_rng(seed))
+        move_random(state, b, cfg)
         assert np.array_equal(state.population, expected)
         assert np.array_equal(np.signbit(state.population), np.signbit(expected))
         assert state.population.flags.f_contiguous
@@ -308,7 +308,7 @@ class TestPopulationLayout:
         assert state.population.flags.f_contiguous
         assert not state.population.flags.c_contiguous
         for _ in range(3):
-            move_random(state, b, cfg, rng)
+            move_random(state, b, cfg)
             assert state.population.flags.f_contiguous
             rebalance(state, b, cfg, rng)
             assert state.population.flags.f_contiguous
@@ -324,12 +324,12 @@ class TestPopulationLayout:
         far = (np.abs(population + steps - b.lb) >= 2.0 * b.span).any()
         assert far == (walk_step_fraction == 1.0)
         states = [
-            EngineState(population=population.copy(order=order),
+            EngineState(population=population.copy(order=order), walk_rng=make_rng(1),
                         visit_counts=np.zeros(27, dtype=np.int64))
             for order in "CF"
         ]
         for state in states:
-            move_random(state, b, cfg, make_rng(1))
+            move_random(state, b, cfg)
         assert np.array_equal(states[0].population, states[1].population)
         assert np.array_equal(states[0].visit_counts, states[1].visit_counts)
 
@@ -385,34 +385,38 @@ class TestFlatWalk:
         population = population.copy(order=order)
         cfg = small_cfg(n_individuals=n, walk_step_fraction=fraction)
         expected = self.broadcast_walk(population, b, cfg, make_rng(seed))
-        state = EngineState(population=population.copy(order=order))
-        move_random(state, b, cfg, make_rng(seed))
+        state = EngineState(population=population.copy(order=order), walk_rng=make_rng(seed))
+        move_random(state, b, cfg)
         assert np.array_equal(state.population, expected)
         assert np.array_equal(np.signbit(state.population), np.signbit(expected))
         assert state.population.flags.f_contiguous
 
     def test_walk_box_repeats_each_axis_per_scout(self):
         b = Bounds([-1.0, 0.0, 2.0], [1.0, 5.0, 2.5])
-        state = EngineState(population=np.zeros((4, 3), order="F"))
-        box = _walk_box(state, b)
+        state = EngineState(population=np.zeros((4, 3), order="F"), walk_rng=make_rng(0))
+        box, scale = _walk_box(state, b, 0.5)
         # axis-major, as population.ravel(order="F")
         assert box.lb.tolist() == [-1.0] * 4 + [0.0] * 4 + [2.0] * 4
         assert box.ub.tolist() == [1.0] * 4 + [5.0] * 4 + [2.5] * 4
+        assert scale.tolist() == [1.0] * 4 + [2.5] * 4 + [0.25] * 4
 
     def test_walk_box_is_built_once_per_run(self, monkeypatch):
         cfg = small_cfg(n_individuals=30, centers_per_axis=3, n_generations=25)
         rng = make_rng(0)
         state = init_state(BOX, cfg, rng)
         step(state, SPHERE, BOX, cfg, rng)
-        box = _walk_box(state, BOX)
+        fraction = cfg.walk_step_fraction
+        box, scale = _walk_box(state, BOX, fraction)
         for _ in range(20):
             step(state, SPHERE, BOX, cfg, rng)
-            assert _walk_box(state, BOX) is box
-        # rebuilt for another scout count or another box
+            assert _walk_box(state, BOX, fraction)[0] is box
+        assert _walk_box(state, BOX, fraction)[1] is scale
+        # rebuilt for another step fraction, scout count or box
+        assert _walk_box(state, BOX, 0.5)[1].tolist() == [3.0] * 60
         state.population = state.population[:10]
-        assert _walk_box(state, BOX).dim == 20
+        assert _walk_box(state, BOX, fraction)[0].dim == 20
         other = Bounds(BOX.lb, BOX.ub)
-        assert _walk_box(state, other) is not _walk_box(state, BOX)
+        assert _walk_box(state, other, fraction)[0] is not _walk_box(state, BOX, fraction)[0]
 
         built = []
 
@@ -439,8 +443,8 @@ class TestFlatWalk:
         tracemalloc.start()
         try:
             # the first move builds the walk box, the second reuses it
-            move_random(state, b, cfg, rng)
-            move_random(state, b, cfg, rng)
+            move_random(state, b, cfg)
+            move_random(state, b, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -454,6 +458,7 @@ class TestRebalance:
         b = Bounds([0.0], [1.0])  # centers at 0.25 and 0.75
         return b, EngineState(
             population=np.asarray(positions, dtype=float).reshape(-1, 1),
+            walk_rng=make_rng(0),
             visit_counts=np.zeros(2, dtype=np.int64),
         )
 
@@ -549,7 +554,8 @@ class TestRebalance:
         counts = gen.integers(0, levels, k**dim).astype(np.int64)
         cfg = small_cfg(n_individuals=n, centers_per_axis=k, rebalance_fraction=fraction)
         expected = self.stored_grid_rebalance(population, counts, b, cfg, make_rng(seed))
-        state = EngineState(population=population.copy(), visit_counts=counts.copy())
+        state = EngineState(population=population.copy(), walk_rng=make_rng(0),
+                            visit_counts=counts.copy())
         rebalance(state, b, cfg, make_rng(seed))
         assert np.array_equal(state.population, expected)
         assert np.array_equal(state.visit_counts, counts)

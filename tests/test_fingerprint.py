@@ -35,41 +35,41 @@ from viralsearch.schema_lab import (
 PINNED = {
     "rosenbrock": (
         "rosenbrock", {}, dict(n_generations=40, n_individuals=20, seed=3), 1,
-        "0x1.bcffeb7bb6efdp-6", ["0x1.aba05ea873f80p-1", "0x1.650d5c9498d76p-1"], 4,
-        "47ea0b54dc1ed8f3516e89291b64a5a1f578bb4e2f9fca7e3d8b453c7a6c9f5c",
+        "0x1.6c238e5dd0791p-4", ["0x1.67c1854e136e8p-1", "0x1.f7502bc0b3ab7p-2"], 5,
+        "94f20091647beb39129e1bf08dde20ef951a475c237cb0ee0dbc33aadbb62b0b",
     ),
     "rosenbrock-split": (
         "rosenbrock", {}, dict(n_generations=30, n_individuals=30, seed=7), 2,
-        "0x1.9ed896409f786p-8", ["0x1.d767ccdc883fdp-1", "0x1.b25e409fb6792p-1"], 7,
-        "8f55c928a899405b0b601adb24f72dac99f88ad916391dfaeb61e25f36036ce3",
+        "0x1.330bae67d7986p-13", ["0x1.f9d00954860eap-1", "0x1.f3bb334b11693p-1"], 6,
+        "5619b996bb381b957e60bc52b890f1c936d95b4e5c5d16854ca23d4a9bb0f3df",
     ),
     "shekel-centers": (
         "shekel", {}, dict(n_generations=30, n_individuals=60, centers_per_axis=3, seed=1), 1,
-        "-0x1.b20a8874ff0e4p+0",
-        ["0x1.fe96ab8ea3fc4p+2", "0x1.08dbbbf3d9a94p+0", "0x1.ff366973198f6p+2",
-         "0x1.09b6ace6e5b8fp+0"],
-        3,
-        "d1d243d3a9836df12a3b9280cae19cf5d5349e25b4c21cca90008b2786ea41f9",
+        "-0x1.49afc5f30d2ebp+3",
+        ["0x1.fe3a27e359379p+1", "0x1.fb6c5c01960fdp+1", "0x1.0100c2eea4606p+2",
+         "0x1.018c45de53158p+2"],
+        4,
+        "7553735984686b99465743cfa93a257deaf6f47a206869ab13e1aabf4fbb7109",
     ),
     # criterion 5's scout and burst sizes: C-ordered (300, 4) burst batches
     "shekel-wide": (
         "shekel", {},
         dict(n_generations=40, n_individuals=1000, n_viral_generations=5,
              n_viral_individuals=300, seed=0), 1,
-        "-0x1.45dbbacd14095p+3",
-        ["0x1.fcb0ca02928bep+1", "0x1.0076465e31eddp+2", "0x1.f944183786f26p+1",
-         "0x1.0058a856f6c32p+2"],
-        4,
-        "740a46d4653d793ca722653e5a9083b3917f262d4605e6fa997506c25affbaf7",
+        "-0x1.349eca0bd3a0dp+3",
+        ["0x1.0113925d8b12dp+2", "0x1.02b3d123ac7edp+2", "0x1.f5008f8f19c50p+1",
+         "0x1.00f8d816f7e67p+2"],
+        5,
+        "29396dcdd5ef0b168e7e808a9faf76b2c8b06975c9db596045a8f79a195bb310",
     ),
     # a step of 0.9 spans sends the fold through np.mod
     "sphere-far-walk": (
         "sphere", {"dim": 3},
         dict(n_generations=30, n_individuals=25, walk_step_fraction=0.9, seed=2), 1,
-        "0x1.e88298774c6a3p-6",
-        ["0x1.740e4a0c51500p-10", "-0x1.1f4232e4cbb30p-9", "-0x1.6198876084e58p-3"],
+        "0x1.3470454189ee2p-6",
+        ["-0x1.65389f6a1aa30p-4", "-0x1.2ecc6f42fea60p-5", "0x1.96961360a02ccp-4"],
         2,
-        "51064f6265a6484139f5cec40a2555dd3ae98775038fdf76ac5244a2d0a08356",
+        "ab62376bcf6685ccc375e44d669a35a2a85836922eb3b099618a46708b97ff7d",
     ),
 }
 
@@ -155,19 +155,19 @@ def test_seeded_one_bit_ga_matches_its_pinned_fingerprint():
 # three cells, a checkpoint spec all of its checkpoints
 PINNED_REPORTS = {
     "rosenbrock-table2": (
-        9, "6f64dfec248d51cfb412dc71b99f3ea1bcba8e7c5b785a54ab04ac9b55c07a41",
+        9, "112ecae26ef94afe727db7d7c59d505798027032554459f6219d2c586a2f4840",
     ),
     "rosenbrock-table3": (
-        9, "8bf6796c0c3e992ec09a1cb936e9f24d2c6c9a3da6b4d9249b0e3f8043469189",
+        9, "25e5ef63a94f8d403da6bae47ee15733c7f428578d465c6b112706ee430775e6",
     ),
     "schaffer-table3": (
-        9, "0f5875def85735b89fb12ddb85933e3c21f7a543e5364c7cd49f3beedad36d9d",
+        9, "265b109a1e29305b952de8bd1ef0df8f12345bcdc90b9319b67fab0b1158174c",
     ),
     "shekel-table5": (
-        9, "81af8153383c84da79ca9882380bbf7e858e465881fb3caaf7ee43b6a289f673",
+        9, "b4d4dbde5fbaa4570df8d9ddc50284d6bf14ba674519a1d70556c395b13b35f9",
     ),
     "twowell-table4": (
-        20, "d7caef78fc3480309ea046c8f2e5230368063ceeccaf08b026896ce6d5a0636a",
+        20, "3d56cd1fcd357344364f3e828e81b54f24a29891b62a3210f2853cd4ad2a9f53",
     ),
 }
 

@@ -1,11 +1,13 @@
-"""The walk draw handed to the helper thread: bit-identical to drawing in
-line, settled on every path out of `step`, and safe across threads and
+"""The walk's own generator and the draw handed to the helper thread:
+the scouts' path does not depend on the bursts, every run is
+bit-identical to drawing in line, a draw left pending by a step that
+raised is the next walk's, and the helper is safe across threads and
 forks.
 
 `hand_offs()` sets the evaluation-time half of the hand-off gate to zero,
 so whether a generation hands its draw off depends only on the scout
-count and the incumbent, never on how fast this machine evaluates. No
-test here reads a clock.
+count and on whether a draw is pending, never on how fast this machine
+evaluates. No test here reads a clock.
 """
 
 import multiprocessing
@@ -35,23 +37,17 @@ SHEKEL_GRID = VSConfig(n_generations=30, n_viral_generations=1, n_individuals=10
 
 @contextmanager
 def hand_offs():
-    """Count the draws `step` hands off and the pending ones it cancels,
-    with the evaluation-time half of the gate open."""
-    counts = {"hand_offs": 0, "cancels": 0}
-    hand_off, cancel = engine._hand_off_walk_draw, engine._cancel_walk_draw
+    """Count the draws `step` hands off, with the evaluation-time half of
+    the gate open."""
+    counts = {"hand_offs": 0}
+    hand_off = engine._hand_off_walk_draw
 
-    def counted_hand_off(state, rng):
+    def counted_hand_off(state):
         counts["hand_offs"] += 1
-        hand_off(state, rng)
-
-    def counted_cancel(state):
-        if state.walk_draw is not None and state.walk_draw.before is not None:
-            counts["cancels"] += 1
-        cancel(state)
+        hand_off(state)
 
     with mock.patch.object(engine, "_PREFETCH_EVAL_S", 0.0), \
-            mock.patch.object(engine, "_hand_off_walk_draw", counted_hand_off), \
-            mock.patch.object(engine, "_cancel_walk_draw", counted_cancel):
+            mock.patch.object(engine, "_hand_off_walk_draw", counted_hand_off):
         yield counts
 
 
@@ -71,6 +67,7 @@ def assert_same_run(result, reference):
 def assert_same_state(state, rng, reference, reference_rng):
     assert same_bits(state.population, reference.population)
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert state.walk_rng.bit_generator.state == reference.walk_rng.bit_generator.state
     assert same_bits(state.fobj_global, reference.fobj_global)
     assert state.epidemic_count == reference.epidemic_count
     if reference.has_centers():
@@ -101,22 +98,61 @@ def test_every_step_equals_the_serial_reference(dim, coords, n_viral, n_viral_ge
             step(state, spec.objective, spec.bounds, cfg, rng)
             serial_step(reference, spec.objective, spec.bounds, cfg, reference_rng)
             assert_same_state(state, rng, reference, reference_rng)
-    # generation 0 fires a burst under an infinite incumbent and hands off
-    # nothing; every later generation of a large enough walk hands off
+    # every generation of a large enough walk hands off, generation 0 too
     handing_off = n * dim >= engine._PREFETCH_MIN
-    assert counts["hand_offs"] == (cfg.n_generations - 1 if handing_off else 0)
+    assert counts["hand_offs"] == (cfg.n_generations if handing_off else 0)
 
 
-def test_bursts_after_generation_zero_cancel_pending_draws():
+def test_bursts_run_beside_the_pending_draw():
     spec = make_benchmark("sphere", dim=4)
     cfg = VSConfig(n_generations=25, n_viral_generations=2, n_individuals=1000,
                    n_viral_individuals=5, seed=3)
-    with hand_offs() as counts:
-        result = run(spec.objective, spec.bounds, cfg)
-    assert counts["hand_offs"] == cfg.n_generations - 1
-    assert counts["cancels"] >= 1
-    assert result.epidemic_count > counts["cancels"]
-    assert_same_run(result, serial_run(spec.objective, spec.bounds, cfg))
+    rng = make_rng(cfg.seed)
+    state = init_state(spec.bounds, cfg, rng)
+    pending = []
+    burst = engine.trigger_epidemic
+
+    def recorded(*args):
+        pending.append(engine._pending(state))
+        return burst(*args)
+
+    with hand_offs() as counts, mock.patch.object(engine, "trigger_epidemic", recorded):
+        for _ in range(cfg.n_generations):
+            step(state, spec.objective, spec.bounds, cfg, rng)
+    assert counts["hand_offs"] == cfg.n_generations
+    # bursts after generation 0 too, each with the walk's draw pending
+    assert len(pending) == state.epidemic_count > state.trace[0].epidemics_so_far
+    assert all(pending)
+    reference_rng = make_rng(cfg.seed)
+    reference = init_state(spec.bounds, cfg, reference_rng)
+    for _ in range(cfg.n_generations):
+        serial_step(reference, spec.objective, spec.bounds, cfg, reference_rng)
+    assert [row.fobj_global for row in state.trace] == reference.trace
+    assert_same_state(state, rng, reference, reference_rng)
+
+
+def test_the_scouts_path_does_not_depend_on_the_bursts():
+    # with centers off, only the initialization and the walk move scouts
+    spec = make_benchmark("rosenbrock")
+    base = VSConfig(n_generations=30, n_viral_generations=2, n_individuals=1600,
+                    n_viral_individuals=5, seed=11)
+    cfgs = [base, replace(base, n_viral_generations=9, n_viral_individuals=14)]
+    populations, rng_states = [], []
+    for cfg in cfgs:
+        rng = make_rng(cfg.seed)
+        state = init_state(spec.bounds, cfg, rng)
+        steps = []
+        with hand_offs() as counts:
+            for _ in range(cfg.n_generations):
+                step(state, spec.objective, spec.bounds, cfg, rng)
+                steps.append(state.population.copy())
+        assert counts["hand_offs"] == cfg.n_generations
+        assert state.epidemic_count > 1
+        populations.append(steps)
+        rng_states.append(rng.bit_generator.state)
+    # the bursts drew differently from the run's generator
+    assert rng_states[0] != rng_states[1]
+    assert all(same_bits(a, b) for a, b in zip(*populations))
 
 
 def test_centers_and_rebalance_match_the_serial_reference():
@@ -137,14 +173,17 @@ def test_each_walk_and_rebalance_folds_once_through_the_module_attribute():
 
     def counted(fn, name):
         def wrapper(state, *args):
-            pending = state.walk_draw is not None and state.walk_draw.before is not None
+            pending = engine._pending(state)
             before = len(folds)
             out = fn(state, *args)
             calls.append((name, pending, len(folds) - before))
             return out
         return wrapper
 
+    hand_off = engine._hand_off_walk_draw
     with hand_offs(), \
+            mock.patch.object(engine, "_hand_off_walk_draw",
+                              lambda state: state.generation % 2 and hand_off(state)), \
             mock.patch.object(engine, "reflect_into_bounds",
                               lambda p, b: folds.append(1) or fold(p, b)), \
             mock.patch.object(engine, "move_random", counted(move_random, "walk")), \
@@ -152,7 +191,7 @@ def test_each_walk_and_rebalance_folds_once_through_the_module_attribute():
         result = run(spec.objective, spec.bounds, SHEKEL_GRID)
     walks = [pending for name, pending, _ in calls if name == "walk"]
     assert len(walks) == SHEKEL_GRID.n_generations
-    assert any(walks) and not all(walks)  # with and without a pending hand-off
+    assert walks == [t % 2 == 1 for t in range(SHEKEL_GRID.n_generations)]
     assert [name for name, _, _ in calls].count("rebalance") == 2  # generations 10 and 20
     assert all(n == 1 for _, _, n in calls)
     assert len(folds) == len(calls)
@@ -177,7 +216,7 @@ def test_parallel_run_workers_match_the_serial_reference():
                    n_viral_individuals=8, seed=5)
     with hand_offs() as counts:
         result = parallel_run(spec.objective, spec.bounds, cfg, m=2)
-    assert counts["hand_offs"] == 2 * (cfg.n_generations - 1)
+    assert counts["hand_offs"] == 2 * cfg.n_generations
     finals = []
     for w, box in enumerate(split_bounds(spec.bounds, 2)):
         wcfg = replace(cfg, n_individuals=800, seed=child_seed(cfg.seed, w))
@@ -189,61 +228,52 @@ def test_parallel_run_workers_match_the_serial_reference():
     assert result.epidemic_count == sum(s.epidemic_count for s in finals)
 
 
-def failing_sphere(dim, fail_at, rows=None):
-    """A sphere objective that returns NaN from generation `fail_at` on,
-    for every batch or only for batches of `rows` rows (a burst's)."""
+def failing_once(dim, fail_at, rows=None):
+    """A sphere objective that returns NaN once: for the first batch at
+    generation `fail_at` or later, of any size or of `rows` rows only (a
+    burst's). Returns the objective and the list of generations it failed
+    at."""
+    failed = []
 
     def fn(t, p):
         values = (p**2).sum(axis=1)
-        if t >= fail_at and (rows is None or len(p) == rows):
+        if not failed and t >= fail_at and (rows is None or len(p) == rows):
+            failed.append(t)
             values[0] = np.nan
         return values
 
-    return Objective(fn, arity=dim)
+    return Objective(fn, arity=dim), failed
 
 
 @pytest.mark.parametrize("burst_rows", [None, 5], ids=["scouts", "burst"])
-def test_a_raising_step_settles_the_draw_and_leaves_the_serial_rng_state(burst_rows):
+def test_steps_after_one_that_raised_past_a_hand_off_equal_the_serial_reference(burst_rows):
     spec = make_benchmark("sphere", dim=4)
-    objective = failing_sphere(4, fail_at=3, rows=burst_rows)
-    cfg = VSConfig(n_generations=40, n_viral_generations=2, n_individuals=1000,
-                   n_viral_individuals=5, seed=6)
+    cfg = VSConfig(n_generations=30, n_viral_generations=2, n_individuals=1000,
+                   n_viral_individuals=5, seed=3)
+    objective, failed = failing_once(4, fail_at=3, rows=burst_rows)
+    reference_objective, reference_failed = failing_once(4, fail_at=3, rows=burst_rows)
     rng, reference_rng = make_rng(cfg.seed), make_rng(cfg.seed)
     state = init_state(spec.bounds, cfg, rng)
     reference = init_state(spec.bounds, cfg, reference_rng)
     with hand_offs() as counts:
-        with pytest.raises(EvaluationError):
-            for _ in range(cfg.n_generations):
+        for _ in range(cfg.n_generations):
+            try:
                 step(state, objective, spec.bounds, cfg, rng)
-        with pytest.raises(EvaluationError):
-            for _ in range(cfg.n_generations):
-                serial_step(reference, objective, spec.bounds, cfg, reference_rng)
-    assert counts["hand_offs"] >= 3
-    assert state.walk_draw.before is None
-    assert not state.walk_draw.done.locked()
-    assert state.generation == reference.generation >= 3
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
-
-
-def test_an_evaluation_error_in_run_leaves_no_draw_in_flight():
-    spec = make_benchmark("sphere", dim=4)
-    objective = failing_sphere(4, fail_at=5)
-    cfg = VSConfig(n_generations=20, n_viral_generations=2, n_individuals=1000,
-                   n_viral_individuals=5)
-    seen = []
-    original = engine._WalkDraw.__init__
-
-    def recorded(draw, shape):
-        original(draw, shape)
-        seen.append(draw)
-
-    with hand_offs() as counts, mock.patch.object(engine._WalkDraw, "__init__", recorded):
-        with pytest.raises(EvaluationError):
-            run(objective, spec.bounds, cfg)
-    assert counts["hand_offs"] >= 4
-    assert len(seen) == 1
-    assert seen[0].before is None
-    assert not seen[0].done.locked()
+            except EvaluationError:
+                # the handed-off draw stays pending for the next walk
+                assert engine._pending(state)
+    for _ in range(cfg.n_generations):
+        try:
+            serial_step(reference, reference_objective, spec.bounds, cfg, reference_rng)
+        except EvaluationError:
+            pass
+    assert len(failed) == 1 and failed == reference_failed
+    # the step after the one that raised hands off no new draw
+    assert counts["hand_offs"] == cfg.n_generations - 1
+    assert state.generation == reference.generation == cfg.n_generations - 1
+    assert not engine._pending(state)
+    assert [row.fobj_global for row in state.trace] == reference.trace
+    assert_same_state(state, rng, reference, reference_rng)
 
 
 def test_runs_in_more_threads_than_cores_equal_their_serial_results():
@@ -267,7 +297,7 @@ def test_runs_in_more_threads_than_cores_equal_their_serial_results():
                 assert not thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
-    assert counts["hand_offs"] == sum(cfg.n_generations - 1 for cfg in cfgs)
+    assert counts["hand_offs"] == sum(cfg.n_generations for cfg in cfgs)
     for result, cfg in zip(results, cfgs):
         assert_same_run(result, serial_run(spec.objective, spec.bounds, cfg))
 

@@ -13,9 +13,12 @@ a `__pycache__`, and the runs set PYTHONDONTWRITEBYTECODE so none is
 written. Pair k runs the base first when k is even and the head first when
 k is odd. Each run is that side's own, unchanged
 `perfbench/run.py --workload W --seed S --seconds T`, and its last stdout
-line is read as perfbench's JSON report. For every end-to-end metric the
-head's BENCHMARK.json names, the tool prints both sides' medians, the
-base's interquartile range and the number of pairs the head won (ties
+line is read as perfbench's JSON report, whose times are scaled to a
+reference machine speed. The unscaled figure perfbench prints beside a
+metric, `(unscaled X)`, is read from its text lines. For every end-to-end
+metric the head's BENCHMARK.json names, the tool prints both sides'
+medians, and both sides' unscaled medians where every run printed one,
+the base's interquartile range and the number of pairs the head won (ties
 count for neither side). The last line printed is the summary as JSON.
 
 With `--direct`, no perfbench runs: each run is a fresh Python process
@@ -36,6 +39,7 @@ import argparse
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -90,14 +94,24 @@ def last_json(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
+# perfbench's text line for a metric: "  wall_s   4.5 s   (unscaled 1.92638)"
+_UNSCALED = re.compile(r"^\s+(\w+)\s.*\(unscaled ([^)\s]+)\)\s*$")
+
+
+def unscaled(stdout: str) -> dict:
+    """The unscaled figure perfbench printed beside each metric, by name."""
+    return {m[1]: float(m[2]) for m in map(_UNSCALED.match, stdout.splitlines()) if m}
+
+
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """perfbench's report, with its unscaled figures under "unscaled"."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
         cwd=root, env=env, stdout=subprocess.PIPE, text=True, check=True,
     )
-    return last_json(proc.stdout)
+    return dict(last_json(proc.stdout), unscaled=unscaled(proc.stdout))
 
 
 def run_direct(root: Path, call: str) -> dict:
@@ -123,7 +137,8 @@ def _iqr(values: list) -> float:
 def summarize(reports: list, end_to_end: list) -> dict:
     """Per metric, from `reports` (one {"base": report, "head": report}
     per pair): each side's median, the base's interquartile range, and the
-    pairs the head won."""
+    pairs the head won; and each side's unscaled median when every report
+    holds an unscaled figure for the metric."""
     summary = {}
     for metric in end_to_end:
         name = metric["name"]
@@ -138,6 +153,10 @@ def summarize(reports: list, end_to_end: list) -> dict:
             "head_wins": sum(sign * (h - b) < 0 for b, h in zip(values["base"], values["head"])),
             "pairs": len(reports),
         }
+        raw = {side: [r[side].get("unscaled", {}).get(name) for r in reports] for side in SIDES}
+        if None not in raw["base"] + raw["head"]:
+            for side in SIDES:
+                summary[name][f"{side}_unscaled_median"] = statistics.median(raw[side])
     return summary
 
 
@@ -153,8 +172,12 @@ def _print_summary(label: str, summary: dict, reports: list) -> None:
     print(header)
     for name, s in summary.items():
         change = (s["head_median"] / s["base_median"] - 1.0) * 100 if s["base_median"] else 0.0
+        raw = ""
+        if "base_unscaled_median" in s:
+            raw = (f", unscaled base {s['base_unscaled_median']:.6g} | head "
+                   f"{s['head_unscaled_median']:.6g}")
         print(f"  {name:12s} base {s['base_median']:.6g} | head {s['head_median']:.6g} "
-              f"{s['unit']} ({change:+.1f} %), base IQR {s['base_iqr']:.3g}, "
+              f"{s['unit']} ({change:+.1f} %){raw}, base IQR {s['base_iqr']:.3g}, "
               f"head better in {s['head_wins']} of {s['pairs']} ({s['better']} is better)")
 
 
