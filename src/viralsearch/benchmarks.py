@@ -44,7 +44,13 @@ def rosenbrock(x, y) -> np.ndarray:
     single global minimum 0 at (1, 1)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return (1.0 - x) ** 2 + 100.0 * (y - x**2) ** 2
+    # the formula's operations in its order, squaring and scaling in place
+    valley = np.subtract(y, x * x)
+    valley *= valley
+    valley *= 100.0
+    rim = np.subtract(1.0, x)
+    rim *= rim
+    return np.add(rim, valley, out=valley) if valley.ndim else rim + valley
 
 
 def schaffer(x, y) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 Point = np.ndarray
 Population = np.ndarray
 RngStream = np.random.Generator
+_FLOAT64 = np.dtype(np.float64)
 
 
 class ViralSearchError(Exception):
@@ -104,6 +105,8 @@ class Bounds:
                             ("_lb2", lb2), ("_ub2", ub2)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        # only a wall at zero makes the fold's signed zeros ambiguous
+        object.__setattr__(self, "_zero_wall", not (lb.all() and ub.all()))
 
     @property
     def dim(self) -> int:
@@ -165,18 +168,20 @@ def reflect_into_bounds(p: np.ndarray, b: Bounds) -> np.ndarray:
     and then its `min` with `(ub + ub) - p`: rounding is monotone, so each
     picks the reflection past its own wall and `p` elsewhere. On a wall
     the two operands are equal, and numpy's vector loop and scalar tail
-    pick opposite ones, which differ in sign on a zero wall. So when some
-    result is zero, `p` is copied back wherever the result equals it,
-    which is exactly the coordinates inside the box.
+    pick opposite ones, which differ in sign on a zero wall. So when the
+    box has a zero wall and some result is zero, `p` is copied back
+    wherever the result equals it, which is exactly the coordinates
+    inside the box; elsewhere equal operands have equal bits.
     """
     p = _checked(p, b)
     out = np.subtract(b._lb2, p)
     np.maximum(out, p, out=out)
     np.minimum(out, np.subtract(b._ub2, p), out=out)
-    if not out.all():
+    if b._zero_wall and not np.logical_and.reduce(out, axis=None):
         np.copyto(out, p, where=out == p)
-    far = (out < b.lb) | (out > b.ub)
-    if far.any():
+    far = out < b.lb
+    far |= out > b.ub
+    if np.logical_or.reduce(far, axis=None):
         lb, ub, span, period = (
             np.broadcast_to(a, p.shape)[far] for a in (b.lb, b.ub, b.span, b.period)
         )
@@ -230,13 +235,17 @@ class Objective:
         self.name = name
 
     def evaluate_many(self, t: int, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
+        # a float64 ndarray, as the engine always passes, needs no conversion
+        if type(points) is not np.ndarray or points.dtype is not _FLOAT64:
+            points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.arity:
             raise ValueError(
                 f"expected points of shape (n, {self.arity}), got {points.shape}"
             )
         n = points.shape[0]
-        values = np.asarray(self.fn(t, points), dtype=float)
+        values = self.fn(t, points)
+        if type(values) is not np.ndarray or values.dtype is not _FLOAT64:
+            values = np.asarray(values, dtype=float)
         if values.size != n:
             raise EvaluationError(
                 f"objective returned {values.size} values for {n} points at "
@@ -246,7 +255,7 @@ class Objective:
         # one reduction screens the batch: the minimum is NaN when any value
         # is NaN, and -inf when any is -inf; the per-row mask is built only
         # to name the first bad point
-        if not np.minimum.reduce(values, initial=np.inf) > -np.inf:
+        if n and not np.minimum.reduce(values) > -np.inf:
             usable = values > -np.inf  # false for NaN and -inf alike
             i = int(np.argmin(usable))
             kind = "NaN" if np.isnan(values[i]) else "-inf"

@@ -417,6 +417,13 @@ def rebalance(
     return state
 
 
+def _burst_cube(trigger: Point, b: Bounds, cfg: VSConfig) -> tuple:
+    """The burst cube's corners: trigger +/- epidemic_radius_fraction *
+    span on each axis, clipped to `b`."""
+    half = cfg.epidemic_radius_fraction * b.span
+    return np.maximum(b.lb, trigger - half), np.minimum(b.ub, trigger + half)
+
+
 def trigger_epidemic(
     trigger: Point,
     b: Bounds,
@@ -434,9 +441,7 @@ def trigger_epidemic(
     `n_viral_generations` generations with `DEConfig`'s default weights.
     """
     trigger = np.asarray(trigger, dtype=float)
-    half = cfg.epidemic_radius_fraction * b.span
-    lo = np.maximum(b.lb, trigger - half)
-    hi = np.minimum(b.ub, trigger + half)
+    lo, hi = _burst_cube(trigger, b, cfg)
     if not (lo < hi).all():
         raise ValueError(
             f"burst region collapsed around {trigger.tolist()}; is the "
@@ -483,7 +488,7 @@ def step(
     # against the sweep-start value can be skipped outright; +inf is a
     # legal penalty but never triggers, since inf <= inf - tolerance
     # holds while the incumbent is still +inf
-    for i in _trigger_candidates(values, state.fobj_global - cfg.trigger_tolerance):
+    for i in _trigger_candidates(values, state.fobj_global - cfg.trigger_tolerance).tolist():
         if values[i] > state.fobj_global - cfg.trigger_tolerance:
             continue
         best_point, best_value = trigger_epidemic(
@@ -522,17 +527,49 @@ def step(
     return state
 
 
+def check_config(b: Bounds, cfg: VSConfig) -> None:
+    """Raise `ConfigurationError` unless a run of `cfg` on `b` can draw its
+    bursts' partners, walk without overflow and build a burst cube around
+    any trigger in `b`.
+
+    numpy's ziggurat never returns a normal deviate of magnitude 14, so the
+    walk's values stay below 2M + (M + 14 * walk_step_fraction * span),
+    M = max(|lb|, |ub|): the scout, its step and the fold's reflection. A
+    cube has zero width where x - h and x + h both round to x, or one does
+    at a wall; that happens first at the walls and the two floats inside
+    each."""
+    check_draw_range(cfg.n_viral_individuals, b.dim)
+    reach = np.maximum(np.abs(b.lb), np.abs(b.ub))
+    with np.errstate(over="ignore"):
+        reach = (reach + reach) + (reach + 14.0 * (cfg.walk_step_fraction * b.span))
+    if not np.isfinite(reach).all():
+        raise ConfigurationError(
+            f"walk_step_fraction={cfg.walk_step_fraction} lets a walk step overflow on axis "
+            f"{int(np.argmin(np.isfinite(reach)))}: 3 * max(|lb|, |ub|) + 14 * "
+            f"walk_step_fraction * span must be finite; use a smaller fraction or box"
+        )
+    inner = np.nextafter(b.lb, b.ub), np.nextafter(b.ub, b.lb)
+    for x in (b.lb, b.ub, *inner, np.nextafter(inner[0], b.ub), np.nextafter(inner[1], b.lb)):
+        lo, hi = _burst_cube(x, b, cfg)
+        if not (lo < hi).all():
+            axis = int(np.argmin(lo < hi))
+            raise ConfigurationError(
+                f"epidemic_radius_fraction={cfg.epidemic_radius_fraction} gives axis {axis} a "
+                f"burst cube half-width of {cfg.epidemic_radius_fraction * b.span[axis]}, which "
+                f"rounds away at {x[axis]}: the cube is a point; use a larger fraction"
+            )
+
+
 def run(objective: Objective, b: Bounds, cfg: VSConfig) -> RunResult:
     """Full optimization: initialize, iterate `step` for exactly
-    `n_generations` generations, and package the result. A burst
-    population too large to draw its partners in `b.dim` axes fails
-    before any evaluation."""
+    `n_generations` generations, and package the result. A configuration
+    `check_config` rejects fails before any evaluation."""
     if objective.arity != b.dim:
         raise ConfigurationError(
             f"objective arity {objective.arity} does not match bounds "
             f"dimension {b.dim}"
         )
-    check_draw_range(cfg.n_viral_individuals, b.dim)
+    check_config(b, cfg)
 
     t0 = time.perf_counter()
     rng = make_rng(cfg.seed)

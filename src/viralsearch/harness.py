@@ -20,7 +20,7 @@ from .benchmarks import BenchmarkSpec, make_benchmark
 from .core import (
     Bounds, ConfigurationError, Objective, ViralSearchError, check_counts, child_seed,
 )
-from .engine import RunResult, VSConfig, run
+from .engine import RunResult, VSConfig, check_config, run
 
 _TAIL_COLUMNS = ("time_s", "seed", "kind", "status")
 
@@ -324,6 +324,8 @@ def parallel_run(objective: Objective, b: Bounds, cfg: VSConfig, m: int = 1) -> 
         )
         for w in range(m)
     ]
+    for box, wcfg in zip(boxes, worker_cfgs):
+        check_config(box, wcfg)
     results = [run(objective, box, wcfg) for box, wcfg in zip(boxes, worker_cfgs)]
 
     best_w = min(range(m), key=lambda w: (results[w].best_value, w))

@@ -25,8 +25,9 @@ from .core import (
 
 
 # DE/rand/1/bin's differential weight F and crossover rate CR (Storn &
-# Price 1997), the same for every burst
-_F = 0.8
+# Price 1997), the same for every burst; F as a numpy scalar, which a ufunc
+# takes without converting a Python float
+_F = np.float64(0.8)
 _CR = 0.9
 
 
@@ -48,6 +49,7 @@ class DEConfig:
 
 
 _BLOCK = 16  # generations whose randomness one draw serves
+_INT32_MAX = np.iinfo(np.int32).max
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -72,7 +74,9 @@ def _draw_block(
     In each generation, row i of `partners` is uniform over the ordered
     triples of distinct indices in [0, n) other than i, and row i of
     `cross` is True on each axis with probability `cr` and always on one
-    forced axis, uniform and independent of the partners.
+    forced axis, uniform and independent of the partners. `partners` is
+    intp, a view of a C-ordered (g, 3, n) array, so `partners[k].T`
+    holds generation k's r1, r2 and r3 rows contiguously.
 
     One draw on [0, (n-1)(n-2)(n-3) * d) per member and generation is
     split into the forced axis, r3, r2 and r1 (`divmod` by d, n - 3 and
@@ -81,21 +85,26 @@ def _draw_block(
     independent. Each is then stepped past the indices already taken in
     its row ({i}, then {i, r1}, then {i, r1, r2}), visited in ascending
     order: each `r += r >= s` moves the draw over one taken index, which
-    maps its range one-to-one onto the indices still free. Two RNG calls
-    per block; O(g * n * d) time and memory.
+    maps its range one-to-one onto the indices still free. The draw and
+    the decoding run in int32 when the range fits in it: numpy draws a
+    range of at most 2**32 values by the same 32-bit Lemire method in
+    int32 as in int64, so the integers and the generator's state come out
+    the same. Two RNG calls per block; O(g * n * d) time and memory.
     """
-    i = np.arange(n)
-    partners = np.empty((3, g, n), dtype=np.int64)
+    high = (n - 1) * (n - 2) * (n - 3) * d
+    dtype = np.int32 if high <= _INT32_MAX else np.int64
+    i = np.arange(n, dtype=dtype)
+    partners = np.empty((3, g, n), dtype=dtype)
     r1, r2, r3 = partners  # views: the steps below write into `partners`
-    draws = rng.integers(0, (n - 1) * (n - 2) * (n - 3) * d, size=(g, n))
+    draws = rng.integers(0, high, size=(g, n), dtype=dtype)
     cross = rng.random((g, n, d)) < cr
     # floor division by a scalar is cheaper than np.divmod; the remainder
     # x - (x // k) * k is exact, as x >= 0
     q = draws // d
     axis = np.subtract(draws, np.multiply(q, d, out=r1), out=draws)
-    # one forced axis, set through its flat index in the C-ordered `cross`
-    axis += np.arange(0, g * n * d, d).reshape(g, n)
-    cross.reshape(-1)[axis] = True
+    # one forced axis, set through its flat index in the C-ordered `cross`,
+    # an intp index as fancy indexing takes it
+    cross.reshape(-1)[axis + np.arange(0, g * n * d, d, dtype=np.intp).reshape(g, n)] = True
     np.floor_divide(q, n - 3, out=draws)
     np.subtract(q, np.multiply(draws, n - 3, out=r3), out=r3)
     np.floor_divide(draws, n - 2, out=r1)
@@ -111,7 +120,10 @@ def _draw_block(
     r3 += r3 >= np.minimum(lo, r2)
     r3 += r3 >= np.minimum(np.maximum(lo, r2), hi)
     r3 += r3 >= np.maximum(hi, r2)
-    return partners.transpose(1, 2, 0), cross
+    # one conversion per block, to the index type `take` would convert to
+    # on every call
+    rows = partners.transpose(1, 0, 2).astype(np.intp, order="C")
+    return rows.transpose(0, 2, 1), cross
 
 
 def de_optimize(
@@ -149,27 +161,35 @@ def de_optimize(
             )
         pop[0] = seed_point
     values = objective.evaluate_many(t, pop)
-    lb, ub = np.tile(region.lb, n), np.tile(region.ub, n)
+    # the burst's workspace: the limits tiled to the population's shape, the
+    # rows r1, r2 and r3 of every member, and the accept mask with its row view
+    lb, ub = region.lb[None].repeat(n, 0), region.ub[None].repeat(n, 0)
+    gather = np.empty((3, n, d))
+    r1, r2, r3 = gather
+    accept = np.empty(n, dtype=bool)
+    accept_rows = accept[:, None]
 
     for start in range(0, cfg.generations, _BLOCK):
-        block = _draw_block(rng, n, d, _CR, min(_BLOCK, cfg.generations - start))
-        for partners, cross in zip(*block):
-            # rows r1, r2 and r3 of every member, gathered by one `take`
-            r1, r2, r3 = pop.take(partners.T, 0)
+        partners, cross = _draw_block(rng, n, d, _CR, min(_BLOCK, cfg.generations - start))
+        keep = np.logical_not(cross, out=cross)
+        for rows, keep_target in zip(partners.transpose(0, 2, 1), keep):
+            # every index is valid, so "clip" clips nothing, and lets `take`
+            # write straight into the workspace
+            pop.take(rows, 0, out=gather, mode="clip")
             # pop[r1] + F * (pop[r2] - pop[r3]), bit for bit: IEEE * and +
             # commute exactly
-            mutant = np.subtract(r2, r3, out=r2)
-            mutant *= _F
-            mutant += r1
-            trial = np.where(cross, mutant, pop)
-            # np.clip's values as two flat passes against the tiled limits
-            flat = trial.reshape(-1)
-            np.maximum(flat, lb, out=flat)
-            np.minimum(flat, ub, out=flat)
+            r2 -= r3
+            r2 *= _F
+            r2 += r1
+            # the crossover: the target's own coordinates where the mask is off
+            np.copyto(r2, pop, where=keep_target)
+            # np.clip's values, into a fresh array for the objective
+            trial = np.maximum(r2, lb)
+            np.minimum(trial, ub, out=trial)
 
             trial_values = objective.evaluate_many(t, trial)
-            accept = trial_values <= values
-            np.copyto(pop, trial, where=accept[:, None])
+            np.less_equal(trial_values, values, out=accept)
+            np.copyto(pop, trial, where=accept_rows)
             np.copyto(values, trial_values, where=accept)
             if history is not None:
                 history.append(float(values.min()))

@@ -3,8 +3,10 @@
 Each is the plain, brute-force form of something the package does a
 faster way: a stored center grid with a nearest-center scan, per-string
 schema matching, the reflecting fold with masked passes, an engine
-generation that makes every draw in line, and readers that parse
-`harness.write_rows` reports back into `ReportRow`s.
+generation that makes every draw in line, the DE burst with an int64
+partner decode and a fresh array per step, the Rosenbrock formula as one
+expression, and readers that parse `harness.write_rows` reports back into
+`ReportRow`s.
 """
 
 import csv
@@ -13,8 +15,76 @@ import json
 import numpy as np
 
 from viralsearch import engine
-from viralsearch.core import make_rng
+from viralsearch.core import make_rng, random_init
 from viralsearch.harness import ReportRow
+from viralsearch.local_search import _BLOCK, check_draw_range
+
+
+def rosenbrock(x, y):
+    """(1 - x)^2 + 100 (y - x^2)^2 as one numpy expression."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return (1.0 - x) ** 2 + 100.0 * (y - x**2) ** 2
+
+
+def draw_block(rng, n, d, cr, g):
+    """`local_search._draw_block` decoded in int64 whatever the range:
+    partners of shape (g, n, 3), a view of a (3, g, n) array, and the
+    crossover masks of shape (g, n, d)."""
+    i = np.arange(n)
+    partners = np.empty((3, g, n), dtype=np.int64)
+    r1, r2, r3 = partners
+    draws = rng.integers(0, (n - 1) * (n - 2) * (n - 3) * d, size=(g, n))
+    cross = rng.random((g, n, d)) < cr
+    q = draws // d
+    axis = np.subtract(draws, np.multiply(q, d, out=r1), out=draws)
+    axis += np.arange(0, g * n * d, d).reshape(g, n)
+    cross.reshape(-1)[axis] = True
+    np.floor_divide(q, n - 3, out=draws)
+    np.subtract(q, np.multiply(draws, n - 3, out=r3), out=r3)
+    np.floor_divide(draws, n - 2, out=r1)
+    np.subtract(draws, np.multiply(r1, n - 2, out=r2), out=r2)
+    r1 += r1 >= i
+    lo, hi = np.minimum(i, r1, out=draws), np.maximum(i, r1, out=q)
+    r2 += r2 >= lo
+    r2 += r2 >= hi
+    r3 += r3 >= np.minimum(lo, r2)
+    r3 += r3 >= np.minimum(np.maximum(lo, r2), hi)
+    r3 += r3 >= np.maximum(hi, r2)
+    return partners.transpose(1, 2, 0), cross
+
+
+def de_optimize(objective, region, cfg, seed_point=None, t=0, *, rng, history=None):
+    """`local_search.de_optimize` with `draw_block`'s int64 decode, a
+    fresh gather, mutant and trial per generation, `np.where` for the
+    crossover and flat clamping passes against limits tiled per
+    coordinate."""
+    n, d = cfg.pop_size, region.dim
+    check_draw_range(n, d)
+    pop = random_init(region, n, rng)
+    if seed_point is not None:
+        pop[0] = np.asarray(seed_point, dtype=float)
+    values = objective.evaluate_many(t, pop)
+    lb, ub = np.tile(region.lb, n), np.tile(region.ub, n)
+    for start in range(0, cfg.generations, _BLOCK):
+        block = draw_block(rng, n, d, 0.9, min(_BLOCK, cfg.generations - start))
+        for partners, cross in zip(*block):
+            r1, r2, r3 = pop.take(partners.T, 0)
+            mutant = np.subtract(r2, r3, out=r2)
+            mutant *= 0.8
+            mutant += r1
+            trial = np.where(cross, mutant, pop)
+            flat = trial.reshape(-1)
+            np.maximum(flat, lb, out=flat)
+            np.minimum(flat, ub, out=flat)
+            trial_values = objective.evaluate_many(t, trial)
+            accept = trial_values <= values
+            np.copyto(pop, trial, where=accept[:, None])
+            np.copyto(values, trial_values, where=accept)
+            if history is not None:
+                history.append(float(values.min()))
+    best = int(np.argmin(values))
+    return pop[best].copy(), float(values[best])
 
 
 def make_centers(b, centers_per_axis: int) -> np.ndarray:

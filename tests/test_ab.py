@@ -1,7 +1,8 @@
 """`tools/ab.py` against a throwaway git repository whose
 `perfbench/run.py` and `viralsearch` package are stubs: the alternation of
 sides, the equal paths of the two checkouts, the fresh process of each
-direct run, and the reading of the last JSON line. The stub's perfbench
+direct run, the one process of same-process runs, and the reading of the
+last JSON line. The stub's perfbench
 metrics are constants, and no test asserts a time."""
 
 import importlib.util
@@ -196,6 +197,36 @@ def test_direct_runs_alternate_each_in_a_fresh_process(stub_repo, tmp_path, monk
     wall_s = summary["direct"]["wall_s"]
     assert wall_s["unit"] == "s" and wall_s["pairs"] == 3
     assert wall_s["base_median"] > 0 and wall_s["head_median"] > 0
+
+
+def test_same_process_runs_alternate_each_bound_to_its_own_side(stub_repo, tmp_path,
+                                                                 monkeypatch, capsys):
+    repo, base, head = stub_repo
+    log = tmp_path / "runs.jsonl"
+    monkeypatch.setenv("AB_TEST_LOG", str(log))
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    assert ab.main(["--base", base, "--head", head, "--direct", "--same-process",
+                    "--call", "vs.work()", "--pairs", "3", "--repo", str(repo)]) == 0
+
+    runs = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [Path(r["root"]).name for r in runs] == ["base", "head", "head", "base", "base",
+                                                    "head"]
+    assert len({r["root"] for r in runs}) == 2
+    pids = {r["pid"] for r in runs}
+    assert len(pids) == 1 and os.getpid() not in pids
+    assert all(r["pycache"] == [] and r["no_bytecode"] for r in runs)
+
+    out = capsys.readouterr().out.splitlines()
+    assert "direct, same process: 3 pairs" in out
+    summary = json.loads(out[-1])
+    assert summary.keys() == {"direct"} and summary["direct"]["wall_s"]["pairs"] == 3
+
+
+def test_same_process_needs_direct(capsys):
+    with pytest.raises(SystemExit) as exc:
+        ab.main(["--base", "a", "--head", "b", "--workload", "shekel", "--same-process"])
+    assert exc.value.code == 2
+    assert "--same-process needs --direct" in capsys.readouterr().err
 
 
 def test_direct_run_refuses_a_package_from_outside_the_checkout(tmp_path):

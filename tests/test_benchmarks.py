@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+import reference
 from viralsearch import benchmarks
 from viralsearch.benchmarks import (
     BENCHMARK_NAMES,
@@ -28,6 +29,27 @@ class TestRosenbrock:
     )
     def test_values(self, x, y, expected):
         assert rosenbrock(x, y) == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(*[st.one_of(st.floats(allow_nan=False),
+                                  st.sampled_from([0.0, -0.0, np.inf, -np.inf]))] * 2),
+            min_size=1, max_size=20,
+        ),
+    )
+    def test_matches_the_formula_bit_for_bit(self, pairs):
+        x, y = np.array(pairs).T
+        # a pair of arrays, a scalar against an array, a 0-d pair, and
+        # strided columns as the registry's objective passes them
+        cases = [(x, y), (x[0], y), (x, y[0]), (np.array(x[0]), np.array(y[0])),
+                 (x[0], y[0]), tuple(np.stack([x, y], axis=1).T)]
+        with np.errstate(all="ignore"):
+            for a, b in cases:
+                got, want = rosenbrock(a, b), reference.rosenbrock(a, b)
+                assert type(got) is type(want)
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestSchaffer:

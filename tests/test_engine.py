@@ -1,6 +1,7 @@
 import copy
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from viralsearch import engine
 from viralsearch.engine import (
     EngineState,
     VSConfig,
+    _burst_cube,
     _center_indices,
     _trigger_candidates,
     _walk_box,
@@ -27,9 +29,11 @@ from viralsearch.engine import (
     move_random,
     rebalance,
     run,
+    check_config,
     step,
     trigger_epidemic,
 )
+from viralsearch.harness import ExperimentSpec, parallel_run, run_experiment
 from reference import make_centers, nearest_center
 
 BOX = Bounds([-3.0, -3.0], [3.0, 3.0])
@@ -854,3 +858,106 @@ class TestRun:
         cfg = small_cfg(init="random", n_generations=5)
         result = run(SPHERE, BOX, cfg)
         assert len(result.trace) == 5
+
+
+def counting_flat():
+    """A flat objective, `p[:, 0] * 0.0`, and the list of its batch sizes."""
+    calls = []
+
+    def f(t, p):
+        calls.append(len(p))
+        return p[:, 0] * 0.0
+
+    return Objective(f, arity=2), calls
+
+
+class TestConfigChecks:
+    """`check_config` rejects a walk that can overflow and a burst cube that
+    can round to a point before `run` evaluates anything."""
+
+    HUGE = Bounds([-4e307] * 2, [4e307] * 2)
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.06])
+    def test_a_walk_that_can_overflow_is_rejected(self, fraction):
+        obj, calls = counting_flat()
+        cfg = small_cfg(n_generations=20, walk_step_fraction=fraction)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="walk_step_fraction"):
+                run(obj, self.HUGE, cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_walk_within_the_bound_runs_without_overflow(self, seed):
+        # 3 * 4e307 + 14 * 0.05 * 8e307 = 1.76e308 is finite
+        obj, calls = counting_flat()
+        cfg = small_cfg(n_generations=20, walk_step_fraction=0.05, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(obj, self.HUGE, cfg)
+        assert result.best_value == 0.0 and len(calls) >= 20
+
+    @pytest.mark.parametrize("lb, ub, axis", [([1e16] * 2, [1e16 + 4] * 2, 0),
+                                              ([0.0, 1e16], [1.0, 1e16 + 4], 1)])
+    def test_a_burst_cube_that_rounds_to_a_point_is_rejected(self, lb, ub, axis):
+        obj, calls = counting_flat()
+        with pytest.raises(ConfigurationError,
+                           match=f"epidemic_radius_fraction=0.05 gives axis {axis} "):
+            run(obj, Bounds(lb, ub), small_cfg())
+        assert calls == []
+
+    def test_parallel_run_checks_every_worker_box_first(self):
+        # the whole box's cube is 1.6 wide around 1e16, where floats are 2
+        # apart; worker 0's half of axis 0 gives 0.8, which rounds away
+        obj, calls = counting_flat()
+        box = Bounds([1e16] * 2, [1e16 + 64] * 2)
+        cfg = small_cfg(epidemic_radius_fraction=0.025)
+        check_config(box, cfg)
+        with pytest.raises(ConfigurationError, match="epidemic_radius_fraction=0.025 gives axis 0"):
+            parallel_run(obj, box, cfg, m=2)
+        assert calls == []
+
+    def test_a_sweep_cell_whose_cube_collapses_gives_error_rows(self):
+        # on [-3, 3] a half-width of 6e-17 is below half the float spacing
+        # near 3, 2.2e-16
+        spec = ExperimentSpec(
+            benchmark="rosenbrock", sweep_fields=("epidemic_radius_fraction",),
+            cells=((1e-17,), (0.05,)), repeat=2,
+            base={"n_individuals": 6, "n_generations": 3, "n_viral_individuals": 6,
+                  "n_viral_generations": 3},
+        )
+        rows = run_experiment(spec)
+        statuses = [(r.sweep["epidemic_radius_fraction"], r.kind, r.status) for r in rows]
+        assert [s[:2] for s in statuses] == [(1e-17, "run")] * 2 + [(1e-17, "median")] + [
+            (0.05, "run")] * 2 + [(0.05, "median")]
+        assert all(s.startswith("error: ConfigurationError: epidemic_radius_fraction=1e-17")
+                   for _, _, s in statuses[:3])
+        assert all(s == "ok" for _, _, s in statuses[3:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.sampled_from([1e16, -1e16, 2.0**53, -(2.0**53), 3.0, 0.5, 1e300]),
+        offset=st.integers(-3, 3),
+        floats=st.sampled_from([1, 2, 3, 4, 5, 8, 16, 24]),
+        ulps=st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.05, 3.0)),
+    )
+    def test_the_cube_check_agrees_with_every_trigger(self, start, offset, floats, ulps):
+        # a one-axis box of `floats` + 1 floats near `start`, and a cube
+        # half-width around one float spacing there; at half a spacing,
+        # x +/- h ties, and rounds to x only where x is even
+        lb = start
+        for _ in range(abs(offset)):
+            lb = np.nextafter(lb, np.inf if offset > 0 else -np.inf)
+        points = [lb]
+        for _ in range(floats):
+            points.append(np.nextafter(points[-1], np.inf))
+        box = Bounds([points[0]], [points[-1]])
+        fraction = min(1.0, ulps * np.spacing(abs(points[-1])) / box.span[0])
+        cfg = small_cfg(epidemic_radius_fraction=fraction)
+        collapses = any(not (lo < hi).all() for lo, hi in
+                        (_burst_cube(np.array([x]), box, cfg) for x in points))
+        if collapses:
+            with pytest.raises(ConfigurationError, match="epidemic_radius_fraction"):
+                check_config(box, cfg)
+        else:
+            check_config(box, cfg)

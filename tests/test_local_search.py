@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+import reference
 from viralsearch.core import Bounds, ConfigurationError, EvaluationError, Objective, make_rng
 from viralsearch.local_search import (
     _BLOCK,
@@ -328,3 +329,77 @@ class TestDEOptimize:
     def test_requires_rng(self):
         with pytest.raises(TypeError, match="rng"):
             de_optimize(sphere_objective(), SQUARE, DEConfig())
+
+
+def _largest_int32_pop(d):
+    """The largest n whose partner range (n-1)(n-2)(n-3)·d fits in int32."""
+    n = 4
+    while n * (n - 1) * (n - 2) * d <= 2**31 - 1:
+        n += 1
+    return n
+
+
+class TestMatchesInt64Reference:
+    """Bursts bit for bit against `reference.de_optimize`: values, signed
+    zeros, history and where the generator stops."""
+
+    @staticmethod
+    def assert_same_burst(n, d, generations, seeded, seed, flat=False):
+        # zero lower walls on the even axes, where a trial at -0.0 ties with
+        # the wall; coarse levels make ties, which greedy selection accepts;
+        # the minimum sits on the upper walls, so trials are clamped there.
+        # On a flat objective every trial is accepted and member 0, the seed
+        # at -0.0, is returned, with every tie its coordinates went through.
+        region = Bounds(np.where(np.arange(d) % 2, -1.0, 0.0), np.linspace(0.5, 2.0, d))
+        if flat:
+            obj = Objective(lambda t, p: np.zeros(len(p)), arity=d)
+        else:
+            obj = Objective(lambda t, p: np.floor(4.0 * np.abs(p - 3.0).sum(axis=1)), arity=d)
+        cfg = DEConfig(pop_size=n, generations=generations)
+        seed_point = np.full(d, -0.0) if seeded else None
+        runs = []
+        for burst in (de_optimize, reference.de_optimize):
+            rng, history = make_rng(seed), []
+            point, value = burst(obj, region, cfg, seed_point=seed_point, rng=rng,
+                                 history=history)
+            runs.append((point, value, history, rng.bit_generator.state))
+        (got_point, got_value, got_history, got_state), want = runs[0], runs[1]
+        want_point, want_value, want_history, want_state = want
+        assert np.array_equal(got_point, want_point)
+        assert np.array_equal(np.signbit(got_point), np.signbit(want_point))
+        assert got_value == want_value and np.signbit(got_value) == np.signbit(want_value)
+        assert got_history == want_history
+        assert got_state == want_state
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(4, 400),
+        d=st.integers(1, 5),
+        generations=st.sampled_from([1, 15, 16, 17, 75]),
+        seeded=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        flat=st.booleans(),
+    )
+    def test_burst(self, n, d, generations, seeded, seed, flat):
+        self.assert_same_burst(n, d, generations, seeded, seed, flat)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        above=st.booleans(),
+        generations=st.sampled_from([1, 17]),
+        seeded=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_burst_at_the_int32_edge(self, d, above, generations, seeded, seed):
+        # one member more takes the range past 2**31 - 1, and the int64 decode
+        n = _largest_int32_pop(d) + above
+        assert ((n - 1) * (n - 2) * (n - 3) * d > 2**31 - 1) == above
+        self.assert_same_burst(n, d, generations, seeded, seed)
+
+        g = min(generations, _BLOCK)
+        got_rng, want_rng = make_rng(seed), make_rng(seed)
+        got, want = _draw_block(got_rng, n, d, 0.9, g), reference.draw_block(want_rng, n, d, 0.9, g)
+        assert got[0].dtype == np.intp
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state

@@ -5,6 +5,7 @@ revisions of this repository.
     python tools/ab.py --base HEAD~1 --head HEAD --workload all --pairs 5 --seconds 20
     python tools/ab.py --base REV --head REV --direct --pairs 10
     python tools/ab.py --base REV --head REV --direct --call "vs.run(...)"
+    python tools/ab.py --base REV --head REV --direct --same-process --pairs 14
 
 Each revision is unpacked with `git archive` into a fresh temporary
 directory as the siblings `base/` and `head/`, whose paths have equal
@@ -31,6 +32,14 @@ bursts of 300 for 75 generations) over seeds 0-2. Its one metric,
 scaled readings have moved 5-10 % between commits with code the workload
 never runs; a direct timing has neither its calibration kernel nor its
 harness, so it is the second reading for a change to the engine.
+
+With `--direct --same-process`, every run of both sides happens in one
+fresh process, which loads each side's `src/viralsearch` under its own
+module name (`viralsearch_base`, `viralsearch_head`), binds `vs` to that
+side's package for each call, and runs the calls in the same alternating
+order. Both sides then share the interpreter, the allocator and the
+host's load of the moment, which fresh processes do not: fresh-process
+timings have spread wider than a 6-8 % gain.
 """
 
 from __future__ import annotations
@@ -69,6 +78,30 @@ exec(call, scope)
 wall_s = time.perf_counter() - started
 print(json.dumps({"package": vs.__file__, "metrics": {"wall_s": {"value": wall_s}}}))
 """
+
+# run as `python -c SAME_PROCESS_CHILD SPEC`, SPEC a JSON object with the
+# call, each side's package directory and the sides in the order they run;
+# prints one REPORT_TAG line per run
+REPORT_TAG = "ab-report "
+SAME_PROCESS_CHILD = """
+import importlib.util, json, sys, time
+spec = json.loads(sys.argv[1])
+packages = {}
+for side, path in spec["packages"].items():
+    name = "viralsearch_" + side
+    found = importlib.util.spec_from_file_location(
+        name, path + "/__init__.py", submodule_search_locations=[path])
+    packages[side] = sys.modules[name] = importlib.util.module_from_spec(found)
+    found.loader.exec_module(packages[side])
+call = compile(spec["call"], "<call>", "exec")
+for side in spec["sequence"]:
+    scope = {"vs": packages[side]}
+    started = time.perf_counter()
+    exec(call, scope)
+    wall_s = time.perf_counter() - started
+    print(%r + json.dumps({"side": side, "package": packages[side].__file__,
+                           "metrics": {"wall_s": {"value": wall_s}}}), flush=True)
+""" % REPORT_TAG
 
 
 def checkout(repo: Path, rev: str, dest: Path) -> None:
@@ -125,6 +158,27 @@ def run_direct(root: Path, call: str) -> dict:
     if not package.is_relative_to((root / "src").resolve()):
         raise RuntimeError(f"the run under {root} imported viralsearch from {package}")
     return report
+
+
+def run_same_process(roots: dict, call: str, sequence: list) -> list:
+    """One timing of `call` per side named in `sequence`, all in one fresh
+    process that loads each side's package from its `src/` under its own
+    module name and writes no bytecode."""
+    packages = {side: str(root / "src" / "viralsearch") for side, root in roots.items()}
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", SAME_PROCESS_CHILD,
+         json.dumps({"call": call, "packages": packages, "sequence": sequence})],
+        cwd=roots[SIDES[0]].parent, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    reports = [json.loads(line[len(REPORT_TAG):]) for line in proc.stdout.splitlines()
+               if line.startswith(REPORT_TAG)]
+    if [r["side"] for r in reports] != sequence:
+        raise RuntimeError(f"the process reported {len(reports)} runs, not {len(sequence)}")
+    for report in reports:
+        package = Path(report["package"]).resolve()
+        if not package.is_relative_to(Path(packages[report["side"]]).resolve()):
+            raise RuntimeError(f"the {report['side']} side ran the package at {package}")
+    return reports
 
 
 def _iqr(values: list) -> float:
@@ -205,6 +259,8 @@ def main(argv=None) -> int:
     parser.add_argument("--call", default=DIRECT_CALL,
                         help="with --direct, the Python statement timed, with the package "
                              "bound to vs (default: criterion 5's run over seeds 0-2)")
+    parser.add_argument("--same-process", action="store_true",
+                        help="with --direct, run every call of both sides in one fresh process")
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs of runs")
     parser.add_argument("--seed", type=int, default=0, help="perfbench's --seed")
     parser.add_argument("--seconds", type=float, default=20.0, help="perfbench's --seconds")
@@ -215,13 +271,21 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     if args.direct == (args.workload is not None):
         parser.error("give exactly one of --workload and --direct")
+    if args.same_process and not args.direct:
+        parser.error("--same-process needs --direct")
 
     results = {}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         roots = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             checkout(args.repo, getattr(args, side), roots[side])
-        if args.direct:
+        if args.same_process:
+            runs = iter(run_same_process(roots, args.call,
+                                         [side for sides in order(args.pairs) for side in sides]))
+            reports = paired(args.pairs, lambda side: next(runs))
+            results["direct"] = summarize(reports, DIRECT_METRICS)
+            _print_summary("direct, same process", results["direct"], reports)
+        elif args.direct:
             reports = paired(args.pairs, lambda side: run_direct(roots[side], args.call))
             results["direct"] = summarize(reports, DIRECT_METRICS)
             _print_summary("direct", results["direct"], reports)
