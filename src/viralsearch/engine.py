@@ -9,35 +9,14 @@ is being visited and periodically teleports scouts from over-visited to
 under-visited regions.
 
 Each run draws its walk's normal steps from its own generator,
-`walk_rng`, spawned from the run's generator by `init_state`; the
-initialization, the bursts and the rebalance draw from the run's
-generator. So with centers off the scouts' path does not depend on the
-bursts, and the walk's draw depends on nothing a generation evaluates:
-`step` can hand it to a helper thread before it evaluates the scouts, and
-`move_random` takes the filled buffer. numpy releases the interpreter
-lock both in the draw's fill and in the evaluation's array loops, so on
-two cores the two overlap. The hand-off costs two thread wake-ups, and a draw on the helper runs
-slower than in line, so it pays only when the draw is long and the
-evaluation hides it: `step` hands off only with at least `_PREFETCH_MIN`
-coordinates and a previous scout evaluation that took at least
-`_PREFETCH_EVAL_S` seconds per coordinate. A run that needs the draw
-before the helper has started it takes the draw back and makes it in
-line, so it never waits for the helper to wake. A step that raises leaves
-its draw pending, and that draw is exactly the next walk draw, so `step`
-hands off no new one while it is pending and the next `move_random` takes
-it. Every run is bit-identical to one that draws in line.
-
-One helper thread, started on first use, serves every run of the process
-in turn; each request carries its run's walk generator and a buffer the
-run owns. A forked child forgets the helper and starts its own on first
-use.
+`walk_rng`, spawned from the run's generator by `init_state`, and draws
+them in line in `move_random`; the initialization, the bursts and the
+rebalance draw from the run's generator. So with centers off the scouts'
+path does not depend on the bursts.
 """
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -60,14 +39,6 @@ from .core import (
 from .local_search import DEConfig, check_draw_range, de_optimize
 
 _MAX_CENTERS = 1_000_000
-# The walk's draw goes to the helper thread only from this many coordinates
-# on, and only when the previous scout evaluation took at least this many
-# seconds per coordinate, about half the draw's own cost. Per generation on
-# 2 cores, handing off Shekel's draw gained nothing at 2560 and 3072
-# coordinates and 23 and 51 us at 3584 and 4000; a sphere, whose evaluation
-# costs about 2 ns per coordinate, lost 35 us at 4096 and 123 us at 16384.
-_PREFETCH_MIN = 3072
-_PREFETCH_EVAL_S = 6e-9
 
 
 @dataclass(frozen=True)
@@ -142,10 +113,8 @@ class EngineState:
     contiguous column, so per-axis arithmetic runs along all n scouts.
     `walk_rng` is the generator the walk alone draws its normal steps
     from. `walk_box` caches `_walk_box`'s arrays with the arguments they
-    were built for. `walk_draw` is the run's `_WalkDraw`, pending from
-    `step`'s hand-off until `move_random` takes it, and `scout_eval_s`
-    the seconds the last scout evaluation took. `evaluations` counts the
-    objective rows each phase evaluated (scouts, bursts, refreshes)."""
+    were built for. `evaluations` counts the objective rows each phase
+    evaluated (scouts, bursts, refreshes)."""
 
     population: Population
     walk_rng: RngStream
@@ -157,8 +126,6 @@ class EngineState:
     trace: list = field(default_factory=list)
     started_at: float = field(default_factory=time.perf_counter)
     walk_box: Optional[tuple] = None
-    walk_draw: Optional[_WalkDraw] = None
-    scout_eval_s: float = 0.0
     evaluations: dict = field(default_factory=lambda: {"scout": 0, "burst": 0, "refresh": 0})
 
     def has_centers(self) -> bool:
@@ -245,132 +212,19 @@ def _walk_box(state: EngineState, b: Bounds, step_fraction: float) -> tuple:
     return cached[3], cached[4]
 
 
-class _WalkDraw:
-    """One run's walk draw: the buffer the run owns; the walk generator it
-    is drawn from; `claim`, a fresh lock per hand-off that whichever of
-    the helper and the run takes first owns the draw with, so the helper
-    never starts a draw the run took back, or None when no draw is
-    pending; and `done`, held from the hand-off until the draw is
-    settled."""
-
-    __slots__ = ("out", "rng", "claim", "done", "error")
-
-    def __init__(self, shape: tuple):
-        self.out = np.empty(shape)
-        self.rng = None
-        self.claim = None
-        self.done = threading.Lock()
-        self.error = None
-
-    def fill(self, claim) -> None:
-        """Runs on the helper thread: draw, unless the run took the draw
-        back first. A failure is raised in the run."""
-        if not claim.acquire(blocking=False):
-            return
-        try:
-            self.rng.standard_normal(out=self.out)
-        except BaseException as exc:
-            self.error = exc
-        finally:
-            self.done.release()
-
-    def take_back(self, claim) -> bool:
-        """True when the helper had not started the draw, which it now
-        never will, so the generator is where the hand-off left it;
-        otherwise wait until the helper has filled the buffer."""
-        if claim.acquire(blocking=False):
-            self.done.release()
-            return True
-        self.done.acquire()
-        self.done.release()
-        error, self.error = self.error, None
-        if error is not None:
-            raise error
-        return False
-
-
-class _DrawHelper:
-    """The process's one helper thread, started on first use, which fills
-    the runs' walk draws in the order they arrive."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._requests = None
-
-    def submit(self, draw: _WalkDraw, claim) -> None:
-        requests = self._requests
-        if requests is None:
-            with self._lock:
-                if self._requests is None:
-                    self._requests = queue.SimpleQueue()
-                    threading.Thread(target=_serve, args=(self._requests,),
-                                     name="viralsearch-walk-draw", daemon=True).start()
-                requests = self._requests
-        requests.put((draw, claim))
-
-    def forget(self) -> None:
-        """In a forked child: the thread did not come along, and the lock
-        may have been held by another parent thread."""
-        self.__init__()
-
-
-def _serve(requests: queue.SimpleQueue) -> None:
-    while True:
-        draw, claim = requests.get()
-        draw.fill(claim)
-
-
-_HELPER = _DrawHelper()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_HELPER.forget)
-
-
-def _pending(state: EngineState) -> bool:
-    """True from a hand-off until `move_random` takes the draw."""
-    return state.walk_draw is not None and state.walk_draw.claim is not None
-
-
-def _hand_off_walk_draw(state: EngineState) -> None:
-    """Have the helper draw the next walk's normal steps from
-    `state.walk_rng` into the run's buffer. Until `move_random` takes the
-    draw, nothing else may draw from `state.walk_rng`."""
-    shape = state.population.shape
-    draw = state.walk_draw
-    if draw is None or draw.out.shape != shape:
-        state.walk_draw = draw = _WalkDraw(shape)
-    draw.rng = state.walk_rng
-    draw.claim = claim = threading.Lock()
-    draw.done.acquire()
-    _HELPER.submit(draw, claim)
-
-
-def _take_walk_draw(state: EngineState) -> Optional[np.ndarray]:
-    """The pending walk draw's filled buffer; None when no draw is pending
-    or the helper had not started it, and the caller draws in line."""
-    if not _pending(state):
-        return None
-    draw = state.walk_draw
-    claim, draw.claim = draw.claim, None
-    return None if draw.take_back(claim) else draw.out
-
-
 def move_random(state: EngineState, b: Bounds, cfg: VSConfig) -> EngineState:
     """Perturb every scout with an independent Gaussian step per axis,
     reflecting it back across the walls it crossed, and tally center
     visits when centers are on.
 
-    The normal steps are the draw `step` handed to the helper thread, when
-    one is pending, and are drawn from `state.walk_rng` here otherwise. The
-    scale, the step and the fold are flat passes over the n * dim
-    coordinates against `_walk_box`'s per-coordinate limits and scale; the
-    fold is one call of `reflect_into_bounds`, looked up as it runs, so a
-    wrapper patched over it sees every walk. The tally finds each scout's
-    center by grid arithmetic, so it costs O(n * dim + C) per call for C
-    centers."""
+    The normal steps are drawn from `state.walk_rng`. The scale, the step
+    and the fold are flat passes over the n * dim coordinates against
+    `_walk_box`'s per-coordinate limits and scale; the fold is one call of
+    `reflect_into_bounds`, looked up as it runs, so a wrapper patched over
+    it sees every walk. The tally finds each scout's center by grid
+    arithmetic, so it costs O(n * dim + C) per call for C centers."""
     shape = state.population.shape
-    draw = _take_walk_draw(state)
-    if draw is None:
-        draw = state.walk_rng.standard_normal(shape)
+    draw = state.walk_rng.standard_normal(shape)
     box, scale = _walk_box(state, b, cfg.walk_step_fraction)
     # one transposing copy makes the C-ordered draw axis-major, the
     # population's order, so its flat view lines up with the box's
@@ -462,12 +316,8 @@ def step(
     from each scout that improves on the incumbent, update the incumbent,
     move everyone, rebalance on cadence, append a trace row. The rows
     each phase evaluated (scouts, bursts, the incumbent's refresh) are
-    added to `state.evaluations` here.
-
-    When the module docstring's conditions hold and no draw is pending,
-    the walk's draw from `state.walk_rng` is handed to the helper thread
-    before the scouts are evaluated; the bursts and the rebalance draw
-    from `rng`."""
+    added to `state.evaluations` here. The walk draws from
+    `state.walk_rng`; the bursts and the rebalance draw from `rng`."""
     t = state.generation
     if objective.time_varying and state.best_individual_global is not None:
         # the landscape moved under the incumbent; refresh its value so
@@ -475,13 +325,7 @@ def step(
         state.fobj_global = objective(t, state.best_individual_global)
         state.evaluations["refresh"] += 1
 
-    size = state.population.size
-    if (size >= _PREFETCH_MIN and state.scout_eval_s >= size * _PREFETCH_EVAL_S
-            and not _pending(state)):
-        _hand_off_walk_draw(state)
-    started = time.perf_counter()
     values = objective.evaluate_many(t, state.population)
-    state.scout_eval_s = time.perf_counter() - started
     state.evaluations["scout"] += len(values)
 
     # the incumbent only decreases during the sweep, so scouts that fail

@@ -2,11 +2,10 @@
 
 Each is the plain, brute-force form of something the package does a
 faster way: a stored center grid with a nearest-center scan, per-string
-schema matching, the reflecting fold with masked passes, an engine
-generation that makes every draw in line, the DE burst with an int64
-partner decode and a fresh array per step, the Rosenbrock formula as one
-expression, and readers that parse `harness.write_rows` reports back into
-`ReportRow`s.
+schema matching, the reflecting fold with masked passes, the DE burst
+with an int64 partner decode and a fresh array per step, the Rosenbrock
+formula as one expression, and readers that parse `harness.write_rows`
+reports back into `ReportRow`s.
 """
 
 import csv
@@ -14,8 +13,7 @@ import json
 
 import numpy as np
 
-from viralsearch import engine
-from viralsearch.core import make_rng, random_init
+from viralsearch.core import random_init
 from viralsearch.harness import ReportRow
 from viralsearch.local_search import _BLOCK, check_draw_range
 
@@ -130,43 +128,6 @@ def masked_fold(p, b):
         y += lb
         out[far] = np.minimum(y, ub, out=y)
     return out
-
-
-def serial_step(state, objective, b, cfg, rng):
-    """One engine generation with every draw made in line: the
-    generation's bursts from `rng`, then the walk from `state.walk_rng`,
-    then the rebalance from `rng`. Appends the incumbent's value to
-    `state.trace`."""
-    t = state.generation
-    if objective.time_varying and state.best_individual_global is not None:
-        state.fobj_global = objective(t, state.best_individual_global)
-    values = objective.evaluate_many(t, state.population)
-    for i, value in enumerate(values):
-        if value < np.inf and value <= state.fobj_global - cfg.trigger_tolerance:
-            point, best = engine.trigger_epidemic(
-                state.population[i].copy(), b, cfg, objective, t, rng
-            )
-            state.epidemic_count += 1
-            if best <= state.fobj_global:
-                state.fobj_global, state.best_individual_global = best, point
-    assert state.walk_draw is None, "a serial state never hands a draw off"
-    engine.move_random(state, b, cfg)
-    if (state.has_centers() and cfg.rebalance_fraction > 0 and t > 0
-            and t % cfg.rebalance_every == 0):
-        engine.rebalance(state, b, cfg, rng)
-    state.trace.append(state.fobj_global)
-    state.generation = t + 1
-    return state
-
-
-def serial_run(objective, b, cfg):
-    """The final state of `engine.run`'s generations made by `serial_step`;
-    its `trace` holds the incumbent's value after each generation."""
-    rng = make_rng(cfg.seed)
-    state = engine.init_state(b, cfg, rng)
-    for _ in range(cfg.n_generations):
-        serial_step(state, objective, b, cfg, rng)
-    return state
 
 
 def matches(pattern: str, candidate) -> bool:

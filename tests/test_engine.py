@@ -2,6 +2,7 @@ import copy
 import itertools
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -455,6 +456,66 @@ class TestFlatWalk:
         # about 9 float arrays of n * dim: the box's four, the draw, the
         # step buffer, the fold's temporaries and both populations
         assert peak < 12 * 8 * n * dim + 2**16
+
+
+class TestWalkStream:
+    """The walk draws from the state's own generator, in line; the
+    initialization, the bursts and the rebalance draw from the run's."""
+
+    def test_the_scouts_path_does_not_depend_on_the_bursts(self):
+        # with centers off, only the initialization and the walk move scouts
+        spec = make_benchmark("rosenbrock")
+        base = VSConfig(n_generations=30, n_viral_generations=2, n_individuals=1600,
+                        n_viral_individuals=5, seed=11)
+        cfgs = [base, replace(base, n_viral_generations=9, n_viral_individuals=14)]
+        populations, rng_states = [], []
+        for cfg in cfgs:
+            rng = make_rng(cfg.seed)
+            state = init_state(spec.bounds, cfg, rng)
+            steps = []
+            for _ in range(cfg.n_generations):
+                step(state, spec.objective, spec.bounds, cfg, rng)
+                steps.append(state.population.copy())
+            assert state.epidemic_count > 1
+            populations.append(steps)
+            rng_states.append(rng.bit_generator.state)
+        # the bursts drew differently from the run's generator
+        assert rng_states[0] != rng_states[1]
+        assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                   for a, b in zip(*populations))
+
+    def test_each_walk_and_rebalance_folds_once_through_the_module_attribute(
+            self, monkeypatch):
+        # perfbench's traced mode times the fold by patching
+        # engine.reflect_into_bounds, so both callers must look it up per call
+        spec = make_benchmark("shekel")
+        cfg = VSConfig(n_generations=30, n_viral_generations=1, n_individuals=1000,
+                       n_viral_individuals=4, centers_per_axis=7)
+        expected = run(spec.objective, spec.bounds, cfg)
+        fold, move_random, rebalance = (engine.reflect_into_bounds, engine.move_random,
+                                        engine.rebalance)
+        folds, calls = [], []
+
+        def counted(fn, name):
+            def wrapper(state, *args):
+                before = len(folds)
+                out = fn(state, *args)
+                calls.append((name, len(folds) - before))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(engine, "reflect_into_bounds",
+                            lambda p, b: folds.append(1) or fold(p, b))
+        monkeypatch.setattr(engine, "move_random", counted(move_random, "walk"))
+        monkeypatch.setattr(engine, "rebalance", counted(rebalance, "rebalance"))
+        result = run(spec.objective, spec.bounds, cfg)
+        names = [name for name, _ in calls]
+        assert names.count("walk") == cfg.n_generations
+        assert names.count("rebalance") == 2  # generations 10 and 20
+        assert all(n == 1 for _, n in calls)
+        assert len(folds) == len(calls)
+        assert [row.fobj_global for row in result.trace] == \
+            [row.fobj_global for row in expected.trace]
 
 
 class TestRebalance:
