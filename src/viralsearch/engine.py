@@ -8,11 +8,12 @@ incumbent. An optional fixed grid of centers tracks how evenly the box
 is being visited and periodically teleports scouts from over-visited to
 under-visited regions.
 
-Each run draws its walk's normal steps from its own generator,
-`walk_rng`, spawned from the run's generator by `init_state`, and draws
-them in line in `move_random`; the initialization, the bursts and the
-rebalance draw from the run's generator. So with centers off the scouts'
-path does not depend on the bursts.
+Each run draws its walk's normal steps in line, in `move_random`, from
+its own generator, `walk_rng`: an SFC64 that `init_state` seeds from a
+child of the run's seed sequence. It is drawn as (dim, n), whose C order
+is the population's axis-major order. The initialization, the bursts and
+the rebalance draw from the run's PCG64 generator. So with centers off
+the scouts' path does not depend on the bursts.
 """
 
 from __future__ import annotations
@@ -112,9 +113,11 @@ class EngineState:
     `population` is Fortran-ordered (axis-major): each axis is one
     contiguous column, so per-axis arithmetic runs along all n scouts.
     `walk_rng` is the generator the walk alone draws its normal steps
-    from. `walk_box` caches `_walk_box`'s arrays with the arguments they
-    were built for. `evaluations` counts the objective rows each phase
-    evaluated (scouts, bursts, refreshes)."""
+    from, one (dim, n) draw per move; `init_state` makes it an SFC64, and
+    a state built by hand may pass any `Generator`. `walk_box` caches
+    `_walk_box`'s arrays with the arguments they were built for.
+    `evaluations` counts the objective rows each phase evaluated (scouts,
+    bursts, refreshes)."""
 
     population: Population
     walk_rng: RngStream
@@ -186,13 +189,15 @@ def _trigger_candidates(values: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def init_state(b: Bounds, cfg: VSConfig, rng: RngStream) -> EngineState:
-    """Fresh engine state: initialized population, the walk's generator
-    spawned from `rng` (which leaves `rng`'s stream where it was), zero
-    visit counts per center (none when centers are off), empty trace."""
+    """Fresh engine state: initialized population, the walk's generator,
+    an SFC64 on the next child of `rng`'s seed sequence (which leaves
+    `rng`'s stream where it was), zero visit counts per center (none when
+    centers are off), empty trace."""
     n_centers = _center_count(b, cfg.centers_per_axis) if cfg.centers_per_axis else 0
     init = stratified_init if cfg.init == "stratified" else random_init
     pop = np.asfortranarray(init(b, cfg.n_individuals, rng))
-    return EngineState(population=pop, walk_rng=rng.spawn(1)[0],
+    walk_rng = np.random.Generator(np.random.SFC64(rng.bit_generator.seed_seq.spawn(1)[0]))
+    return EngineState(population=pop, walk_rng=walk_rng,
                        visit_counts=np.zeros(n_centers, dtype=np.int64))
 
 
@@ -217,18 +222,18 @@ def move_random(state: EngineState, b: Bounds, cfg: VSConfig) -> EngineState:
     reflecting it back across the walls it crossed, and tally center
     visits when centers are on.
 
-    The normal steps are drawn from `state.walk_rng`. The scale, the step
+    The normal steps are one (dim, n) draw from `state.walk_rng`, so the
+    step of scout i on axis j is the draw's [j, i]. The scale, the step
     and the fold are flat passes over the n * dim coordinates against
     `_walk_box`'s per-coordinate limits and scale; the fold is one call of
     `reflect_into_bounds`, looked up as it runs, so a wrapper patched over
     it sees every walk. The tally finds each scout's center by grid
     arithmetic, so it costs O(n * dim + C) per call for C centers."""
-    shape = state.population.shape
-    draw = state.walk_rng.standard_normal(shape)
+    n, dim = shape = state.population.shape
     box, scale = _walk_box(state, b, cfg.walk_step_fraction)
-    # one transposing copy makes the C-ordered draw axis-major, the
-    # population's order, so its flat view lines up with the box's
-    steps = np.asfortranarray(draw).ravel(order="F")
+    # the (dim, n) draw's C order is the population's axis-major order, so
+    # its flat view lines up with the box's without a copy
+    steps = state.walk_rng.standard_normal((dim, n)).ravel()
     steps *= scale
     steps += state.population.ravel(order="F")
     state.population = reflect_into_bounds(steps, box).reshape(shape, order="F")

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -16,7 +17,9 @@ from viralsearch.core import (
     EvaluationError,
     Objective,
     make_rng,
+    random_init,
     reflect_into_bounds,
+    stratified_init,
 )
 from viralsearch import engine
 from viralsearch.engine import (
@@ -39,6 +42,11 @@ from reference import make_centers, nearest_center
 
 BOX = Bounds([-3.0, -3.0], [3.0, 3.0])
 SPHERE = Objective(lambda t, p: (p**2).sum(axis=1), arity=2, name="sphere")
+
+
+def walk_rng(seed):
+    """A generator of the kind `init_state` gives the walk."""
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def small_cfg(**overrides):
@@ -274,8 +282,9 @@ class TestMoveRandom:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_the_scaled_draw_folded(self, n, dim, fraction, centers, seed):
-        """One walk is fold(pop + z * (walk_step_fraction * span)) for the
-        (n, d) draw z of the same stream, bit for bit and sign of zero."""
+        """One walk is fold(pop + z * (walk_step_fraction * span)) for z the
+        transposed (d, n) draw of the same stream, bit for bit and sign of
+        zero."""
         gen = make_rng(seed)
         lb = gen.choice([0.0, -1.5, 2.0, -100.0], dim)
         b = Bounds(lb, lb + gen.uniform(1e-3, 100.0, dim))
@@ -286,9 +295,9 @@ class TestMoveRandom:
         population = np.where(gen.random((n, dim)) < 0.2, b.ub, population)
         k = 3 if centers else 0
         cfg = small_cfg(n_individuals=n, centers_per_axis=k, walk_step_fraction=fraction)
-        z = make_rng(seed).standard_normal((n, dim))
+        z = walk_rng(seed).standard_normal((dim, n)).T
         expected = reflect_into_bounds(population + z * (fraction * b.span), b)
-        state = EngineState(population=population.copy(), walk_rng=make_rng(seed),
+        state = EngineState(population=population.copy(), walk_rng=walk_rng(seed),
                             visit_counts=np.zeros(k**dim, dtype=np.int64))
         move_random(state, b, cfg)
         assert np.array_equal(state.population, expected)
@@ -325,11 +334,11 @@ class TestPopulationLayout:
                         walk_step_fraction=walk_step_fraction)
         population = make_rng(0).uniform(b.lb, b.ub, (50, 3))
         # the small step folds without np.mod, the full-span one with it
-        steps = walk_step_fraction * b.span * make_rng(1).standard_normal((50, 3))
+        steps = walk_step_fraction * b.span * walk_rng(1).standard_normal((3, 50)).T
         far = (np.abs(population + steps - b.lb) >= 2.0 * b.span).any()
         assert far == (walk_step_fraction == 1.0)
         states = [
-            EngineState(population=population.copy(order=order), walk_rng=make_rng(1),
+            EngineState(population=population.copy(order=order), walk_rng=walk_rng(1),
                         visit_counts=np.zeros(27, dtype=np.int64))
             for order in "CF"
         ]
@@ -346,11 +355,11 @@ class TestFlatWalk:
 
     @staticmethod
     def broadcast_walk(population, b, cfg, rng):
-        """The walk with (d,) limits broadcast over the (n, d) scouts: a
-        Fortran copy of the draw, scaled and shifted in place, then
+        """The walk with (d,) limits broadcast over the (n, d) scouts: the
+        (d, n) draw transposed, scaled and shifted in place, then
         reflected once across the doubled wall it crossed, with the
         triangle wave wherever that still lands outside."""
-        steps = np.asfortranarray(rng.standard_normal(population.shape))
+        steps = rng.standard_normal(population.shape[::-1]).T
         steps *= cfg.walk_step_fraction * b.span
         steps += population
         once = np.where(steps < b.lb, (b.lb + b.lb) - steps,
@@ -389,8 +398,8 @@ class TestFlatWalk:
             population[i, j] = b.lb[j] + k * b.span[j]
         population = population.copy(order=order)
         cfg = small_cfg(n_individuals=n, walk_step_fraction=fraction)
-        expected = self.broadcast_walk(population, b, cfg, make_rng(seed))
-        state = EngineState(population=population.copy(order=order), walk_rng=make_rng(seed))
+        expected = self.broadcast_walk(population, b, cfg, walk_rng(seed))
+        state = EngineState(population=population.copy(order=order), walk_rng=walk_rng(seed))
         move_random(state, b, cfg)
         assert np.array_equal(state.population, expected)
         assert np.array_equal(np.signbit(state.population), np.signbit(expected))
@@ -461,6 +470,42 @@ class TestFlatWalk:
 class TestWalkStream:
     """The walk draws from the state's own generator, in line; the
     initialization, the bursts and the rebalance draw from the run's."""
+
+    def test_init_state_gives_the_walk_sfc64_on_the_first_child_seed(self):
+        state = init_state(BOX, small_cfg(), make_rng(7))
+        assert isinstance(state.walk_rng.bit_generator, np.random.SFC64)
+        child = np.random.SFC64(np.random.SeedSequence(7, spawn_key=(0,)))
+        assert np.array_equal(state.walk_rng.bit_generator.state["state"]["state"],
+                              child.state["state"]["state"])
+        assert np.array_equal(state.walk_rng.bit_generator.random_raw(4), child.random_raw(4))
+
+    @pytest.mark.parametrize("init", ["stratified", "random"])
+    def test_init_state_leaves_the_run_generator_where_the_init_left_it(self, init):
+        cfg = small_cfg(n_individuals=50, init=init)
+        rng, reference = make_rng(5), make_rng(5)
+        state = init_state(BOX, cfg, rng)
+        population = (stratified_init if init == "stratified" else random_init)(
+            BOX, cfg.n_individuals, reference)
+        assert np.array_equal(state.population, population)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_a_large_run_starts_no_thread(self):
+        # 1000 scouts on 4 axes: past the size at which the walk's draw
+        # once went to a helper thread
+        b = Bounds(np.zeros(4), np.full(4, 10.0))
+        before = threading.active_count()
+        seen = set()
+
+        def sphere(t, p):
+            seen.add(threading.active_count())
+            return ((p - 4.0) ** 2).sum(axis=1)
+
+        cfg = VSConfig(n_generations=5, n_viral_generations=2, n_individuals=1000,
+                       n_viral_individuals=5)
+        result = run(Objective(sphere, arity=4), b, cfg)
+        assert result.evaluations["scout"] == 5000
+        assert seen == {before}
+        assert threading.active_count() == before
 
     def test_the_scouts_path_does_not_depend_on_the_bursts(self):
         # with centers off, only the initialization and the walk move scouts

@@ -35,41 +35,41 @@ from viralsearch.schema_lab import (
 PINNED = {
     "rosenbrock": (
         "rosenbrock", {}, dict(n_generations=40, n_individuals=20, seed=3), 1,
-        "0x1.6c238e5dd0791p-4", ["0x1.67c1854e136e8p-1", "0x1.f7502bc0b3ab7p-2"], 5,
-        "94f20091647beb39129e1bf08dde20ef951a475c237cb0ee0dbc33aadbb62b0b",
+        "0x1.df68a5019d92dp-17", ["0x1.00db76efd9f4ap+0", "0x1.01ac2cd824029p+0"], 5,
+        "300f44de130f977f9bd21ebe5432ae79d7c528f5247643679ccddb601a737f20",
     ),
     "rosenbrock-split": (
         "rosenbrock", {}, dict(n_generations=30, n_individuals=30, seed=7), 2,
-        "0x1.330bae67d7986p-13", ["0x1.f9d00954860eap-1", "0x1.f3bb334b11693p-1"], 6,
-        "5619b996bb381b957e60bc52b890f1c936d95b4e5c5d16854ca23d4a9bb0f3df",
+        "0x1.6c73da8c1fa63p-3", ["0x1.6bfa2f0c4e501p+0", "0x1.02d74af8fd4ccp+1"], 7,
+        "02671c8d6a63a0ce8be5d6f41fbcc2380a8c5ffd4746b7d3e3cefff068d5bc24",
     ),
     "shekel-centers": (
         "shekel", {}, dict(n_generations=30, n_individuals=60, centers_per_axis=3, seed=1), 1,
-        "-0x1.49afc5f30d2ebp+3",
-        ["0x1.fe3a27e359379p+1", "0x1.fb6c5c01960fdp+1", "0x1.0100c2eea4606p+2",
-         "0x1.018c45de53158p+2"],
-        4,
-        "7553735984686b99465743cfa93a257deaf6f47a206869ab13e1aabf4fbb7109",
+        "-0x1.2225a7fa2f347p+1",
+        ["0x1.3f7e144c39bd8p+2", "0x1.361a2e9111aebp+2", "0x1.61b4d8bca2415p+2",
+         "0x1.8006d98ea8f6ep+1"],
+        3,
+        "acdfb2cd66e43cf82985569ce4f6ac755212d209ac3490cdbff3f88026d8a195",
     ),
     # criterion 5's scout and burst sizes: C-ordered (300, 4) burst batches
     "shekel-wide": (
         "shekel", {},
         dict(n_generations=40, n_individuals=1000, n_viral_generations=5,
              n_viral_individuals=300, seed=0), 1,
-        "-0x1.349eca0bd3a0dp+3",
-        ["0x1.0113925d8b12dp+2", "0x1.02b3d123ac7edp+2", "0x1.f5008f8f19c50p+1",
-         "0x1.00f8d816f7e67p+2"],
-        5,
-        "29396dcdd5ef0b168e7e808a9faf76b2c8b06975c9db596045a8f79a195bb310",
+        "-0x1.8cd7741833a3ep+2",
+        ["0x1.11cbfbad42523p+2", "0x1.013aab3b86cddp+2", "0x1.007b52d1e5cf9p+2",
+         "0x1.008dcbfee8901p+2"],
+        3,
+        "16176c7b3e7d80b2a87610886f330cae5c246851e6d0a1785e2e9fc268c60c75",
     ),
     # a step of 0.9 spans sends the fold through np.mod
     "sphere-far-walk": (
         "sphere", {"dim": 3},
         dict(n_generations=30, n_individuals=25, walk_step_fraction=0.9, seed=2), 1,
-        "0x1.3470454189ee2p-6",
-        ["-0x1.65389f6a1aa30p-4", "-0x1.2ecc6f42fea60p-5", "0x1.96961360a02ccp-4"],
-        2,
-        "ab62376bcf6685ccc375e44d669a35a2a85836922eb3b099618a46708b97ff7d",
+        "0x1.0e74e26be483ep-13",
+        ["0x1.0e5653c9832e3p-7", "-0x1.8f03cc970a660p-8", "0x1.3fed5ab9be654p-8"],
+        3,
+        "99c8d71240504f407695c42fb5d273deaadb6d4dfebbc436fd4d1aee6e870c35",
     ),
 }
 
@@ -155,19 +155,19 @@ def test_seeded_one_bit_ga_matches_its_pinned_fingerprint():
 # three cells, a checkpoint spec all of its checkpoints
 PINNED_REPORTS = {
     "rosenbrock-table2": (
-        9, "112ecae26ef94afe727db7d7c59d505798027032554459f6219d2c586a2f4840",
+        9, "18b761c70307523e3a880b54ca40e37f3839539a1189298b6f5105c700a4f30d",
     ),
     "rosenbrock-table3": (
-        9, "25e5ef63a94f8d403da6bae47ee15733c7f428578d465c6b112706ee430775e6",
+        9, "2100c8651d8e4e3f002ecbfefc06bf8baab85b1ec029388ee8a8f9bf4a8163a9",
     ),
     "schaffer-table3": (
-        9, "265b109a1e29305b952de8bd1ef0df8f12345bcdc90b9319b67fab0b1158174c",
+        9, "f10537db58ff1e3b7ebc220743ec7afd701a8a74f4c52657a10b4b6c0f4dfda8",
     ),
     "shekel-table5": (
-        9, "b4d4dbde5fbaa4570df8d9ddc50284d6bf14ba674519a1d70556c395b13b35f9",
+        9, "46e17fb5860ce6edf27e70621a130f6211db5db5eb2e659a5312192b28ede8be",
     ),
     "twowell-table4": (
-        20, "3d56cd1fcd357344364f3e828e81b54f24a29891b62a3210f2853cd4ad2a9f53",
+        20, "0f9824dd89883b6052d3ab38a868b6f97562fb812637faf0469ed45fb992ad04",
     ),
 }
 
