@@ -44,13 +44,15 @@ def rosenbrock(x, y) -> np.ndarray:
     single global minimum 0 at (1, 1)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    # the formula's operations in its order, squaring and scaling in place
+    # the formula's operations, squaring and scaling in place; the sum goes
+    # into valley, which has the broadcast shape, as IEEE addition commutes
     valley = np.subtract(y, x * x)
     valley *= valley
     valley *= 100.0
     rim = np.subtract(1.0, x)
     rim *= rim
-    return np.add(rim, valley, out=valley) if valley.ndim else rim + valley
+    valley += rim
+    return valley
 
 
 def schaffer(x, y) -> np.ndarray:

@@ -33,13 +33,15 @@ from .core import (
     RngStream,
     check_counts,
     make_rng,
-    random_init,
     reflect_into_bounds,
     stratified_init,
 )
 from .local_search import DEConfig, check_draw_range, de_optimize
 
 _MAX_CENTERS = 1_000_000
+_TRIGGER_TOLERANCE = 1e-12
+_REBALANCE_EVERY = 10
+_REBALANCE_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,11 @@ class VSConfig:
     `n_viral_generations` / `n_viral_individuals` govern each burst.
     `epidemic_radius_fraction` is the per-axis half-width of the burst
     cube as a fraction of the axis range, and `walk_step_fraction`
-    scales the Gaussian random-walk step the same way.
+    scales the Gaussian random-walk step the same way. The rest is fixed:
+    a scout starts a burst when it beats the incumbent by
+    `_TRIGGER_TOLERANCE`, the scouts start on a Latin hypercube
+    (`stratified_init`), and with centers on a rebalance every
+    `_REBALANCE_EVERY` generations moves `_REBALANCE_FRACTION` of them.
     """
 
     n_generations: int
@@ -60,35 +66,19 @@ class VSConfig:
     centers_per_axis: int = 0
     epidemic_radius_fraction: float = 0.05
     walk_step_fraction: float = 0.1
-    rebalance_every: int = 10
-    rebalance_fraction: float = 0.25
-    trigger_tolerance: float = 1e-12
     seed: int = 0
-    init: str = "stratified"
 
     def __post_init__(self):
         check_counts(0, n_generations=self.n_generations,
                      centers_per_axis=self.centers_per_axis, seed=self.seed)
         check_counts(1, n_viral_generations=self.n_viral_generations,
-                     n_individuals=self.n_individuals, rebalance_every=self.rebalance_every)
+                     n_individuals=self.n_individuals)
         # a burst member needs three distinct partners
         check_counts(4, n_viral_individuals=self.n_viral_individuals)
         for name in ("epidemic_radius_fraction", "walk_step_fraction"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ConfigurationError(f"{name} must be in (0, 1], got {v}")
-        if not 0.0 <= self.rebalance_fraction <= 1.0:
-            raise ConfigurationError("rebalance_fraction must be in [0, 1]")
-        # the incumbent starts at inf, and inf minus an infinite or NaN
-        # tolerance is NaN, which no scout's value ever reaches
-        if not 0.0 <= self.trigger_tolerance < np.inf:
-            raise ConfigurationError(
-                f"trigger_tolerance must be finite and >= 0, got {self.trigger_tolerance}"
-            )
-        if self.init not in ("stratified", "random"):
-            raise ConfigurationError(
-                f"init must be 'stratified' or 'random', got {self.init!r}"
-            )
 
 
 @dataclass
@@ -189,13 +179,13 @@ def _trigger_candidates(values: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def init_state(b: Bounds, cfg: VSConfig, rng: RngStream) -> EngineState:
-    """Fresh engine state: initialized population, the walk's generator,
-    an SFC64 on the next child of `rng`'s seed sequence (which leaves
-    `rng`'s stream where it was), zero visit counts per center (none when
-    centers are off), empty trace."""
+    """Fresh engine state: a `stratified_init` population drawn from `rng`,
+    the walk's generator, an SFC64 on the next child of `rng`'s seed
+    sequence (which leaves `rng`'s stream where it was), zero visit counts
+    per center (none when centers are off), empty trace. For another start,
+    build the `EngineState` by hand."""
     n_centers = _center_count(b, cfg.centers_per_axis) if cfg.centers_per_axis else 0
-    init = stratified_init if cfg.init == "stratified" else random_init
-    pop = np.asfortranarray(init(b, cfg.n_individuals, rng))
+    pop = np.asfortranarray(stratified_init(b, cfg.n_individuals, rng))
     walk_rng = np.random.Generator(np.random.SFC64(rng.bit_generator.seed_seq.spawn(1)[0]))
     return EngineState(population=pop, walk_rng=walk_rng,
                        visit_counts=np.zeros(n_centers, dtype=np.int64))
@@ -248,17 +238,18 @@ def rebalance(
 ) -> EngineState:
     """Teleport scouts from the most-visited centers toward the least-visited.
 
-    Moves floor(rebalance_fraction * n) scouts, chosen from the busiest
-    centers first, scattering them (per-axis Gaussian, stdev = half the
-    center spacing) around the quietest centers, quietest first. Visit
-    counts are history and stay untouched. Each scout's center comes from
-    the same grid arithmetic as `move_random`'s tally (ties to the lowest
-    center index), and a destination center at grid cell c sits at the
-    midpoint lb + (c + 0.5) * span / centers_per_axis; ranking the C
-    centers costs O(C log C) time and O(C) memory.
+    Moves floor(n / 4) of the n scouts (`_REBALANCE_FRACTION`), none when
+    n < 4, chosen from the busiest centers first, scattering them
+    (per-axis Gaussian, stdev = half the center spacing) around the
+    quietest centers, quietest first. Visit counts are history and stay
+    untouched. Each scout's center comes from the same grid arithmetic as
+    `move_random`'s tally (ties to the lowest center index), and a
+    destination center at grid cell c sits at the midpoint lb + (c + 0.5)
+    * span / centers_per_axis; ranking the C centers costs O(C log C) time
+    and O(C) memory.
     """
     n = len(state.population)
-    k = int(cfg.rebalance_fraction * n)
+    k = int(_REBALANCE_FRACTION * n)
     if k == 0 or not state.has_centers():
         return state
     counts = state.visit_counts
@@ -319,7 +310,8 @@ def step(
 ) -> EngineState:
     """One generation: evaluate scouts, fire a `trigger_epidemic` burst
     from each scout that improves on the incumbent, update the incumbent,
-    move everyone, rebalance on cadence, append a trace row. The rows
+    move everyone, rebalance every `_REBALANCE_EVERY` generations after
+    the first when centers are on, append a trace row. The rows
     each phase evaluated (scouts, bursts, the incumbent's refresh) are
     added to `state.evaluations` here. The walk draws from
     `state.walk_rng`; the bursts and the rebalance draw from `rng`."""
@@ -337,8 +329,8 @@ def step(
     # against the sweep-start value can be skipped outright; +inf is a
     # legal penalty but never triggers, since inf <= inf - tolerance
     # holds while the incumbent is still +inf
-    for i in _trigger_candidates(values, state.fobj_global - cfg.trigger_tolerance).tolist():
-        if values[i] > state.fobj_global - cfg.trigger_tolerance:
+    for i in _trigger_candidates(values, state.fobj_global - _TRIGGER_TOLERANCE).tolist():
+        if values[i] > state.fobj_global - _TRIGGER_TOLERANCE:
             continue
         best_point, best_value = trigger_epidemic(
             state.population[i].copy(), b, cfg, objective, t, rng
@@ -354,12 +346,7 @@ def step(
             state.best_individual_global = best_point
 
     move_random(state, b, cfg)
-    if (
-        state.has_centers()
-        and cfg.rebalance_fraction > 0
-        and t > 0
-        and t % cfg.rebalance_every == 0
-    ):
+    if state.has_centers() and t > 0 and t % _REBALANCE_EVERY == 0:
         rebalance(state, b, cfg, rng)
 
     state.trace.append(

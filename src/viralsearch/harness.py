@@ -182,12 +182,19 @@ def _result_row(bench: BenchmarkSpec, sweep: dict, point, value: float, elapsed_
 
 def _check_keys(keys, where: str) -> None:
     valid = [f.name for f in fields(VSConfig)]
+    seen = set()
     for key in keys:
         if key not in valid:
             raise ConfigurationError(
                 f"unknown VSConfig key {key!r} in {where}; "
                 f"valid keys: {', '.join(valid)}"
             )
+        # each run's seed is a child of seed_base, which overrides a seed set here
+        if key == "seed":
+            raise ConfigurationError(f"{where} sets 'seed'; set the spec's seed_base instead")
+        if key in seen:
+            raise ConfigurationError(f"{where} names {key!r} twice")
+        seen.add(key)
 
 
 def _median_row(rows: list) -> ReportRow:
@@ -201,8 +208,9 @@ def _median_row(rows: list) -> ReportRow:
 def run_experiment(spec: ExperimentSpec) -> list:
     """Execute every (cell, repeat) run; one row per run plus a median row
     per cell, or one row per checkpoint of each run. An unknown config key
-    in `base` or `sweep_fields`, or an unknown benchmark parameter, raises
-    `ConfigurationError` before any run."""
+    in `base` or `sweep_fields`, a `seed` in either (runs take their seeds
+    from `seed_base`), a field `sweep_fields` names twice, or an unknown
+    benchmark parameter, raises `ConfigurationError` before any run."""
     _check_keys(spec.base, "base")
     _check_keys(spec.sweep_fields, "sweep_fields")
     bench = make_benchmark(spec.benchmark, **spec.benchmark_params)

@@ -68,8 +68,6 @@ ENTRY_POINTS = [
      lambda v, rng, obj, fit: _vs(n_viral_individuals=v)),
     ("VSConfig-centers_per_axis", "centers_per_axis", 0,
      lambda v, rng, obj, fit: _vs(centers_per_axis=v)),
-    ("VSConfig-rebalance_every", "rebalance_every", 1,
-     lambda v, rng, obj, fit: _vs(rebalance_every=v)),
     ("VSConfig-seed", "seed", 0, lambda v, rng, obj, fit: _vs(seed=v)),
     ("DEConfig-pop_size", "pop_size", 4, lambda v, rng, obj, fit: DEConfig(pop_size=v)),
     ("DEConfig-generations", "generations", 1,

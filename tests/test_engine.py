@@ -73,21 +73,20 @@ class TestVSConfig:
             ("epidemic_radius_fraction", 0.0),
             ("epidemic_radius_fraction", 1.5),
             ("walk_step_fraction", 0.0),
-            ("rebalance_fraction", 1.5),
-            ("trigger_tolerance", -1.0),
-            ("init", "sobol"),
         ],
     )
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
             small_cfg(**{field: value})
 
-    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
-    def test_non_finite_trigger_tolerance_rejected(self, tolerance):
-        # the incumbent starts at inf, and inf minus such a tolerance is NaN:
-        # no scout would ever trigger a burst
-        with pytest.raises(ConfigurationError, match="trigger_tolerance must be finite"):
-            small_cfg(trigger_tolerance=tolerance)
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rebalance_every", 10), ("rebalance_fraction", 0.25),
+         ("trigger_tolerance", 1e-12), ("init", "stratified")],
+    )
+    def test_fixed_settings_are_not_fields(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            small_cfg(**{field: value})
 
     def test_burst_population_below_four_names_its_field(self):
         with pytest.raises(ConfigurationError, match="n_viral_individuals must be >= 4"):
@@ -96,7 +95,7 @@ class TestVSConfig:
     @pytest.mark.parametrize(
         "field",
         ["n_generations", "n_viral_generations", "n_individuals", "n_viral_individuals",
-         "centers_per_axis", "rebalance_every", "seed"],
+         "centers_per_axis", "seed"],
     )
     @pytest.mark.parametrize("value", [3.5, 10.0])
     def test_non_integer_counts_rejected(self, field, value):
@@ -104,9 +103,9 @@ class TestVSConfig:
             small_cfg(**{field: value})
 
     def test_numpy_integer_counts_run_like_python_ints(self):
-        counts = dict(n_generations=8, n_viral_generations=5, n_individuals=20,
-                      n_viral_individuals=10, centers_per_axis=2, rebalance_every=3,
-                      seed=9)
+        # past generation 10, so the run rebalances
+        counts = dict(n_generations=12, n_viral_generations=5, n_individuals=20,
+                      n_viral_individuals=10, centers_per_axis=2, seed=9)
         plain = run(SPHERE, BOX, small_cfg(**counts))
         np_ints = run(SPHERE, BOX, small_cfg(**{k: np.int64(v) for k, v in counts.items()}))
         assert np_ints.best_value == plain.best_value
@@ -211,7 +210,7 @@ class TestCenterIndices:
         # 200 scouts over 10**4 centers in 4-D: an (n, C, d) distance tensor
         # would take 200 * 10**4 * 4 * 8 bytes = 64 MB
         b = Bounds([0.0] * 4, [1.0] * 4)
-        cfg = small_cfg(n_individuals=200, centers_per_axis=10, rebalance_fraction=0.5)
+        cfg = small_cfg(n_individuals=200, centers_per_axis=10)
         rng = make_rng(0)
         state = init_state(b, cfg, rng)
         tracemalloc.start()
@@ -315,10 +314,12 @@ class TestPopulationLayout:
     @pytest.mark.parametrize("init", ["stratified", "random"], ids=lambda i: f"{i}-reflect")
     def test_population_stays_fortran_ordered(self, init):
         b = Bounds([0.0] * 3, [1.0] * 3)
-        cfg = small_cfg(n_individuals=50, centers_per_axis=3, rebalance_fraction=0.5,
-                        init=init)
+        cfg = small_cfg(n_individuals=50, centers_per_axis=3)
         rng = make_rng(0)
         state = init_state(b, cfg, rng)
+        if init == "random":
+            # a random start is a state built by hand
+            state.population = np.asfortranarray(random_init(b, cfg.n_individuals, rng))
         assert state.population.flags.f_contiguous
         assert not state.population.flags.c_contiguous
         for _ in range(3):
@@ -479,13 +480,11 @@ class TestWalkStream:
                               child.state["state"]["state"])
         assert np.array_equal(state.walk_rng.bit_generator.random_raw(4), child.random_raw(4))
 
-    @pytest.mark.parametrize("init", ["stratified", "random"])
-    def test_init_state_leaves_the_run_generator_where_the_init_left_it(self, init):
-        cfg = small_cfg(n_individuals=50, init=init)
+    def test_init_state_leaves_the_run_generator_where_the_init_left_it(self):
+        cfg = small_cfg(n_individuals=50)
         rng, reference = make_rng(5), make_rng(5)
         state = init_state(BOX, cfg, rng)
-        population = (stratified_init if init == "stratified" else random_init)(
-            BOX, cfg.n_individuals, reference)
+        population = stratified_init(BOX, cfg.n_individuals, reference)
         assert np.array_equal(state.population, population)
         assert rng.bit_generator.state == reference.bit_generator.state
 
@@ -572,25 +571,28 @@ class TestRebalance:
             visit_counts=np.zeros(2, dtype=np.int64),
         )
 
-    def test_zero_fraction_is_a_noop(self):
-        b, state = self.two_center_state([0.2] * 8)
+    def test_fewer_than_four_scouts_move_none(self):
+        # a quarter of 3 scouts rounds down to no mover
+        b, state = self.two_center_state([0.2] * 3)
         state.visit_counts[:] = (10, 0)
         before = state.population.copy()
-        cfg = small_cfg(centers_per_axis=2, rebalance_fraction=0.0)
-        rebalance(state, b, cfg, make_rng(0))
+        rng = make_rng(0)
+        rng_state = rng.bit_generator.state
+        rebalance(state, b, small_cfg(centers_per_axis=2), rng)
         assert np.array_equal(state.population, before)
+        assert rng.bit_generator.state == rng_state
 
     def test_moves_toward_least_visited_center(self):
-        # scouts 0, 2, 4 and 6 sit at the busy center 0.25, the rest at the
-        # quiet center 0.75
-        b, state = self.two_center_state([0.2, 0.8, 0.3, 0.9, 0.1, 0.6, 0.4, 0.7])
+        # scouts 0, 2, 4 and 6 sit at the busy center 0.25, the other 12 at
+        # the quiet center 0.75; a quarter of the 16 move
+        b, state = self.two_center_state([0.2, 0.8, 0.3, 0.9, 0.1, 0.6, 0.4, 0.7] + [0.8] * 8)
         state.visit_counts[:] = (10, 0)
         before = state.population.copy()
-        cfg = small_cfg(centers_per_axis=2, rebalance_fraction=0.5)
+        cfg = small_cfg(centers_per_axis=2)
         rng = make_rng(4)
         replay = copy.deepcopy(rng)
         rebalance(state, b, cfg, rng)
-        movers, stayers = [0, 2, 4, 6], [1, 3, 5, 7]
+        movers, stayers = [0, 2, 4, 6], [1, 3, 5, 7, *range(8, 16)]
         # the four movers land around the quiet center's midpoint
         # lb + (1 + 0.5) * spacing = 0.75, scattered with stdev spacing / 2
         expected = reflect_into_bounds(0.75 + replay.normal(0.0, 0.25, (4, 1)), b)
@@ -601,10 +603,10 @@ class TestRebalance:
     def test_mover_destinations_center_on_the_quiet_side(self):
         # over many seeds the teleported scouts average near the quiet
         # center, not merely past the midpoint
-        cfg = small_cfg(centers_per_axis=2, rebalance_fraction=0.5)
+        cfg = small_cfg(centers_per_axis=2)
         moved = []
         for seed in range(200):
-            b, state = self.two_center_state([0.2] * 8)
+            b, state = self.two_center_state([0.2] * 16)
             state.visit_counts[:] = (10, 0)
             rebalance(state, b, cfg, make_rng(seed))
             moved.extend(state.population[state.population[:, 0] != 0.2, 0])
@@ -613,11 +615,12 @@ class TestRebalance:
         assert 0.68 < np.mean(moved) < 0.74
 
     def test_scatter_spread_matches_half_spacing(self):
-        b, state = self.two_center_state([0.2] * 4000)
+        b, state = self.two_center_state([0.2] * 16000)
         state.visit_counts[:] = (10, 0)
-        cfg = small_cfg(centers_per_axis=2, rebalance_fraction=1.0)
+        cfg = small_cfg(centers_per_axis=2)
         rebalance(state, b, cfg, make_rng(1))
-        moved = state.population[:, 0]
+        moved = state.population[state.population[:, 0] != 0.2, 0]
+        assert len(moved) == 4000
         # mean fraction reflected below the midpoint of a Gaussian around
         # 0.75 with stdev 0.25 is about 16 percent
         frac_near_old = (moved < 0.5).mean()
@@ -629,7 +632,7 @@ class TestRebalance:
         two-key `lexsort` orders."""
         population = population.copy()
         n = len(population)
-        k = int(cfg.rebalance_fraction * n)
+        k = n // 4
         if k == 0:
             return population
         centers = make_centers(b, cfg.centers_per_axis)
@@ -649,11 +652,10 @@ class TestRebalance:
         dim=st.integers(1, 4),
         k=st.integers(1, 6),
         n=st.integers(1, 40),
-        fraction=st.floats(0.0, 1.0),
         levels=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_stored_grid_oracle(self, data, dim, k, n, fraction, levels, seed):
+    def test_matches_the_stored_grid_oracle(self, data, dim, k, n, levels, seed):
         axis = st.lists(st.floats(-100.0, 100.0), min_size=dim, max_size=dim)
         width = st.lists(st.floats(1e-3, 100.0), min_size=dim, max_size=dim)
         lb = np.array(data.draw(axis))
@@ -662,7 +664,7 @@ class TestRebalance:
         population = gen.uniform(b.lb, b.ub, (n, dim))
         # few count levels, so both orders see many ties
         counts = gen.integers(0, levels, k**dim).astype(np.int64)
-        cfg = small_cfg(n_individuals=n, centers_per_axis=k, rebalance_fraction=fraction)
+        cfg = small_cfg(n_individuals=n, centers_per_axis=k)
         expected = self.stored_grid_rebalance(population, counts, b, cfg, make_rng(seed))
         state = EngineState(population=population.copy(), walk_rng=make_rng(0),
                             visit_counts=counts.copy())
@@ -672,7 +674,7 @@ class TestRebalance:
 
     def test_equal_counts_conserves_population(self):
         b, state = self.two_center_state([0.1, 0.3, 0.6, 0.9])
-        cfg = small_cfg(centers_per_axis=2, rebalance_fraction=0.5)
+        cfg = small_cfg(centers_per_axis=2)
         rebalance(state, b, cfg, make_rng(5))
         assert state.population.shape == (4, 1)
         assert b.contains(state.population)
@@ -913,7 +915,7 @@ class TestRun:
         drifting = Objective(
             lambda t, p: (p**2).sum(axis=1) + float(t), arity=2, time_varying=True
         )
-        cfg = small_cfg(n_generations=6, trigger_tolerance=1e-9)
+        cfg = small_cfg(n_generations=6)
         result = run(drifting, BOX, cfg)
         values = [row.fobj_global for row in result.trace]
         # the floor rises by one per generation, so the refreshed incumbent
@@ -959,11 +961,6 @@ class TestRun:
     def test_bad_burst_population_fails_fast(self):
         with pytest.raises(ConfigurationError):
             run(SPHERE, BOX, small_cfg(n_viral_individuals=2))
-
-    def test_random_cloud_initializer(self):
-        cfg = small_cfg(init="random", n_generations=5)
-        result = run(SPHERE, BOX, cfg)
-        assert len(result.trace) == 5
 
 
 def counting_flat():

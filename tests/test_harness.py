@@ -159,8 +159,15 @@ class TestRunExperiment:
              "bogus", "n_viral_individuals"),
             (dict(sweep_fields=("n_individuals", "n_generatoins")),
              "n_generatoins", "n_generations"),
+            # each run's seed is a child of seed_base, which a seed would
+            # otherwise silently lose to
+            (dict(base={"n_viral_individuals": 6, "n_viral_generations": 3, "seed": 1}),
+             "seed", "seed_base"),
+            (dict(sweep_fields=("seed",), cells=((1,), (2,))), "seed", "seed_base"),
+            (dict(sweep_fields=("n_individuals", "n_individuals"), cells=((5, 9),)),
+             "n_individuals", "twice"),
         ],
-        ids=["base", "sweep_fields"],
+        ids=["base", "sweep_fields", "base-seed", "sweep_fields-seed", "sweep_fields-twice"],
     )
     def test_unknown_config_key_fails_before_any_run(self, monkeypatch, overrides, key, valid):
         calls = []

@@ -14,10 +14,11 @@ with `ast`, not by matching words, because names such as `order` and `run`
 are common words in code and prose.
 
 Likewise every field of a config class must be set by the system: by a
-call keyword or a string key of a config dict in the package's code
-outside the class's own definition, in `perfbench/`, in the README's
-Python blocks outside the migration notes, or in the acceptance battery.
-A field no caller sets is an option with one value in use: a constant.
+keyword of a call of the class itself or of `replace`, or by a string key
+of a config dict, in the package's code outside the class's own
+definition, in `perfbench/` or in the README's Python blocks outside the
+migration notes. Tests are not callers. A field no caller sets is an
+option with one value in use: a constant.
 
 Likewise every defaulted parameter of a public function, public method or
 explicit `__init__`, and every parameter of a benchmark builder, must be
@@ -175,16 +176,18 @@ def test_every_public_name_is_used_by_the_system():
     assert not unused, f"public names only the tests use: {unused}"
 
 
-def _set_keys(tree: ast.AST, skip_class: str = "") -> set:
-    """The call keywords and string dict keys in `tree`, outside the
-    definition of the class named `skip_class`."""
+def _set_keys(tree: ast.AST, cls: str) -> set:
+    """The keywords of calls of the class named `cls` or of `replace`, and
+    the string dict keys, in `tree` outside `cls`'s own definition."""
     keys = set()
 
     def visit(node):
-        if isinstance(node, ast.ClassDef) and node.name == skip_class:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
             return
         if isinstance(node, ast.Call):
-            keys.update(kw.arg for kw in node.keywords if kw.arg)
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in (cls, "replace"):
+                keys.update(kw.arg for kw in node.keywords if kw.arg)
         elif isinstance(node, ast.Dict):
             keys.update(k.value for k in node.keys
                         if isinstance(k, ast.Constant) and isinstance(k.value, str))
@@ -196,14 +199,11 @@ def _set_keys(tree: ast.AST, skip_class: str = "") -> set:
 
 
 def test_every_config_field_is_set_by_the_system():
-    outside = [_parse(path) for path in (ROOT / "perfbench").glob("*.py")]
-    outside += [ast.parse(code) for code in _python_blocks(_readme_without_migration_notes())]
-    outside.append(_parse(ROOT / "tests" / "test_acceptance.py"))
-    src = [_parse(path) for path in SRC.glob("*.py")]
+    trees = [_parse(path) for path in [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]]
+    trees += [ast.parse(code) for code in _python_blocks(_readme_without_migration_notes())]
     unset = []
     for cls in CONFIGS:
-        keys = set().union(*(_set_keys(tree) for tree in outside),
-                           *(_set_keys(tree, cls.__name__) for tree in src))
+        keys = set().union(*(_set_keys(tree, cls.__name__) for tree in trees))
         unset += [f"{cls.__name__}.{f.name}" for f in fields(cls) if f.name not in keys]
     assert not unset, f"config fields no caller sets: {unset}"
 
