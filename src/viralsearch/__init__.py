@@ -45,7 +45,7 @@ from .harness import (
     split_bounds,
     trace_export,
 )
-from .local_search import DEConfig, de_optimize
+from .local_search import de_optimize
 from .schema_lab import (
     BinaryPopulation,
     CompiledSchema,

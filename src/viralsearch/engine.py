@@ -36,7 +36,7 @@ from .core import (
     reflect_into_bounds,
     stratified_init,
 )
-from .local_search import DEConfig, check_draw_range, de_optimize
+from .local_search import check_draw_range, de_optimize
 
 _MAX_CENTERS = 1_000_000
 _TRIGGER_TOLERANCE = 1e-12
@@ -287,8 +287,8 @@ def trigger_epidemic(
     The cube spans trigger +/- epidemic_radius_fraction * axis range on
     each axis, clipped to the global box, and the trigger itself seeds
     the burst population so the result can never be worse than the
-    trigger's own value. The burst runs `n_viral_individuals` members for
-    `n_viral_generations` generations with `DEConfig`'s default weights.
+    trigger's own value. The burst is `de_optimize` on that cube with
+    `n_viral_individuals` members for `n_viral_generations` generations.
     """
     trigger = np.asarray(trigger, dtype=float)
     lo, hi = _burst_cube(trigger, b, cfg)
@@ -297,8 +297,8 @@ def trigger_epidemic(
             f"burst region collapsed around {trigger.tolist()}; is the "
             f"trigger inside the bounds?"
         )
-    burst = DEConfig(pop_size=cfg.n_viral_individuals, generations=cfg.n_viral_generations)
-    return de_optimize(objective, Bounds(lo, hi), burst, seed_point=trigger, t=t, rng=rng)
+    return de_optimize(objective, Bounds(lo, hi), cfg.n_viral_individuals,
+                       cfg.n_viral_generations, seed_point=trigger, t=t, rng=rng)
 
 
 def step(

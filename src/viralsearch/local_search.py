@@ -8,7 +8,6 @@ generations at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,38 +29,22 @@ from .core import (
 _F = np.float64(0.8)
 _CR = 0.9
 
-
-@dataclass(frozen=True)
-class DEConfig:
-    """Differential evolution's sizes: members and generations.
-
-    An engine burst takes them from its `VSConfig` (`n_viral_individuals`,
-    `n_viral_generations`); the weights stay at F = 0.8 and CR = 0.9.
-    """
-
-    pop_size: int = 20
-    generations: int = 50
-
-    def __post_init__(self):
-        # three distinct partners plus the target
-        check_counts(4, pop_size=self.pop_size)
-        check_counts(1, generations=self.generations)
-
-
 _BLOCK = 16  # generations whose randomness one draw serves
 _INT32_MAX = np.iinfo(np.int32).max
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def check_draw_range(n: int, d: int) -> None:
-    """Raise unless a burst of n members in d axes can draw its partners
-    and forced axes as int64 integers on [0, (n-1)(n-2)(n-3) * d)."""
-    check_counts(4, n=n)
-    if (n - 1) * (n - 2) * (n - 3) * d > _INT64_MAX:
+def check_draw_range(pop_size: int, d: int) -> None:
+    """Raise unless a burst of n = `pop_size` members in d axes can draw
+    its partners and forced axes as int64 integers on
+    [0, (n-1)(n-2)(n-3) * d)."""
+    check_counts(4, pop_size=pop_size)  # three distinct partners plus the target
+    choices = (pop_size - 1) * (pop_size - 2) * (pop_size - 3) * d
+    if choices > _INT64_MAX:
         raise ConfigurationError(
-            f"a burst of {n} members in {d} axes has (n-1)(n-2)(n-3)*d = "
-            f"{(n - 1) * (n - 2) * (n - 3) * d} partner and axis choices, "
-            f"more than int64 can draw; use a smaller burst population"
+            f"a burst of {pop_size} members in {d} axes has (n-1)(n-2)(n-3)*d = "
+            f"{choices} partner and axis choices, more than int64 can draw; "
+            f"use a smaller burst population"
         )
 
 
@@ -129,28 +112,33 @@ def _draw_block(
 def de_optimize(
     objective: Objective,
     region: Bounds,
-    cfg: DEConfig,
+    pop_size: int,
+    generations: int,
     seed_point: Optional[Point] = None,
     t: int = 0,
     *,
     rng: RngStream,
     history: Optional[list] = None,
 ) -> tuple[Point, float]:
-    """Minimize `objective` over `region` at frozen generation `t`.
+    """Minimize `objective` over `region` at frozen generation `t` with
+    `pop_size` members for `generations` generations.
 
     The population starts uniform in the region; when `seed_point` is
     given it replaces member 0, and greedy selection guarantees the
-    returned value never exceeds the seed's value. Trials are clamped to
-    the region, tiled once per call to one limit per coordinate. When
-    `history` is a list, the per-generation best value is appended to it.
-    A call evaluates pop · (G + 1) rows: the starting population, then one
-    batch per generation. Partners and crossover masks are drawn once per
-    block of `_BLOCK` generations, so a generation makes no RNG call.
+    returned value never exceeds the seed's value. A seed point of the
+    wrong shape or outside the region (NaN included) raises `ValueError`
+    before any evaluation. Trials are clamped to the region, tiled once
+    per call to one limit per coordinate. When `history` is a list, the
+    per-generation best value is appended to it. A call evaluates
+    pop · (G + 1) rows: the starting population, then one batch per
+    generation. Partners and crossover masks are drawn once per block of
+    `_BLOCK` generations, so a generation makes no RNG call.
 
     Returns the best point found and its value.
     """
-    n, d = cfg.pop_size, region.dim
-    check_draw_range(n, d)
+    n, d = pop_size, region.dim
+    check_draw_range(pop_size, d)
+    check_counts(1, generations=generations)
 
     pop = random_init(region, n, rng)
     if seed_point is not None:
@@ -158,6 +146,11 @@ def de_optimize(
         if seed_point.shape != (d,):
             raise ValueError(
                 f"seed point has shape {seed_point.shape}, region has {d} axes"
+            )
+        if not region.contains(seed_point):
+            raise ValueError(
+                f"seed point {seed_point.tolist()} lies outside the region "
+                f"[{region.lb.tolist()}, {region.ub.tolist()}]"
             )
         pop[0] = seed_point
     values = objective.evaluate_many(t, pop)
@@ -169,8 +162,8 @@ def de_optimize(
     accept = np.empty(n, dtype=bool)
     accept_rows = accept[:, None]
 
-    for start in range(0, cfg.generations, _BLOCK):
-        partners, cross = _draw_block(rng, n, d, _CR, min(_BLOCK, cfg.generations - start))
+    for start in range(0, generations, _BLOCK):
+        partners, cross = _draw_block(rng, n, d, _CR, min(_BLOCK, generations - start))
         keep = np.logical_not(cross, out=cross)
         for rows, keep_target in zip(partners.transpose(0, 2, 1), keep):
             # every index is valid, so "clip" clips nothing, and lets `take`

@@ -223,12 +223,8 @@ def expected_count_bound(
     schema under selection, crossover, and mutation."""
     s = compile_schema(schema)
     survival = _survival(s, pop.length, params)
-    mask = match_mask(s, pop)
-    xi = int(mask.sum())
-    if xi < 1:
-        raise NoInstancesError(f"schema {s.pattern!r} has no instances in the population")
-    fitness = pop.fitness()
-    return _bound(xi, float(fitness[mask].mean()), float(fitness.mean()), survival)
+    return _bound(count_matches(s, pop), schema_fitness(s, pop), float(pop.fitness().mean()),
+                  survival)
 
 
 def _single_point_crossover(

@@ -52,20 +52,21 @@ def draw_block(rng, n, d, cr, g):
     return partners.transpose(1, 2, 0), cross
 
 
-def de_optimize(objective, region, cfg, seed_point=None, t=0, *, rng, history=None):
+def de_optimize(objective, region, pop_size, generations, seed_point=None, t=0, *, rng,
+                history=None):
     """`local_search.de_optimize` with `draw_block`'s int64 decode, a
     fresh gather, mutant and trial per generation, `np.where` for the
     crossover and flat clamping passes against limits tiled per
     coordinate."""
-    n, d = cfg.pop_size, region.dim
+    n, d = pop_size, region.dim
     check_draw_range(n, d)
     pop = random_init(region, n, rng)
     if seed_point is not None:
         pop[0] = np.asarray(seed_point, dtype=float)
     values = objective.evaluate_many(t, pop)
     lb, ub = np.tile(region.lb, n), np.tile(region.ub, n)
-    for start in range(0, cfg.generations, _BLOCK):
-        block = draw_block(rng, n, d, 0.9, min(_BLOCK, cfg.generations - start))
+    for start in range(0, generations, _BLOCK):
+        block = draw_block(rng, n, d, 0.9, min(_BLOCK, generations - start))
         for partners, cross in zip(*block):
             r1, r2, r3 = pop.take(partners.T, 0)
             mutant = np.subtract(r2, r3, out=r2)

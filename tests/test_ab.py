@@ -1,8 +1,7 @@
 """`tools/ab.py` against a throwaway git repository whose
 `perfbench/run.py` and `viralsearch` package are stubs: the alternation of
-sides, the equal paths of the two checkouts, the fresh process of each
-direct run, the one process of same-process runs, and the reading of the
-last JSON line. The stub's perfbench
+sides, the equal paths of the two checkouts, the one process of the
+direct runs, and the reading of the last JSON line. The stub's perfbench
 metrics are constants, and no test asserts a time."""
 
 import importlib.util
@@ -66,7 +65,6 @@ def work():
     with open(os.environ["AB_TEST_LOG"], "a") as log:
         log.write(json.dumps({
             "root": str(root),
-            "cwd": os.getcwd(),
             "pid": os.getpid(),
             "pycache": [str(p) for p in root.rglob("__pycache__")],
             "no_bytecode": os.environ.get("PYTHONDONTWRITEBYTECODE") == "1",
@@ -172,8 +170,8 @@ def test_summary_counts_wins_by_each_metric_direction():
     assert ab.order(4) == [("base", "head"), ("head", "base")] * 2
 
 
-def test_direct_runs_alternate_each_in_a_fresh_process(stub_repo, tmp_path, monkeypatch,
-                                                       capsys):
+def test_same_process_runs_alternate_each_bound_to_its_own_side(stub_repo, tmp_path,
+                                                                 monkeypatch, capsys):
     repo, base, head = stub_repo
     log = tmp_path / "runs.jsonl"
     monkeypatch.setenv("AB_TEST_LOG", str(log))
@@ -185,9 +183,9 @@ def test_direct_runs_alternate_each_in_a_fresh_process(stub_repo, tmp_path, monk
     runs = [json.loads(line) for line in log.read_text().splitlines()]
     assert [Path(r["root"]).name for r in runs] == ["base", "head", "head", "base", "base",
                                                     "head"]
+    assert len({r["root"] for r in runs}) == 2
     pids = {r["pid"] for r in runs}
-    assert len(pids) == 6 and os.getpid() not in pids
-    assert all(r["cwd"] == r["root"] for r in runs)
+    assert len(pids) == 1 and os.getpid() not in pids
     assert all(r["pycache"] == [] and r["no_bytecode"] for r in runs)
 
     out = capsys.readouterr().out.splitlines()
@@ -199,42 +197,16 @@ def test_direct_runs_alternate_each_in_a_fresh_process(stub_repo, tmp_path, monk
     assert wall_s["base_median"] > 0 and wall_s["head_median"] > 0
 
 
-def test_same_process_runs_alternate_each_bound_to_its_own_side(stub_repo, tmp_path,
-                                                                 monkeypatch, capsys):
-    repo, base, head = stub_repo
-    log = tmp_path / "runs.jsonl"
-    monkeypatch.setenv("AB_TEST_LOG", str(log))
-    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
-    assert ab.main(["--base", base, "--head", head, "--direct", "--same-process",
-                    "--call", "vs.work()", "--pairs", "3", "--repo", str(repo)]) == 0
-
-    runs = [json.loads(line) for line in log.read_text().splitlines()]
-    assert [Path(r["root"]).name for r in runs] == ["base", "head", "head", "base", "base",
-                                                    "head"]
-    assert len({r["root"] for r in runs}) == 2
-    pids = {r["pid"] for r in runs}
-    assert len(pids) == 1 and os.getpid() not in pids
-    assert all(r["pycache"] == [] and r["no_bytecode"] for r in runs)
-
-    out = capsys.readouterr().out.splitlines()
-    assert "direct, same process: 3 pairs" in out
-    summary = json.loads(out[-1])
-    assert summary.keys() == {"direct"} and summary["direct"]["wall_s"]["pairs"] == 3
-
-
-def test_same_process_needs_direct(capsys):
-    with pytest.raises(SystemExit) as exc:
-        ab.main(["--base", "a", "--head", "b", "--workload", "shekel", "--same-process"])
-    assert exc.value.code == 2
-    assert "--same-process needs --direct" in capsys.readouterr().err
-
-
 def test_direct_run_refuses_a_package_from_outside_the_checkout(tmp_path):
-    package = tmp_path / "side" / "src" / "viralsearch"
-    package.mkdir(parents=True)
-    (package / "__init__.py").write_text(f"__file__ = {str(tmp_path / 'elsewhere.py')!r}\n")
-    with pytest.raises(RuntimeError, match="elsewhere"):
-        ab.run_direct(tmp_path / "side", "pass")
+    roots = {side: tmp_path / side for side in ab.SIDES}
+    for side, root in roots.items():
+        package = root / "src" / "viralsearch"
+        package.mkdir(parents=True)
+        # the head's package claims a file outside its checkout
+        elsewhere = f"__file__ = {str(tmp_path / 'elsewhere.py')!r}\n"
+        (package / "__init__.py").write_text(elsewhere if side == "head" else "")
+    with pytest.raises(RuntimeError, match="the head side ran the package at .*elsewhere"):
+        ab.run_same_process(roots, "pass", ["base", "head"])
 
 
 def test_default_direct_call_is_criterion_5_over_seeds_0_to_2():

@@ -14,7 +14,7 @@ from viralsearch.benchmarks import make_benchmark, schaffer, shekel
 from viralsearch.core import Bounds, Objective, make_rng
 from viralsearch.engine import VSConfig, init_state, run, step
 from viralsearch.harness import parallel_run
-from viralsearch.local_search import DEConfig, de_optimize
+from viralsearch.local_search import de_optimize
 from viralsearch.schema_lab import (
     GAParams,
     classic_ga_step,
@@ -327,12 +327,11 @@ def test_criterion_7_engine_invariants():
 def test_criterion_8_local_search_unit():
     region = Bounds([-1.0, -1.0], [1.0, 1.0])
     objective = Objective(lambda t, p: (p**2).sum(axis=1), arity=2)
-    cfg = DEConfig(pop_size=20, generations=50)
     hits = 0
     for seed in range(100):
         history = []
         _, value = de_optimize(
-            objective, region, cfg, rng=make_rng(seed), history=history
+            objective, region, 20, 50, rng=make_rng(seed), history=history
         )
         hits += value < 1e-6
         assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
@@ -341,8 +340,7 @@ def test_criterion_8_local_search_unit():
         rng = make_rng(10_000 + seed)
         seed_point = rng.uniform(-1.0, 1.0, 2)
         _, value = de_optimize(
-            objective, region, DEConfig(pop_size=8, generations=5),
-            seed_point=seed_point, rng=rng,
+            objective, region, 8, 5, seed_point=seed_point, rng=rng,
         )
         dominated += value <= objective(0, seed_point) + 1e-15
     ok = hits >= 95 and dominated == 100

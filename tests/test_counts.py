@@ -26,7 +26,7 @@ from viralsearch.core import (
 )
 from viralsearch.engine import VSConfig
 from viralsearch.harness import ExperimentSpec, parallel_run, split_bounds
-from viralsearch.local_search import DEConfig, check_draw_range
+from viralsearch.local_search import check_draw_range, de_optimize
 from viralsearch.schema_lab import (
     GAParams,
     onemax_fitness,
@@ -69,10 +69,11 @@ ENTRY_POINTS = [
     ("VSConfig-centers_per_axis", "centers_per_axis", 0,
      lambda v, rng, obj, fit: _vs(centers_per_axis=v)),
     ("VSConfig-seed", "seed", 0, lambda v, rng, obj, fit: _vs(seed=v)),
-    ("DEConfig-pop_size", "pop_size", 4, lambda v, rng, obj, fit: DEConfig(pop_size=v)),
-    ("DEConfig-generations", "generations", 1,
-     lambda v, rng, obj, fit: DEConfig(generations=v)),
-    ("check_draw_range", "n", 4, lambda v, rng, obj, fit: check_draw_range(v, 2)),
+    ("de_optimize-pop_size", "pop_size", 4,
+     lambda v, rng, obj, fit: de_optimize(obj, BOX, v, 5, rng=rng)),
+    ("de_optimize-generations", "generations", 1,
+     lambda v, rng, obj, fit: de_optimize(obj, BOX, 5, v, rng=rng)),
+    ("check_draw_range", "pop_size", 4, lambda v, rng, obj, fit: check_draw_range(v, 2)),
     ("GAParams-seed", "seed", 0, lambda v, rng, obj, fit: GAParams(seed=v)),
     ("ExperimentSpec-repeat", "repeat", 1,
      lambda v, rng, obj, fit: ExperimentSpec("sphere", repeat=v)),

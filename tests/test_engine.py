@@ -38,6 +38,7 @@ from viralsearch.engine import (
     trigger_epidemic,
 )
 from viralsearch.harness import ExperimentSpec, parallel_run, run_experiment
+from viralsearch.local_search import de_optimize
 from reference import make_centers, nearest_center
 
 BOX = Bounds([-3.0, -3.0], [3.0, 3.0])
@@ -711,6 +712,30 @@ class TestTriggerEpidemic:
             trigger, bench.bounds, cfg, bench.objective, t=0, rng=make_rng(2)
         )
         assert value < start
+
+
+    @pytest.mark.parametrize("trigger", [[1.5, 4.0], [-3.0, 10.0], [-2.0, -0.0]],
+                             ids=["interior", "corner", "zero-wall"])
+    def test_is_de_optimize_on_the_clipped_cube(self, trigger):
+        b = Bounds([-3.0, 0.0], [3.0, 10.0])
+        cfg = small_cfg(n_viral_individuals=9, n_viral_generations=17)
+        obj = Objective(lambda t, p: np.abs(p - 0.7 * t).sum(axis=1), arity=2)
+        trigger = np.array(trigger)
+        half = cfg.epidemic_radius_fraction * b.span
+        cube = np.maximum(b.lb, trigger - half), np.minimum(b.ub, trigger + half)
+        got_rng, want_rng = make_rng(6), make_rng(6)
+        got = trigger_epidemic(trigger, b, cfg, obj, 3, got_rng)
+        want = de_optimize(obj, Bounds(*cube), cfg.n_viral_individuals,
+                           cfg.n_viral_generations, seed_point=trigger, t=3, rng=want_rng)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))
+        assert got[1] == want[1]
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_trigger_past_a_wall_raises(self):
+        b = Bounds([0.0, 0.0], [10.0, 10.0])
+        with pytest.raises(ValueError, match="seed point .* lies outside the region"):
+            trigger_epidemic(np.array([10.2, 5.0]), b, small_cfg(), SPHERE, 0, make_rng(0))
 
 
 class TestTriggerCandidates:

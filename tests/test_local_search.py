@@ -10,7 +10,6 @@ import reference
 from viralsearch.core import Bounds, ConfigurationError, EvaluationError, Objective, make_rng
 from viralsearch.local_search import (
     _BLOCK,
-    DEConfig,
     _draw_block,
     check_draw_range,
     de_optimize,
@@ -31,18 +30,6 @@ def counting_sphere(arity=2):
         return (p**2).sum(axis=1)
 
     return Objective(f, arity=arity), rows
-
-
-class TestDEConfig:
-    def test_pop_size_floor(self):
-        with pytest.raises(ConfigurationError):
-            DEConfig(pop_size=3)
-
-    @pytest.mark.parametrize("field", ["pop_size", "generations"])
-    @pytest.mark.parametrize("value", [20.0, 7.5])
-    def test_non_integer_sizes_rejected(self, field, value):
-        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
-            DEConfig(**{field: value})
 
 
 class TestPartnerIndices:
@@ -142,11 +129,45 @@ class TestPartnerIndices:
 
 
 class TestDEOptimize:
+    def test_pop_size_floor(self):
+        obj, rows = counting_sphere()
+        with pytest.raises(ConfigurationError, match="pop_size must be >= 4, got 3"):
+            de_optimize(obj, SQUARE, 3, 50, rng=make_rng(0))
+        assert rows == []
+
+    @pytest.mark.parametrize("field", ["pop_size", "generations"])
+    @pytest.mark.parametrize("value", [20.0, 7.5])
+    def test_non_integer_sizes_rejected(self, field, value):
+        obj, rows = counting_sphere()
+        sizes = dict(pop_size=20, generations=50)
+        sizes[field] = value
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            de_optimize(obj, SQUARE, **sizes, rng=make_rng(0))
+        assert rows == []
+
+    @pytest.mark.parametrize("seed", [5.0, -0.5, np.nextafter(1.0, 2.0), np.nan],
+                             ids=["far", "below", "next-float", "nan"])
+    def test_seed_outside_region_fails_before_evaluating(self, seed):
+        rows = []
+
+        def f(t, p):
+            rows.append(len(p))
+            return ((p - 5.0) ** 2).sum(axis=1)
+
+        with pytest.raises(ValueError, match=r"seed point \[.*\] lies outside the region"):
+            de_optimize(Objective(f, arity=1), Bounds([0.0], [1.0]), 8, 5,
+                        seed_point=[seed], rng=make_rng(0))
+        assert rows == []
+
+    @pytest.mark.parametrize("seed", [0.0, 1.0])
+    def test_seed_on_a_wall_is_inside(self, seed):
+        obj = Objective(lambda t, p: ((p - 5.0) ** 2).sum(axis=1), arity=1)
+        point, value = de_optimize(obj, Bounds([0.0], [1.0]), 8, 5, seed_point=[seed],
+                                   rng=make_rng(0))
+        assert 0.0 <= point[0] <= 1.0 and value <= (seed - 5.0) ** 2
+
     def test_sphere_converges(self):
-        point, value = de_optimize(
-            sphere_objective(), SQUARE, DEConfig(pop_size=20, generations=50),
-            rng=make_rng(0),
-        )
+        point, value = de_optimize(sphere_objective(), SQUARE, 20, 50, rng=make_rng(0))
         assert value < 1e-6
         assert np.abs(point).max() < 1e-2
 
@@ -164,10 +185,9 @@ class TestDEOptimize:
 
     def test_single_generation_never_regresses(self):
         obj = sphere_objective()
-        cfg = DEConfig(pop_size=12, generations=1)
         history = []
         seed = np.array([0.4, -0.2])
-        _, value = de_optimize(obj, SQUARE, cfg, seed_point=seed, rng=make_rng(5),
+        _, value = de_optimize(obj, SQUARE, 12, 1, seed_point=seed, rng=make_rng(5),
                                history=history)
         assert value <= obj(0, seed)
         assert len(history) == 1
@@ -177,10 +197,7 @@ class TestDEOptimize:
             lambda t, p: (p[:, 0] - 0.3) ** 2 + (p[:, 1] + 0.2) ** 2, arity=2
         )
         seed = np.array([0.3, -0.2])
-        point, value = de_optimize(
-            obj, SQUARE, DEConfig(pop_size=15, generations=30), seed_point=seed,
-            t=0, rng=make_rng(9),
-        )
+        point, value = de_optimize(obj, SQUARE, 15, 30, seed_point=seed, t=0, rng=make_rng(9))
         assert value == 0.0
         assert np.allclose(point, seed)
 
@@ -189,18 +206,12 @@ class TestDEOptimize:
         for trial in range(25):
             rng = make_rng(100 + trial)
             seed = rng.uniform(-1, 1, 2)
-            _, value = de_optimize(
-                obj, SQUARE, DEConfig(pop_size=8, generations=5), seed_point=seed,
-                rng=rng,
-            )
+            _, value = de_optimize(obj, SQUARE, 8, 5, seed_point=seed, rng=rng)
             assert value <= obj(0, seed) + 1e-15
 
     def test_history_non_increasing(self):
         history = []
-        de_optimize(
-            sphere_objective(), SQUARE, DEConfig(pop_size=10, generations=40),
-            rng=make_rng(2), history=history,
-        )
+        de_optimize(sphere_objective(), SQUARE, 10, 40, rng=make_rng(2), history=history)
         assert len(history) == 40
         assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
 
@@ -212,44 +223,40 @@ class TestDEOptimize:
             seen.append(p.copy())
             return (p**2).sum(axis=1)
 
-        de_optimize(
-            Objective(recording, arity=2), region,
-            DEConfig(pop_size=10, generations=20), rng=make_rng(4),
-        )
+        de_optimize(Objective(recording, arity=2), region, 10, 20, rng=make_rng(4))
         assert region.contains(np.vstack(seen))
 
     def test_deterministic_given_seed(self):
-        a = de_optimize(sphere_objective(), SQUARE, DEConfig(), rng=make_rng(21))
-        b = de_optimize(sphere_objective(), SQUARE, DEConfig(), rng=make_rng(21))
+        a = de_optimize(sphere_objective(), SQUARE, 20, 50, rng=make_rng(21))
+        b = de_optimize(sphere_objective(), SQUARE, 20, 50, rng=make_rng(21))
         assert a[1] == b[1]
         assert np.array_equal(a[0], b[0])
 
     def test_nan_objective_aborts_with_point(self):
         obj = Objective(lambda t, p: np.full(len(p), np.nan), arity=2)
         with pytest.raises(EvaluationError, match="NaN"):
-            de_optimize(obj, SQUARE, DEConfig(), rng=make_rng(0))
+            de_optimize(obj, SQUARE, 20, 50, rng=make_rng(0))
 
     def test_minus_inf_objective_aborts_with_point(self):
         obj = Objective(
             lambda t, p: np.where(p[:, 0] > 0.5, -np.inf, (p**2).sum(axis=1)), arity=2
         )
         with pytest.raises(EvaluationError, match=r"-inf at generation 4 for point"):
-            de_optimize(obj, SQUARE, DEConfig(), t=4, rng=make_rng(0))
+            de_optimize(obj, SQUARE, 20, 50, t=4, rng=make_rng(0))
 
     def test_plus_inf_everywhere_runs_to_completion(self):
         obj = Objective(lambda t, p: np.full(len(p), np.inf), arity=2)
-        point, value = de_optimize(obj, SQUARE, DEConfig(), rng=make_rng(0))
+        point, value = de_optimize(obj, SQUARE, 20, 50, rng=make_rng(0))
         assert value == np.inf
         assert SQUARE.contains(point[None, :])
 
     @pytest.mark.parametrize("generations", [1, 15, 16, 17, 75])
     def test_block_boundaries(self, generations):
-        cfg = DEConfig(pop_size=9, generations=generations)
         runs = []
         for _ in range(2):
             obj, rows = counting_sphere()
             history = []
-            point, value = de_optimize(obj, SQUARE, cfg, rng=make_rng(6),
+            point, value = de_optimize(obj, SQUARE, 9, generations, rng=make_rng(6),
                                        history=history)
             assert rows == [9] * (generations + 1)
             assert len(history) == generations
@@ -271,7 +278,6 @@ class TestDEOptimize:
         # coarse levels make ties, which greedy selection accepts; the
         # minimum sits on the upper walls, so trials are clamped there
         obj = Objective(lambda t, p: np.floor(4.0 * np.abs(p - 3.0).sum(axis=1)), arity=d)
-        cfg = DEConfig(pop_size=n, generations=generations)
         # DE/rand/1/bin's fixed weights
         f, cr = 0.8, 0.9
         seed_point = np.full(d, 0.25) if seeded else None
@@ -298,7 +304,7 @@ class TestDEOptimize:
 
         want_history, got_history = [], []
         want_point, want_value = reference(make_rng(seed), want_history)
-        got_point, got_value = de_optimize(obj, region, cfg, seed_point=seed_point,
+        got_point, got_value = de_optimize(obj, region, n, generations, seed_point=seed_point,
                                            rng=make_rng(seed), history=got_history)
         assert got_history == want_history
         assert np.array_equal(got_point, want_point)
@@ -308,11 +314,10 @@ class TestDEOptimize:
     def test_burst_memory_is_linear_in_pop(self):
         # rosenbrock-table3's largest cell: 400 members x 1200 generations
         obj = Objective(lambda t, p: (p**2).sum(axis=1), arity=2)
-        cfg = DEConfig(pop_size=400, generations=1200)
         rng = make_rng(0)
         tracemalloc.start()
         try:
-            de_optimize(obj, SQUARE, cfg, rng=rng)
+            de_optimize(obj, SQUARE, 400, 1200, rng=rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -321,14 +326,13 @@ class TestDEOptimize:
 
     def test_overflowing_draw_range_fails_before_evaluating(self):
         obj, rows = counting_sphere(arity=1)
-        cfg = DEConfig(pop_size=2_100_000, generations=1)
         with pytest.raises(ConfigurationError, match="int64"):
-            de_optimize(obj, Bounds([0.0], [1.0]), cfg, rng=make_rng(0))
+            de_optimize(obj, Bounds([0.0], [1.0]), 2_100_000, 1, rng=make_rng(0))
         assert rows == []
 
     def test_requires_rng(self):
         with pytest.raises(TypeError, match="rng"):
-            de_optimize(sphere_objective(), SQUARE, DEConfig())
+            de_optimize(sphere_objective(), SQUARE, 20, 50)
 
 
 def _largest_int32_pop(d):
@@ -355,12 +359,11 @@ class TestMatchesInt64Reference:
             obj = Objective(lambda t, p: np.zeros(len(p)), arity=d)
         else:
             obj = Objective(lambda t, p: np.floor(4.0 * np.abs(p - 3.0).sum(axis=1)), arity=d)
-        cfg = DEConfig(pop_size=n, generations=generations)
         seed_point = np.full(d, -0.0) if seeded else None
         runs = []
         for burst in (de_optimize, reference.de_optimize):
             rng, history = make_rng(seed), []
-            point, value = burst(obj, region, cfg, seed_point=seed_point, rng=rng,
+            point, value = burst(obj, region, n, generations, seed_point=seed_point, rng=rng,
                                  history=history)
             runs.append((point, value, history, rng.bit_generator.state))
         (got_point, got_value, got_history, got_state), want = runs[0], runs[1]

@@ -5,7 +5,6 @@ revisions of this repository.
     python tools/ab.py --base HEAD~1 --head HEAD --workload all --pairs 5 --seconds 20
     python tools/ab.py --base REV --head REV --direct --pairs 10
     python tools/ab.py --base REV --head REV --direct --call "vs.run(...)"
-    python tools/ab.py --base REV --head REV --direct --same-process --pairs 14
 
 Each revision is unpacked with `git archive` into a fresh temporary
 directory as the siblings `base/` and `head/`, whose paths have equal
@@ -22,24 +21,22 @@ medians, and both sides' unscaled medians where every run printed one,
 the base's interquartile range and the number of pairs the head won (ties
 count for neither side). The last line printed is the summary as JSON.
 
-With `--direct`, no perfbench runs: each run is a fresh Python process
-that imports `viralsearch` from that side's `src/`, as `vs`, and times one
-execution of the `--call` statement with `time.perf_counter`, which
-excludes the interpreter's start-up and the import. The default call is
-acceptance criterion 5's `run` (Shekel, 1000 scouts, 2000 generations,
+With `--direct`, no perfbench runs: every run of both sides happens in
+one fresh Python process, which loads each side's `src/viralsearch` under
+its own module name (`viralsearch_base`, `viralsearch_head`), binds `vs`
+to that side's package, and times one execution of the `--call`
+statement per run with `time.perf_counter`, which excludes the
+interpreter's start-up and the imports; the runs alternate as above. The
+default call is acceptance criterion 5's `run` (Shekel, 1000 scouts, 2000 generations,
 bursts of 300 for 75 generations) over seeds 0-2. Its one metric,
 `wall_s`, is summarized as above under the name `direct`. perfbench's
 scaled readings have moved 5-10 % between commits with code the workload
 never runs; a direct timing has neither its calibration kernel nor its
-harness, so it is the second reading for a change to the engine.
-
-With `--direct --same-process`, every run of both sides happens in one
-fresh process, which loads each side's `src/viralsearch` under its own
-module name (`viralsearch_base`, `viralsearch_head`), binds `vs` to that
-side's package for each call, and runs the calls in the same alternating
-order. Both sides then share the interpreter, the allocator and the
-host's load of the moment, which fresh processes do not: fresh-process
-timings have spread wider than a 6-8 % gain.
+harness, so it is the second reading for a change to the engine. Both
+sides share the interpreter, the allocator and the host's load of the
+moment: timed in a fresh process each, the same arithmetic on two
+commits read +9.9 %, -5.2 % and -8.8 % in three batches of 10 pairs,
+against -0.1 % in one process.
 """
 
 from __future__ import annotations
@@ -65,19 +62,6 @@ DIRECT_CALL = (
     " n_individuals=1000, n_viral_individuals=300, seed=seed))"
 )
 DIRECT_METRICS = [{"name": "wall_s", "unit": "s", "better": "lower"}]
-
-# run as `python -c DIRECT_CHILD CALL` in a side's root; its last line is
-# the report, with the file the package was imported from
-DIRECT_CHILD = """
-import json, sys, time
-import viralsearch as vs
-scope = {"vs": vs}
-call = compile(sys.argv[1], "<call>", "exec")
-started = time.perf_counter()
-exec(call, scope)
-wall_s = time.perf_counter() - started
-print(json.dumps({"package": vs.__file__, "metrics": {"wall_s": {"value": wall_s}}}))
-"""
 
 # run as `python -c SAME_PROCESS_CHILD SPEC`, SPEC a JSON object with the
 # call, each side's package directory and the sides in the order they run;
@@ -145,19 +129,6 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
         cwd=root, env=env, stdout=subprocess.PIPE, text=True, check=True,
     )
     return dict(last_json(proc.stdout), unscaled=unscaled(proc.stdout))
-
-
-def run_direct(root: Path, call: str) -> dict:
-    """One timing of `call` in a fresh process that imports the package
-    from `root`'s `src/` and writes no bytecode."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-c", DIRECT_CHILD, call], cwd=root, env=env,
-                          stdout=subprocess.PIPE, text=True, check=True)
-    report = last_json(proc.stdout)
-    package = Path(report["package"]).resolve()
-    if not package.is_relative_to((root / "src").resolve()):
-        raise RuntimeError(f"the run under {root} imported viralsearch from {package}")
-    return report
 
 
 def run_same_process(roots: dict, call: str, sequence: list) -> list:
@@ -255,12 +226,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload",
                         help="a workload, or all that the head's BENCHMARK.json lists")
     parser.add_argument("--direct", action="store_true",
-                        help="time --call in a fresh process per run instead of perfbench")
+                        help="time --call for both sides in one fresh process instead of "
+                             "perfbench")
     parser.add_argument("--call", default=DIRECT_CALL,
                         help="with --direct, the Python statement timed, with the package "
                              "bound to vs (default: criterion 5's run over seeds 0-2)")
-    parser.add_argument("--same-process", action="store_true",
-                        help="with --direct, run every call of both sides in one fresh process")
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs of runs")
     parser.add_argument("--seed", type=int, default=0, help="perfbench's --seed")
     parser.add_argument("--seconds", type=float, default=20.0, help="perfbench's --seconds")
@@ -271,22 +241,16 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     if args.direct == (args.workload is not None):
         parser.error("give exactly one of --workload and --direct")
-    if args.same_process and not args.direct:
-        parser.error("--same-process needs --direct")
 
     results = {}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         roots = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             checkout(args.repo, getattr(args, side), roots[side])
-        if args.same_process:
+        if args.direct:
             runs = iter(run_same_process(roots, args.call,
                                          [side for sides in order(args.pairs) for side in sides]))
             reports = paired(args.pairs, lambda side: next(runs))
-            results["direct"] = summarize(reports, DIRECT_METRICS)
-            _print_summary("direct, same process", results["direct"], reports)
-        elif args.direct:
-            reports = paired(args.pairs, lambda side: run_direct(roots[side], args.call))
             results["direct"] = summarize(reports, DIRECT_METRICS)
             _print_summary("direct", results["direct"], reports)
         else:
