@@ -11,6 +11,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -182,6 +183,8 @@ def _schaffer_spec() -> BenchmarkSpec:
 
 
 def _two_well_spec(tau: float = 1000.0) -> BenchmarkSpec:
+    if isinstance(tau, bool) or not isinstance(tau, Real) or not 0.0 < tau < np.inf:
+        raise ConfigurationError(f"tau must be a finite real number above 0, got {tau!r}")
     obj = Objective(
         lambda t, p: two_well(t, p[:, 0], p[:, 1], tau=tau),
         arity=2,

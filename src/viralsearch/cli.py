@@ -17,6 +17,7 @@ from .benchmarks import make_benchmark
 from .core import ConfigurationError, ViralSearchError, check_counts, make_rng
 from .engine import VSConfig
 from .harness import (
+    ExperimentSpec,
     _result_row,
     builtin_specs,
     display_value,
@@ -46,10 +47,13 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ng", type=int, required=True, help="number of generations")
     p.add_argument("--niv", type=int, required=True, help="burst population size")
     p.add_argument("--ngv", type=int, required=True, help="burst generations")
-    p.add_argument("--nc", type=int, default=0, help="centers per axis (0 = off)")
-    p.add_argument("--rho", type=float, default=0.05, help="burst cube half-width fraction")
-    p.add_argument("--step", type=float, default=0.1, help="walk step fraction")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nc", type=int, default=VSConfig.centers_per_axis,
+                   help="centers per axis (0 = off)")
+    p.add_argument("--rho", type=float, default=VSConfig.epidemic_radius_fraction,
+                   help="burst cube half-width fraction")
+    p.add_argument("--step", type=float, default=VSConfig.walk_step_fraction,
+                   help="walk step fraction")
+    p.add_argument("--seed", type=int, default=VSConfig.seed)
     p.add_argument("--parallel", type=int, default=1, metavar="M",
                    help="split the box into M sub-boxes, each searched by its own "
                         "engine one after another (more diversity, not faster)")
@@ -68,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a built-in sweep")
     p_bench.add_argument("--spec", required=True,
                          help=f"one of: {', '.join(sorted(builtin_specs()))}")
-    p_bench.add_argument("--repeat", type=int, default=1)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--repeat", type=int, default=ExperimentSpec.repeat)
+    p_bench.add_argument("--seed", type=int, default=ExperimentSpec.seed_base)
     p_bench.add_argument("--out", required=True,
                          help="report path: JSON when the name ends in .json, else CSV")
     p_bench.set_defaults(func=cmd_bench)
@@ -87,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_schema.add_argument("--generations", type=int, required=True)
     p_schema.add_argument("--trials", type=int, required=True)
     p_schema.add_argument("--pop", type=int, default=100, help="population size")
-    p_schema.add_argument("--seed", type=int, default=0)
+    p_schema.add_argument("--seed", type=int, default=GAParams.seed)
     p_schema.set_defaults(func=cmd_schema)
 
     return parser

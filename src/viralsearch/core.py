@@ -16,7 +16,6 @@ import numpy as np
 Point = np.ndarray
 Population = np.ndarray
 RngStream = np.random.Generator
-_FLOAT64 = np.dtype(np.float64)
 
 
 class ViralSearchError(Exception):
@@ -235,17 +234,13 @@ class Objective:
         self.name = name
 
     def evaluate_many(self, t: int, points: np.ndarray) -> np.ndarray:
-        # a float64 ndarray, as the engine always passes, needs no conversion
-        if type(points) is not np.ndarray or points.dtype is not _FLOAT64:
-            points = np.asarray(points, dtype=float)
+        points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.arity:
             raise ValueError(
                 f"expected points of shape (n, {self.arity}), got {points.shape}"
             )
         n = points.shape[0]
-        values = self.fn(t, points)
-        if type(values) is not np.ndarray or values.dtype is not _FLOAT64:
-            values = np.asarray(values, dtype=float)
+        values = np.asarray(self.fn(t, points), dtype=float)
         if values.size != n:
             raise EvaluationError(
                 f"objective returned {values.size} values for {n} points at "

@@ -136,18 +136,6 @@ class RunResult:
     evaluations: dict
 
 
-def _center_count(b: Bounds, centers_per_axis: int) -> int:
-    """Size of the center grid, capped at `_MAX_CENTERS`."""
-    total = centers_per_axis**b.dim
-    if total > _MAX_CENTERS:
-        raise ConfigurationError(
-            f"{centers_per_axis} centers per axis over {b.dim} axes would "
-            f"create {total} centers; use fewer centers per axis or split "
-            f"the box across parallel workers"
-        )
-    return total
-
-
 def _center_indices(points: np.ndarray, b: Bounds, k: int) -> np.ndarray:
     """Index of each point's Euclidean-nearest center on the grid of `k`
     centers per axis: cells of width w = span / k with their centers at the
@@ -182,13 +170,14 @@ def init_state(b: Bounds, cfg: VSConfig, rng: RngStream) -> EngineState:
     """Fresh engine state: a `stratified_init` population drawn from `rng`,
     the walk's generator, an SFC64 on the next child of `rng`'s seed
     sequence (which leaves `rng`'s stream where it was), zero visit counts
-    per center (none when centers are off), empty trace. For another start,
+    per center (none when centers are off), empty trace. A configuration
+    `check_config` rejects raises before any draw. For another start,
     build the `EngineState` by hand."""
-    n_centers = _center_count(b, cfg.centers_per_axis) if cfg.centers_per_axis else 0
+    check_config(b, cfg)
     pop = np.asfortranarray(stratified_init(b, cfg.n_individuals, rng))
     walk_rng = np.random.Generator(np.random.SFC64(rng.bit_generator.seed_seq.spawn(1)[0]))
     return EngineState(population=pop, walk_rng=walk_rng,
-                       visit_counts=np.zeros(n_centers, dtype=np.int64))
+                       visit_counts=np.zeros(cfg.centers_per_axis**b.dim, dtype=np.int64))
 
 
 def _walk_box(state: EngineState, b: Bounds, step_fraction: float) -> tuple:
@@ -364,9 +353,11 @@ def step(
 
 
 def check_config(b: Bounds, cfg: VSConfig) -> None:
-    """Raise `ConfigurationError` unless a run of `cfg` on `b` can draw its
-    bursts' partners, walk without overflow and build a burst cube around
-    any trigger in `b`.
+    """Raise `ConfigurationError`, naming the field, unless a run of `cfg`
+    on `b` can draw its bursts' partners as int64 integers
+    (`check_draw_range`), keep its center grid within `_MAX_CENTERS`
+    centers, walk without overflow and build a burst cube around any
+    trigger in `b`. `init_state` runs it before any draw.
 
     numpy's ziggurat never returns a normal deviate of magnitude 14, so the
     walk's values stay below 2M + (M + 14 * walk_step_fraction * span),
@@ -375,6 +366,13 @@ def check_config(b: Bounds, cfg: VSConfig) -> None:
     at a wall; that happens first at the walls and the two floats inside
     each."""
     check_draw_range(cfg.n_viral_individuals, b.dim)
+    # a Python int, so a numpy count cannot wrap past the cap
+    total = int(cfg.centers_per_axis) ** b.dim
+    if total > _MAX_CENTERS:
+        raise ConfigurationError(
+            f"{cfg.centers_per_axis} centers per axis over {b.dim} axes would create {total} "
+            f"centers; use fewer centers per axis or split the box across parallel workers"
+        )
     reach = np.maximum(np.abs(b.lb), np.abs(b.ub))
     with np.errstate(over="ignore"):
         reach = (reach + reach) + (reach + 14.0 * (cfg.walk_step_fraction * b.span))
@@ -398,14 +396,14 @@ def check_config(b: Bounds, cfg: VSConfig) -> None:
 
 def run(objective: Objective, b: Bounds, cfg: VSConfig) -> RunResult:
     """Full optimization: initialize, iterate `step` for exactly
-    `n_generations` generations, and package the result. A configuration
-    `check_config` rejects fails before any evaluation."""
+    `n_generations` generations, and package the result. An objective of
+    the wrong arity, and a configuration `check_config` rejects (`init_state`
+    runs it), fail before any evaluation."""
     if objective.arity != b.dim:
         raise ConfigurationError(
             f"objective arity {objective.arity} does not match bounds "
             f"dimension {b.dim}"
         )
-    check_config(b, cfg)
 
     t0 = time.perf_counter()
     rng = make_rng(cfg.seed)

@@ -25,6 +25,22 @@ from .engine import RunResult, VSConfig, check_config, run
 _TAIL_COLUMNS = ("time_s", "seed", "kind", "status")
 
 
+def _check_keys(keys, where: str) -> None:
+    valid = [f.name for f in fields(VSConfig)]
+    keys = tuple(keys)
+    for key in keys:
+        if key not in valid:
+            raise ConfigurationError(
+                f"unknown VSConfig key {key!r} in {where}; "
+                f"valid keys: {', '.join(valid)}"
+            )
+        # each run's seed is a child of seed_base, which overrides a seed set here
+        if key == "seed":
+            raise ConfigurationError(f"{where} sets 'seed'; set the spec's seed_base instead")
+        if keys.count(key) > 1:
+            raise ConfigurationError(f"{where} names {key!r} twice")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A benchmark sweep: which config fields vary, over which cells.
@@ -32,7 +48,9 @@ class ExperimentSpec:
     When `checkpoints` is set each run is sampled at those trace
     generations instead of reported by its end result. `sweep_fields`,
     `cells`, each cell and `checkpoints` are tuples; `base` and
-    `benchmark_params` are mappings.
+    `benchmark_params` are mappings. A key of `base` or `sweep_fields`
+    that is no `VSConfig` field, is `seed` (runs take their seeds from
+    `seed_base`) or is named twice fails when the spec is built.
     """
 
     benchmark: str
@@ -55,6 +73,8 @@ class ExperimentSpec:
         for name, value in (("base", self.base), ("benchmark_params", self.benchmark_params)):
             if not isinstance(value, Mapping):
                 raise ConfigurationError(f"{name} must be a mapping, got {value!r}")
+        _check_keys(self.base, "base")
+        _check_keys(self.sweep_fields, "sweep_fields")
         if self.checkpoints is not None:
             if not self.checkpoints:
                 raise ConfigurationError("checkpoints must name at least one generation")
@@ -180,23 +200,6 @@ def _result_row(bench: BenchmarkSpec, sweep: dict, point, value: float, elapsed_
     )
 
 
-def _check_keys(keys, where: str) -> None:
-    valid = [f.name for f in fields(VSConfig)]
-    seen = set()
-    for key in keys:
-        if key not in valid:
-            raise ConfigurationError(
-                f"unknown VSConfig key {key!r} in {where}; "
-                f"valid keys: {', '.join(valid)}"
-            )
-        # each run's seed is a child of seed_base, which overrides a seed set here
-        if key == "seed":
-            raise ConfigurationError(f"{where} sets 'seed'; set the spec's seed_base instead")
-        if key in seen:
-            raise ConfigurationError(f"{where} names {key!r} twice")
-        seen.add(key)
-
-
 def _median_row(rows: list) -> ReportRow:
     ok = [r for r in rows if r.status == "ok"]
     pool = ok if ok else rows
@@ -207,12 +210,9 @@ def _median_row(rows: list) -> ReportRow:
 
 def run_experiment(spec: ExperimentSpec) -> list:
     """Execute every (cell, repeat) run; one row per run plus a median row
-    per cell, or one row per checkpoint of each run. An unknown config key
-    in `base` or `sweep_fields`, a `seed` in either (runs take their seeds
-    from `seed_base`), a field `sweep_fields` names twice, or an unknown
-    benchmark parameter, raises `ConfigurationError` before any run."""
-    _check_keys(spec.base, "base")
-    _check_keys(spec.sweep_fields, "sweep_fields")
+    per cell, or one row per checkpoint of each run. A benchmark that
+    `make_benchmark` rejects fails before any run; the spec's keys were
+    checked when it was built."""
     bench = make_benchmark(spec.benchmark, **spec.benchmark_params)
     rows = []
     for c, cell in enumerate(spec.cells):

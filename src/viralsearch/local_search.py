@@ -24,9 +24,8 @@ from .core import (
 
 
 # DE/rand/1/bin's differential weight F and crossover rate CR (Storn &
-# Price 1997), the same for every burst; F as a numpy scalar, which a ufunc
-# takes without converting a Python float
-_F = np.float64(0.8)
+# Price 1997), the same for every burst
+_F = 0.8
 _CR = 0.9
 
 _BLOCK = 16  # generations whose randomness one draw serves

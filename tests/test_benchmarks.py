@@ -324,6 +324,12 @@ class TestRegistry:
         peak = np.array([4.0, 4.0, 4.0, 4.0])
         assert spec.objective(0, peak) == pytest.approx(-shekel(peak), rel=1e-12)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf, "500", True])
+    def test_two_well_tau_must_be_a_finite_number_above_zero(self, tau):
+        with pytest.raises(ConfigurationError) as excinfo:
+            make_benchmark("two_well", tau=tau)
+        assert str(excinfo.value) == f"tau must be a finite real number above 0, got {tau!r}"
+
     def test_parameter_override(self):
         spec = make_benchmark("two_well", tau=500.0)
         assert spec.objective(1000, np.array([2.0, 2.0])) == pytest.approx(

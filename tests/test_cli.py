@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ import pytest
 import viralsearch
 import viralsearch.cli as cli
 from viralsearch.core import Objective
+from viralsearch.engine import VSConfig
 from viralsearch.harness import ExperimentSpec
+from viralsearch.schema_lab import GAParams
 from reference import read_rows_csv, read_rows_json
 
 
@@ -327,6 +330,49 @@ class TestOutDirectory:
         monkeypatch.chdir(tmp_path)
         assert run_cli("run", *RUN_ARGS, "--out", "out.csv") == 0
         assert evaluations and (tmp_path / "out.csv").exists()
+
+
+class TestDefaults:
+    """Given only its required flags, each subcommand passes on the
+    defaults of the config class it builds."""
+
+    class Captured(Exception):
+        pass
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        seen = []
+
+        def capture(*args, **kwargs):
+            seen.append(args)
+            raise self.Captured
+
+        for name in ("parallel_run", "run_experiment", "schema_growth_experiment"):
+            monkeypatch.setattr(cli, name, capture)
+        return seen
+
+    @pytest.mark.parametrize("argv", [("run", *RUN_ARGS), ("trace", *RUN_ARGS)],
+                             ids=["run", "trace"])
+    def test_run_and_trace_pass_the_vsconfig_defaults(self, tmp_path, captured, argv):
+        with pytest.raises(self.Captured):
+            run_cli(*argv, "--out", str(tmp_path / "out.csv"))
+        [(_, _, cfg)] = captured
+        assert cfg == VSConfig(n_generations=5, n_viral_generations=5, n_individuals=40,
+                               n_viral_individuals=15)
+
+    def test_bench_passes_the_experiment_spec_defaults(self, tmp_path, captured):
+        with pytest.raises(self.Captured):
+            run_cli("bench", "--spec", "rosenbrock-table2", "--out", str(tmp_path / "b.csv"))
+        [(spec,)] = captured
+        defaults = {f.name: f.default for f in fields(ExperimentSpec)}
+        assert (spec.repeat, spec.seed_base) == (defaults["repeat"], defaults["seed_base"])
+
+    def test_schema_passes_the_ga_params_defaults(self, captured):
+        with pytest.raises(self.Captured):
+            run_cli("schema", "--schema", "1**", "--pc", "0.7", "--pm", "0.01",
+                    "--generations", "3", "--trials", "2")
+        [(_, _, params)] = captured
+        assert params == GAParams(p_c=0.7, p_m=0.01)
 
 
 class TestRemovedOptions:

@@ -127,12 +127,6 @@ class TestMakeCenters:
         assert np.allclose(sorted(set(np.round(centers[:, 0], 12))), expected_axis)
         assert np.allclose(sorted(set(np.round(centers[:, 1], 12))), expected_axis)
 
-    def test_center_count_guard(self):
-        # the engine caps the grid; the reference grid builds any size
-        b3 = Bounds([0.0] * 3, [1.0] * 3)
-        with pytest.raises(ConfigurationError, match="parallel"):
-            init_state(b3, small_cfg(centers_per_axis=101), make_rng(0))  # 101^3 > 1e6
-
 
 class TestNearestCenter:
     def test_exact_center(self):
@@ -1000,10 +994,28 @@ def counting_flat():
 
 
 class TestConfigChecks:
-    """`check_config` rejects a walk that can overflow and a burst cube that
-    can round to a point before `run` evaluates anything."""
+    """`check_config` rejects a burst draw range past int64, an oversized
+    center grid, a walk that can overflow and a burst cube that can round
+    to a point, and `init_state` runs it before any draw."""
 
     HUGE = Bounds([-4e307] * 2, [4e307] * 2)
+
+    @pytest.mark.parametrize("b, overrides, match", [
+        (BOX, {"n_viral_individuals": 2**22}, "more than int64 can draw"),
+        (HUGE, {"walk_step_fraction": 1.0}, "walk_step_fraction=1.0 lets a walk step overflow"),
+        (Bounds([1e16] * 2, [1e16 + 4] * 2), {}, "epidemic_radius_fraction=0.05 gives axis 0"),
+        # the engine caps the grid; the reference grid builds any size
+        (Bounds([0.0] * 3, [1.0] * 3), {"centers_per_axis": 101},
+         "101 centers per axis over 3 axes would create 1030301 centers"),
+        # (2**32)**2 wraps to 0 in int64, which would turn the grid off
+        (BOX, {"centers_per_axis": np.int64(2**32)}, "would create 18446744073709551616 centers"),
+    ], ids=["draw-range", "walk", "cube", "grid", "numpy-grid"])
+    def test_init_state_rejects_before_any_draw(self, b, overrides, match):
+        rng = make_rng(0)
+        before = copy.deepcopy(rng.bit_generator.state)
+        with pytest.raises(ConfigurationError, match=match):
+            init_state(b, small_cfg(**overrides), rng)
+        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("fraction", [1.0, 0.06])
     def test_a_walk_that_can_overflow_is_rejected(self, fraction):

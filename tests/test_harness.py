@@ -89,6 +89,26 @@ class TestExperimentSpec:
             run_experiment(tiny_spec(benchmark_params={"tau": 5.0}))
         assert calls == []
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf"), "500", True])
+    def test_bad_two_well_tau_fails_before_any_run(self, monkeypatch, tau):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *args, **kwargs: calls.append(1))
+        spec = tiny_spec(benchmark="two_well", benchmark_params={"tau": tau})
+        with pytest.raises(ConfigurationError, match="tau must be a finite real number above 0"):
+            run_experiment(spec)
+        assert calls == []
+
+    @pytest.mark.parametrize("overrides", [
+        dict(base={"bogus": 1}),
+        dict(base={"seed": 1}),
+        dict(sweep_fields=("n_individuals", "n_individuals"), cells=((5, 9),)),
+    ], ids=["unknown", "seed", "twice"])
+    def test_bad_keys_rejected_when_built(self, overrides):
+        with pytest.raises(ConfigurationError):
+            tiny_spec(**overrides)
+        with pytest.raises(ConfigurationError):
+            replace(tiny_spec(), **overrides)
+
     def test_numpy_integer_counts_run_like_python_ints(self):
         plain = run_experiment(tiny_spec(repeat=2, seed_base=3))
         np_ints = run_experiment(tiny_spec(repeat=np.int64(2), seed_base=np.int64(3)))
